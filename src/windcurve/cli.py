@@ -8,10 +8,9 @@ precedence over built-in defaults.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import click
@@ -20,60 +19,59 @@ import numpy as np
 from . import __version__
 from .cp_models import (DEFAULT_PARAMETERISATION, REGISTRY, cp_general_array,
                         get_parameterisation, registry_to_json)
-from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX
+from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, PowerCurve
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
-from .errors import (MissingDiameter, MissingMandatoryField, NoPositiveCp,
-                     NonFiniteResult, GroundStrike, UnknownParameter,
-                     UnknownParameterisation, WindcurveError)
+from .errors import (NoPositiveCp, NonFiniteResult, UnknownParameter,
+                     WindcurveError)
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import TurbineSpec, complete_spec, load_spec
+from .turbine import DefaultsReport, TurbineSpec, complete_spec, load_spec
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
-_INPUT_ERRORS = (MissingMandatoryField, MissingDiameter, GroundStrike,
-                 UnknownParameter, UnknownParameterisation, ValueError,
-                 FileNotFoundError, json.JSONDecodeError)
+_INPUT_ERRORS = (WindcurveError, ValueError, FileNotFoundError)
 _NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, FloatingPointError,
                    ZeroDivisionError)
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; field names double as JSON config keys."""
+    """Resolved run: a turbine, its site and the run settings.  Config files
+    and sidecars hold it flat, keyed by the field names of all three."""
 
-    name: str = "turbine"
-    rotor_diameter: float | None = None
-    rated_power: float | None = None
-    cut_in: float | None = None
-    cut_out: float | None = None
-    omega_min: float | None = None
-    omega_max: float | None = None
-    cp_max: float | None = None
-    hub_height: float | None = None
+    turbine: TurbineSpec
     cp_model: str = DEFAULT_PARAMETERISATION
-    ti: float = 0.0
-    rho: float = 1.225
-    shear_alpha: float = 0.0
-    veer_rate: float = 0.0
+    env: EnvironmentConditions = field(default_factory=EnvironmentConditions)
     n_bands: int = DEFAULT_N_BANDS
     v_max: float = DEFAULT_V_MAX
     dv: float = DEFAULT_DV
     env_order: str = ENV_ORDERS[0]
 
-    def spec(self) -> TurbineSpec:
-        return TurbineSpec(name=self.name, rotor_diameter=self.rotor_diameter,
-                           rated_power=self.rated_power, cut_in=self.cut_in,
-                           cut_out=self.cut_out, omega_min=self.omega_min,
-                           omega_max=self.omega_max, cp_max=self.cp_max,
-                           hub_height=self.hub_height)
-
-    def environment(self) -> EnvironmentConditions:
-        return EnvironmentConditions(ti=self.ti, rho=self.rho,
-                                     shear_alpha=self.shear_alpha,
-                                     veer_rate=self.veer_rate)
+    @classmethod
+    def from_flat(cls, flat: dict) -> "RunConfig":
+        """Build from flat keys; absent keys take their defaults."""
+        def pick(shape) -> dict:
+            return {f.name: flat[f.name] for f in fields(shape) if f.name in flat}
+        return cls(**{**pick(cls), **{k: part(**pick(part)) for k, part in _PARTS.items()}})
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Flat form, the inverse of :meth:`from_flat`."""
+        flat: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            flat.update(asdict(value) if f.name in _PARTS else {f.name: value})
+        return flat
+
+    def synthesize(self) -> tuple[PowerCurve, DefaultsReport]:
+        """Synthesize this run's curve."""
+        return synthesize(self.turbine, self.env, cp_model=self.cp_model,
+                          v_max=self.v_max, dv=self.dv, n_bands=self.n_bands,
+                          env_order=self.env_order)
+
+
+_PARTS = {"turbine": TurbineSpec, "env": EnvironmentConditions}
+
+#: Every key a flat run configuration may hold, in sidecar order.
+CONFIG_KEYS = tuple(RunConfig(TurbineSpec()).to_dict())
 
 
 # Reference configuration and typical variation intervals used by sweeps.
@@ -114,8 +112,6 @@ def _guarded(fn):
             _fail(3, f"{type(exc).__name__}: {exc}")
         except _INPUT_ERRORS as exc:
             _fail(2, f"{type(exc).__name__}: {exc}")
-        except WindcurveError as exc:
-            _fail(2, f"{type(exc).__name__}: {exc}")
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -129,23 +125,22 @@ def _load_config_file(path: str | None) -> dict:
         data = json.load(fh)
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return data
 
 
+def _given(values: dict) -> dict:
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _resolve_config(config_path: str | None, spec_path: str | None,
                     flag_values: dict) -> RunConfig:
     """Overlay precedence: flags > config file > spec file > defaults."""
-    merged: dict = {}
-    if spec_path is not None:
-        spec = load_spec(spec_path)
-        merged.update({k: v for k, v in spec.to_dict().items() if v is not None})
-    merged.update(_load_config_file(config_path))
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return RunConfig(**merged)
+    spec = load_spec(spec_path).to_dict() if spec_path is not None else {}
+    return RunConfig.from_flat({**_given(spec), **_load_config_file(config_path),
+                                **_given(flag_values)})
 
 
 _turbine_options = [
@@ -209,7 +204,7 @@ def main() -> None:
 @_add_options(_turbine_options)
 @_add_options(_environment_options)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON run configuration (RunConfig field names).")
+              help="JSON run configuration with flat keys (see README).")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
               help="JSON turbine spec record.")
 @click.option("--out", "out_path", type=click.Path(), required=True,
@@ -220,13 +215,8 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
              **flags) -> None:
     """Generate one power curve and its metadata sidecar."""
     cfg = _resolve_config(config_path, spec_path, flags)
-    curve, report = synthesize(cfg.spec(), cfg.environment(),
-                               cp_model=cfg.cp_model, v_max=cfg.v_max,
-                               dv=cfg.dv, n_bands=cfg.n_bands,
-                               env_order=cfg.env_order)
-    resolved = cfg.to_dict()
-    resolved.update({k: curve.meta["turbine"][k]
-                     for k in ("cut_in", "cut_out", "omega_min", "omega_max", "cp_max")})
+    curve, report = cfg.synthesize()
+    resolved = {**cfg.to_dict(), **curve.meta["turbine"]}
     out = Path(out_path)
     curve.write_csv(out)
     sidecar = out.with_suffix(".json")
@@ -275,10 +265,8 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
           out_path: str, **flags) -> None:
     """Vary one parameter around the reference configuration."""
     sweep_values = _parse_sweep_values(param, values, vrange)
-    base = dict(REFERENCE_CONFIG)
-    base.update(_load_config_file(config_path))
-    base.update({k: v for k, v in flags.items() if v is not None})
-    cfg = RunConfig(**base)
+    base = {**REFERENCE_CONFIG, **_load_config_file(config_path), **_given(flags)}
+    key = "cp_model" if param == "cp_parameterisation" else param
 
     interval = SWEEP_INTERVALS.get(param)
     if interval is not None:
@@ -290,17 +278,8 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
     with Path(out_path).open("w", newline="") as fh:
         fh.write("param_value,wind_speed_ms,power_kw\n")
         for v in sweep_values:
-            run = dataclasses.replace(cfg)
-            if param == "cp_parameterisation":
-                run.cp_model = v
-                label = v
-            else:
-                setattr(run, param, v)
-                label = f"{v:.6g}"
-            curve, _ = synthesize(run.spec(), run.environment(),
-                                  cp_model=run.cp_model, v_max=run.v_max,
-                                  dv=run.dv, n_bands=run.n_bands,
-                                  env_order=run.env_order)
+            label = v if param == "cp_parameterisation" else f"{v:.6g}"
+            curve, _ = RunConfig.from_flat({**base, key: v}).synthesize()
             for w, p in zip(curve.wind_grid, curve.power):
                 fh.write(f"{label},{w:.6g},{p:.6g}\n")
     click.echo(f"wrote {out_path} ({len(sweep_values)} curves)")
@@ -313,7 +292,7 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
 @_guarded
 def defaults(out_path: str | None, **flags) -> None:
     """Complete a partial spec with the statistical defaults."""
-    spec = TurbineSpec(**{k: v for k, v in flags.items() if v is not None})
+    spec = TurbineSpec(**_given(flags))
     completed, report = complete_spec(spec)
     payload = json.dumps({"spec": completed.to_dict(),
                           "defaults_report": report.to_list()}, indent=2)

@@ -79,6 +79,23 @@ class CpParameterisation:
                 self.c6, self.c7, self.c8, self.c9, self.c10)
 
 
+def _cp_family(lams: np.ndarray, beta: float,
+               p: CpParameterisation) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped cp on an array, and the mask of points where lambda > 0,
+    lambda + c9*b > 0 and 1/li > 0 (cp elsewhere is a placeholder)."""
+    lams = np.asarray(lams, dtype=np.float64)
+    b = beta + p.beta_offset
+    shifted = lams + p.c9 * b
+    ok = (lams > 0.0) & (shifted > 0.0)
+    inv_li = np.where(ok, 1.0 / np.where(ok, shifted, 1.0), 0.0) - p.c10 / (b ** 3 + 1.0)
+    ok &= inv_li > 0.0
+    inv_li = np.where(ok, inv_li, 1.0)
+    li = 1.0 / inv_li
+    cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
+          * np.exp(-p.c7 * inv_li) + p.c8 * lams)
+    return np.maximum(cp, 0.0), ok
+
+
 def cp_general(lam: float, beta: float, p: CpParameterisation) -> float:
     """Evaluate the analytic cp family at one point.
 
@@ -104,21 +121,10 @@ def cp_general(lam: float, beta: float, p: CpParameterisation) -> float:
         range where the parameterisation is meaningful.  Callers that build
         curves treat this case as cp = 0.
     """
-    if lam <= 0.0 or not math.isfinite(lam):
-        raise NonFiniteResult(f"tip-speed ratio {lam} outside model range")
-    b = beta + p.beta_offset
-    shifted = lam + p.c9 * b
-    if shifted <= 0.0:
-        raise NonFiniteResult(f"lambda + c9*beta = {shifted} is not positive")
-    inv_li = 1.0 / shifted - p.c10 / (b ** 3 + 1.0)
-    if inv_li <= 0.0 or not math.isfinite(inv_li):
-        raise NonFiniteResult(f"1/li = {inv_li} degenerated at lambda={lam}")
-    li = 1.0 / inv_li
-    cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
-          * math.exp(-p.c7 * inv_li) + p.c8 * lam)
-    if not math.isfinite(cp):
-        raise NonFiniteResult(f"cp overflowed at lambda={lam}, beta={beta}")
-    return max(cp, 0.0)
+    cp, ok = _cp_family(np.array([lam], dtype=np.float64), beta, p)
+    if not (ok[0] and math.isfinite(cp[0])):
+        raise NonFiniteResult(f"cp degenerated at lambda={lam}, beta={beta}")
+    return float(cp[0])
 
 
 def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np.ndarray:
@@ -128,17 +134,8 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
     would raise :class:`NonFiniteResult` evaluate to 0 instead, which is the
     treatment the curve engine applies anyway.
     """
-    lams = np.asarray(lams, dtype=np.float64)
-    b = beta + p.beta_offset
-    shifted = lams + p.c9 * b
-    ok = (lams > 0.0) & (shifted > 0.0)
-    inv_li = np.where(ok, 1.0 / np.where(ok, shifted, 1.0), 0.0) - p.c10 / (b ** 3 + 1.0)
-    ok &= inv_li > 0.0
-    inv_li = np.where(ok, inv_li, 1.0)
-    li = 1.0 / inv_li
-    cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
-          * np.exp(-p.c7 * inv_li) + p.c8 * lams)
-    return np.where(ok, np.maximum(cp, 0.0), 0.0)
+    cp, ok = _cp_family(lams, beta, p)
+    return np.where(ok, cp, 0.0)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:

@@ -40,8 +40,8 @@ DEFAULT_DV = 0.05
 
 def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.ndarray:
     """Uniform wind-speed grid [0, v_max] with step dv."""
-    if not (v_max > 0 and dv > 0):
-        raise ValueError("v_max and dv must be positive")
+    if not (0 < v_max < math.inf and 0 < dv < math.inf):
+        raise ValueError("v_max and dv must be positive and finite")
     n = int(round(v_max / dv))
     if abs(n * dv - v_max) > 1e-9:
         raise ValueError(f"v_max={v_max} is not a multiple of dv={dv}")
@@ -91,11 +91,6 @@ class PowerCurve:
             with Path(target).open("w", newline="") as fh:
                 _write_curve(fh, self.wind_grid, self.power)
 
-    @classmethod
-    def read_csv(cls, path: str | Path, meta: dict | None = None) -> "PowerCurve":
-        ws, power = read_curve_csv(path)
-        return cls(ws, power, meta or {})
-
 
 def _write_curve(fh: IO[str], ws: np.ndarray, power: np.ndarray) -> None:
     fh.write(POWER_CURVE_CSV_HEADER + "\n")
@@ -127,32 +122,42 @@ class OperatingState:
     cp: float
 
 
-def rotor_speed(v: float, spec: TurbineSpec, lambda_opt: float) -> float:
+def rotor_speed(v: float | np.ndarray, spec: TurbineSpec, lambda_opt: float):
     """Rotor speed schedule in rpm: track lambda_opt, clamped to the limits."""
     radius = spec.rotor_diameter / 2.0
-    unclamped = lambda_opt * v / radius * RAD_S_TO_RPM
-    return min(spec.omega_max, max(spec.omega_min, unclamped))
+    return np.clip(lambda_opt * v / radius * RAD_S_TO_RPM,
+                   spec.omega_min, spec.omega_max)
 
 
-def tsr(v: float, omega: float, rotor_diameter: float) -> float:
+def tsr(v: float | np.ndarray, omega: float | np.ndarray, rotor_diameter: float):
     """Tip-speed ratio from rotor speed (rpm) and wind speed (m/s)."""
-    if v == 0.0:
+    if np.any(np.equal(v, 0.0)):
         raise ZeroDivisionError("tip-speed ratio undefined at zero wind speed")
     return omega * RPM_TO_RAD_S * (rotor_diameter / 2.0) / v
 
 
-def raw_power(v: float, cp: float, rho: float, rotor_diameter: float) -> float:
+def raw_power(v: float | np.ndarray, cp: float | np.ndarray, rho: float,
+              rotor_diameter: float):
     """Aerodynamic power in kW: 0.5 * rho * A * v^3 * cp."""
     area = math.pi * rotor_diameter ** 2 / 4.0
     return 0.5 * rho * area * v ** 3 * cp / 1000.0
 
 
+def _operating_chain(vs: np.ndarray, spec: TurbineSpec,
+                     model: ScaledCpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega (rpm), lambda and cp (0 outside LAMBDA_DOMAIN) at speeds vs > 0."""
+    omega = rotor_speed(vs, spec, model.lambda_opt)
+    lam = tsr(vs, omega, spec.rotor_diameter)
+    cp = model.cp_array(lam)
+    cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
+    return omega, lam, cp
+
+
 def operating_state(v: float, spec: TurbineSpec, model: ScaledCpModel) -> OperatingState:
-    """Scalar chain omega -> lambda -> cp at one wind speed (beta = 0)."""
-    omega = rotor_speed(v, spec, model.lambda_opt)
-    lam = tsr(v, omega, spec.rotor_diameter)
-    cp = model.cp_array(np.array([lam]))[0] if LAMBDA_DOMAIN[0] <= lam <= LAMBDA_DOMAIN[1] else 0.0
-    return OperatingState(v=v, omega=omega, lam=lam, beta=0.0, cp=float(cp))
+    """Chain omega -> lambda -> cp at one wind speed (beta = 0)."""
+    omega, lam, cp = _operating_chain(np.array([v], dtype=np.float64), spec, model)
+    return OperatingState(v=v, omega=float(omega[0]), lam=float(lam[0]),
+                          beta=0.0, cp=float(cp[0]))
 
 
 def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = 1.225,
@@ -173,15 +178,9 @@ def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = 1.225,
                  & (grid <= spec.cut_out + GRID_EPS)
                  & (grid > 0.0))
     vs = grid[producing]
-    radius = spec.rotor_diameter / 2.0
-    omega_rpm = np.clip(model.lambda_opt * vs / radius * RAD_S_TO_RPM,
-                        spec.omega_min, spec.omega_max)
-    lam = omega_rpm * RPM_TO_RAD_S * radius / vs
-    cp = model.cp_array(lam)
-    cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
-    area = math.pi * spec.rotor_diameter ** 2 / 4.0
-    p_kw = 0.5 * rho * area * vs ** 3 * cp / 1000.0
-    power[producing] = np.minimum(spec.rated_power, p_kw)
+    _, _, cp = _operating_chain(vs, spec, model)
+    power[producing] = np.minimum(spec.rated_power,
+                                  raw_power(vs, cp, rho, spec.rotor_diameter))
 
     meta = {
         "turbine": spec.to_dict(),

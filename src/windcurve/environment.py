@@ -55,6 +55,9 @@ class EnvironmentConditions:
             raise ValueError(f"turbulence intensity must lie in [0, 1), got {self.ti}")
         if not self.rho > 0.0:
             raise ValueError(f"air density must be positive, got {self.rho}")
+        for name in ("rho", "shear_alpha", "veer_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.9 <= self.rho <= 1.5:
             warnings.warn(f"air density {self.rho} kg/m^3 outside the usual "
                           "0.9-1.5 band", UserWarning, stacklevel=2)
@@ -111,34 +114,30 @@ def band_areas(rotor_diameter: float, hub_height: float, n: int = DEFAULT_N_BAND
     return RotorBands(heights=centres, areas=areas)
 
 
-def _rews_factor(spec: TurbineSpec, shear_alpha: float, veer_rate: float,
-                 bands: RotorBands) -> float:
-    """Ratio of rotor-equivalent to hub-height wind speed.
-
-    The power-law profile is multiplicative in the hub speed and the veer
-    angle does not depend on it, so the whole correction collapses into one
-    constant factor for a given rotor, profile and band layout.
-    """
-    if spec.hub_height is None:
-        raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
-    z = spec.hub_height + bands.heights
-    speed_ratio = (z / spec.hub_height) ** shear_alpha
-    dphi = np.deg2rad(veer_rate * bands.heights)
-    weights = bands.areas / bands.total_area
-    return float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
-
-
-def rews(u_hub: float, spec: TurbineSpec, shear_alpha: float, veer_rate: float,
-         bands: RotorBands) -> float:
+def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
+         veer_rate: float, bands: RotorBands):
     """Rotor-equivalent wind speed for a hub-height speed u_hub.
 
     Cube-root of the area-weighted mean of (U_i * cos(dphi_i))^3 over the
     bands, with U_i from the power-law profile anchored at the hub and
-    dphi_i the linear veer angle at the band centre.
+    dphi_i the linear veer angle at the band centre; u_hub may be an array.
+    The veer across the rotor must stay below 90 deg (|veer_rate| * D/2 < 90),
+    past which cos(dphi) < 0 reverses the band speeds; the typical range,
+    0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
     """
-    if u_hub < 0:
+    if np.any(np.less(u_hub, 0)):
         raise ValueError(f"u_hub must be >= 0, got {u_hub}")
-    return u_hub * _rews_factor(spec, shear_alpha, veer_rate, bands)
+    if spec.hub_height is None:
+        raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
+    if not abs(veer_rate) * spec.rotor_diameter / 2.0 < 90.0:
+        raise ValueError(
+            f"veer_rate {veer_rate} deg/m turns the wind by 90 deg or more across "
+            f"a {spec.rotor_diameter} m rotor")
+    z = spec.hub_height + bands.heights
+    speed_ratio = (z / spec.hub_height) ** shear_alpha
+    dphi = np.deg2rad(veer_rate * bands.heights)
+    weights = bands.areas / bands.total_area
+    return u_hub * float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
 
 
 def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[np.ndarray, float]:
@@ -223,10 +222,10 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
     cut_out = float(spec.cut_out) if spec.cut_out is not None else curve.cut_out()
     bands = band_areas(spec.rotor_diameter, spec.hub_height, n_bands)
-    factor = _rews_factor(spec, shear_alpha, veer_rate, bands)
+    u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, bands)
 
     base, _ = _plateau_extended(curve, cut_out)
-    remapped = np.interp(curve.wind_grid * factor, curve.wind_grid, base)
+    remapped = np.interp(u_eq, curve.wind_grid, base)
     remapped[curve.wind_grid > cut_out + GRID_EPS] = 0.0
 
     meta = dict(curve.meta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -55,6 +56,10 @@ class TurbineSpec:
         def bad(msg: str) -> ValueError:
             return ValueError(f"{self.name}: {msg}")
 
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise bad(f"{f.name} must be finite, got {value}")
         if self.rotor_diameter is not None and not self.rotor_diameter > 0:
             raise bad(f"rotor_diameter must be > 0, got {self.rotor_diameter}")
         if self.rated_power is not None and not self.rated_power > 0:
@@ -153,37 +158,23 @@ def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
         raise MissingMandatoryField(
             f"{partial.name}: missing mandatory field(s): {', '.join(missing)}")
 
-    filled: list[FilledDefault] = []
-    updates: dict[str, float] = {}
-
-    if partial.cut_in is None:
-        updates["cut_in"] = DEFAULT_CUT_IN
-        filled.append(FilledDefault("cut_in", DEFAULT_CUT_IN, RULE_CUT_IN))
-    if partial.cut_out is None:
-        updates["cut_out"] = DEFAULT_CUT_OUT
-        filled.append(FilledDefault("cut_out", DEFAULT_CUT_OUT, RULE_CUT_OUT))
-    if partial.cp_max is None:
-        updates["cp_max"] = DEFAULT_CP_MAX
-        filled.append(FilledDefault("cp_max", DEFAULT_CP_MAX, RULE_CP_MAX))
+    w_min = w_max = None
     if partial.omega_min is None or partial.omega_max is None:
         w_min, w_max = default_rotation_speeds(partial.rotor_diameter)
-        if partial.omega_min is None:
-            updates["omega_min"] = w_min
-            filled.append(FilledDefault("omega_min", w_min, RULE_OMEGA_MIN))
-        if partial.omega_max is None:
-            updates["omega_max"] = w_max
-            filled.append(FilledDefault("omega_max", w_max, RULE_OMEGA_MAX))
-
-    spec = replace(partial, **updates) if updates else partial
-    return spec, DefaultsReport(tuple(filled))
+    rules = (("cut_in", DEFAULT_CUT_IN, RULE_CUT_IN),
+             ("cut_out", DEFAULT_CUT_OUT, RULE_CUT_OUT),
+             ("cp_max", DEFAULT_CP_MAX, RULE_CP_MAX),
+             ("omega_min", w_min, RULE_OMEGA_MIN),
+             ("omega_max", w_max, RULE_OMEGA_MAX))
+    filled = tuple(FilledDefault(name, value, rule) for name, value, rule in rules
+                   if getattr(partial, name) is None)
+    spec = replace(partial, **{f.field: f.value for f in filled}) if filled else partial
+    return spec, DefaultsReport(filled)
 
 
 # ---------------------------------------------------------------------------
 # Ingestion: JSON records and CSV rows
 # ---------------------------------------------------------------------------
-
-TURBINE_CSV_HEADER = ("name,rotor_diameter_m,rated_power_kw,cut_in_ms,cut_out_ms,"
-                      "omega_min_rpm,omega_max_rpm,cp_max,hub_height_m")
 
 _CSV_COLUMNS = {
     "name": "name",
@@ -196,6 +187,7 @@ _CSV_COLUMNS = {
     "cp_max": "cp_max",
     "hub_height_m": "hub_height",
 }
+TURBINE_CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 def spec_from_json(record: dict) -> TurbineSpec:

@@ -1,0 +1,69 @@
+"""Input bounds: finite values everywhere and the physical veer limit."""
+
+import math
+
+import pytest
+from click.testing import CliRunner
+
+from windcurve import (EnvironmentConditions, TurbineSpec, band_areas,
+                       make_wind_grid, rews)
+from windcurve.cli import main
+
+from conftest import REFERENCE_KWARGS
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["rotor_diameter", "rated_power", "cut_in",
+                                  "cut_out", "omega_min", "omega_max",
+                                  "cp_max", "hub_height"])
+def test_spec_rejects_non_finite(name, value):
+    kwargs = dict(REFERENCE_KWARGS, hub_height=60.0)
+    kwargs[name] = value
+    with pytest.raises(ValueError):
+        TurbineSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["ti", "rho", "shear_alpha", "veer_rate"])
+def test_environment_rejects_non_finite(name, value):
+    with pytest.raises(ValueError):
+        EnvironmentConditions(**{name: value})
+
+
+@pytest.mark.parametrize("v_max,dv", [(math.inf, 0.05), (40.0, math.inf),
+                                      (math.nan, 0.05), (40.0, math.nan)])
+def test_wind_grid_rejects_non_finite(v_max, dv):
+    with pytest.raises(ValueError):
+        make_wind_grid(v_max, dv)
+
+
+class TestVeerBound:
+    spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=90.0)
+    bands = band_areas(80.0, 90.0, 100)
+
+    def test_just_below_ninety_degrees_is_accepted(self):
+        assert rews(10.0, self.spec, 0.0, 2.24, self.bands) > 0.0
+
+    @pytest.mark.parametrize("veer", [2.25, -2.25, 10.0])
+    def test_ninety_degrees_or_more_rejected(self, veer):
+        with pytest.raises(ValueError, match="veer_rate"):
+            rews(10.0, self.spec, 0.0, veer, self.bands)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--shear-alpha", "nan", "--hub-height", "90"],
+    ["--veer-rate", "nan", "--hub-height", "90"],
+    ["--rho", "inf"],
+    ["--rated-power", "inf"],
+    ["--cut-out", "inf"],
+    ["--veer-rate", "10", "--hub-height", "90"],
+])
+def test_cli_out_of_bounds_exits_2(flags, tmp_path):
+    result = CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                       "--rated-power", "2000", *flags,
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ValueError:")
+    assert not (tmp_path / "c.csv").exists()
