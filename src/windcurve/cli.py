@@ -9,6 +9,7 @@ precedence over built-in defaults.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -24,7 +25,7 @@ from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import (NoPositiveCp, NonFiniteResult, UnknownParameter,
                      WindcurveError)
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import DefaultsReport, TurbineSpec, complete_spec, load_spec
+from .turbine import DefaultsReport, TurbineSpec, check_value, complete_spec, load_spec
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
@@ -45,6 +46,12 @@ class RunConfig:
     v_max: float = DEFAULT_V_MAX
     dv: float = DEFAULT_DV
     env_order: str = ENV_ORDERS[0]
+
+    def __post_init__(self) -> None:
+        for name, kind in (("cp_model", str), ("n_bands", numbers.Integral),
+                           ("v_max", numbers.Real), ("dv", numbers.Real),
+                           ("env_order", str)):
+            check_value(name, getattr(self, name), kind)
 
     @classmethod
     def from_flat(cls, flat: dict) -> "RunConfig":
@@ -102,27 +109,22 @@ def _fail(code: int, reason: str) -> None:
     sys.exit(code)
 
 
-def _guarded(fn):
-    """Map package errors onto the documented exit codes."""
+class _Guarded(click.Group):
+    """Map every error, option parsing included, to its exit code and one error line."""
 
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except _NUMERIC_ERRORS as exc:
             _fail(3, f"{type(exc).__name__}: {exc}")
         except _INPUT_ERRORS as exc:
             _fail(2, f"{type(exc).__name__}: {exc}")
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+        except click.ClickException as exc:
+            _fail(2, exc.format_message())
 
 
 def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with Path(path).open() as fh:
-        data = json.load(fh)
+    data = {} if path is None else json.loads(Path(path).read_text())
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
     unknown = set(data) - set(CONFIG_KEYS)
@@ -193,7 +195,7 @@ def _add_options(options):
     return deco
 
 
-@click.group()
+@click.group(cls=_Guarded)
 @click.version_option(version=__version__)
 def main() -> None:
     """Synthesize wind-turbine power curves from catalogue characteristics
@@ -210,21 +212,18 @@ def main() -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="Output power-curve CSV; a .json metadata sidecar is "
                    "written next to it.")
-@_guarded
 def generate(config_path: str | None, spec_path: str | None, out_path: str,
              **flags) -> None:
     """Generate one power curve and its metadata sidecar."""
     cfg = _resolve_config(config_path, spec_path, flags)
     curve, report = cfg.synthesize()
-    resolved = {**cfg.to_dict(), **curve.meta["turbine"]}
+    resolved = {**cfg.to_dict(), **{f.field: f.value for f in report.filled}}
     out = Path(out_path)
     curve.write_csv(out)
     sidecar = out.with_suffix(".json")
-    with sidecar.open("w") as fh:
-        json.dump({"config": resolved,
-                   "defaults_report": report.to_list(),
-                   "model_version": __version__}, fh, indent=2)
-        fh.write("\n")
+    sidecar.write_text(json.dumps({"config": resolved,
+                                   "defaults_report": report.to_list(),
+                                   "model_version": __version__}, indent=2) + "\n")
     click.echo(f"wrote {out} and {sidecar}")
 
 
@@ -260,7 +259,6 @@ def _parse_sweep_values(param: str, values: str | None,
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="Long-format CSV param_value,wind_speed_ms,power_kw.")
-@_guarded
 def sweep(param: str, values: str | None, vrange, config_path: str | None,
           out_path: str, **flags) -> None:
     """Vary one parameter around the reference configuration."""
@@ -275,11 +273,12 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
                 click.echo(f"warning: {param}={v:g} outside the typical "
                            f"interval [{interval[0]:g}, {interval[1]:g}]", err=True)
 
+    # Synthesize every curve before opening the file: a failing value writes nothing.
+    curves = [RunConfig.from_flat({**base, key: v}).synthesize()[0] for v in sweep_values]
     with Path(out_path).open("w", newline="") as fh:
         fh.write("param_value,wind_speed_ms,power_kw\n")
-        for v in sweep_values:
+        for v, curve in zip(sweep_values, curves):
             label = v if param == "cp_parameterisation" else f"{v:.6g}"
-            curve, _ = RunConfig.from_flat({**base, key: v}).synthesize()
             for w, p in zip(curve.wind_grid, curve.power):
                 fh.write(f"{label},{w:.6g},{p:.6g}\n")
     click.echo(f"wrote {out_path} ({len(sweep_values)} curves)")
@@ -289,7 +288,6 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
 @_add_options(_turbine_options)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the completed spec JSON here instead of stdout.")
-@_guarded
 def defaults(out_path: str | None, **flags) -> None:
     """Complete a partial spec with the statistical defaults."""
     spec = TurbineSpec(**_given(flags))
@@ -314,7 +312,6 @@ def defaults(out_path: str | None, **flags) -> None:
               help="Print the coefficient registry as JSON and exit.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output CSV model,beta_deg,lambda,cp (default stdout).")
-@_guarded
 def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
              step: float, betas: str, registry_json: bool,
              out_path: str | None) -> None:
@@ -354,7 +351,6 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
               help="Full report JSON (default: report.json in the input dir).")
 @click.option("--out-csv", type=click.Path(), default=None,
               help="Summary CSV (default: summary.csv in the input dir).")
-@_guarded
 def validate(input_dir: str, ti_grid: str, rho: float, cp_model: str,
              out_json: str | None, out_csv: str | None) -> None:
     """Score measured curves against synthesized ones over a TI grid."""

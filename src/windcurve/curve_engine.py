@@ -52,9 +52,9 @@ def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.n
 class PowerCurve:
     """Sampled power curve on a uniform wind-speed grid.
 
-    ``meta`` carries the generating turbine spec and environment snapshot so
-    downstream transformations (turbulence smoothing, shear/veer remapping)
-    know the production window and the cap.
+    ``meta`` records the generating turbine spec, the cp model and the
+    environment effects applied so far, for provenance; no computation
+    reads it.
     """
 
     wind_grid: np.ndarray
@@ -75,13 +75,6 @@ class PowerCurve:
     @property
     def dv(self) -> float:
         return float(self.wind_grid[1] - self.wind_grid[0])
-
-    def cut_out(self) -> float:
-        """Cut-out speed recorded in the metadata."""
-        try:
-            return float(self.meta["turbine"]["cut_out"])
-        except (KeyError, TypeError):
-            raise ValueError("curve metadata does not record the cut-out speed") from None
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
         """Write `wind_speed_ms,power_kw` rows, 6 significant digits."""

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .curve_engine import GRID_EPS, PowerCurve
 from .errors import GroundStrike
-from .turbine import TurbineSpec
+from .turbine import TurbineSpec, check_value
 
 #: Number of horizontal rotor bands used by default; band refinement is
 #: convergence-tested well below 1e-4 relative at this count.
@@ -51,13 +51,12 @@ class EnvironmentConditions:
     veer_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_value(f.name, getattr(self, f.name))
         if not 0.0 <= self.ti < 1.0:
             raise ValueError(f"turbulence intensity must lie in [0, 1), got {self.ti}")
         if not self.rho > 0.0:
             raise ValueError(f"air density must be positive, got {self.rho}")
-        for name in ("rho", "shear_alpha", "veer_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.9 <= self.rho <= 1.5:
             warnings.warn(f"air density {self.rho} kg/m^3 outside the usual "
                           "0.9-1.5 band", UserWarning, stacklevel=2)
@@ -166,29 +165,31 @@ def kernel_weights(offsets: np.ndarray, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float | None = None) -> PowerCurve:
+def _windowed(curve: PowerCurve, values: np.ndarray, cut_out: float,
+              **effects) -> PowerCurve:
+    """Zero values past the hub-height cut-out; record effects in a copy of meta."""
+    values[curve.wind_grid > cut_out + GRID_EPS] = 0.0
+    meta = dict(curve.meta)
+    meta["effects"] = dict(meta.get("effects", {}), **effects)
+    return PowerCurve(curve.wind_grid, values, meta)
+
+
+def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCurve:
     """Fold turbulence intensity into a power curve.
 
-    Each output point at wind speed U is the kernel-weighted average of the
-    plateau-extended input, the kernel being a Gaussian centred at U with
-    standard deviation U * ti (truncated and renormalized).  The hard
-    cut-out gate is re-applied afterwards, so the shutdown edge stays one
-    grid step wide.  ti = 0 returns the input values unchanged.
-
-    The cut-out speed is read from the curve metadata unless passed
-    explicitly.
+    Each output point at wind speed U up to cut_out is the kernel-weighted
+    average of the plateau-extended input, the kernel being a Gaussian
+    centred at U with standard deviation U * ti (truncated and
+    renormalized).  Past cut_out the output is zero, so the shutdown edge
+    stays one grid step wide.  ti = 0 returns the input values unchanged
+    inside the window.
     """
     if ti < 0:
         raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
-    if cut_out is None:
-        cut_out = curve.cut_out()
-    meta = dict(curve.meta)
-    meta["effects"] = dict(meta.get("effects", {}), ti=float(ti))
     if ti == 0.0:
-        return PowerCurve(curve.wind_grid, curve.power.copy(), meta)
+        return _windowed(curve, curve.power.copy(), cut_out, ti=float(ti))
 
-    grid = curve.wind_grid
-    dv = curve.dv
+    grid, dv = curve.wind_grid, curve.dv
     base, plateau = _plateau_extended(curve, cut_out)
 
     # Extend the grid far enough to cover the widest kernel reach.
@@ -197,17 +198,12 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float | None = No
     ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
     ext_power = np.concatenate([base, np.full(n_extra, plateau)])
 
-    smoothed = np.empty_like(base)
-    for i, u in enumerate(grid):
-        sigma = ti * u
-        if sigma < dv / 2.0:
-            # sub-grid kernel width degenerates to the identity lookup
-            smoothed[i] = base[i]
-        else:
-            smoothed[i] = kernel_weights(ext_grid - u, sigma) @ ext_power
-
-    smoothed[grid > cut_out + GRID_EPS] = 0.0
-    return PowerCurve(grid, smoothed, meta)
+    # Only rows inside the window with sigma >= dv/2 need the kernel; the rest keep base.
+    sigma = ti * grid
+    smoothed = base.copy()
+    for i in np.flatnonzero((grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0)):
+        smoothed[i] = kernel_weights(ext_grid - grid[i], sigma[i]) @ ext_power
+    return _windowed(curve, smoothed, cut_out, ti=float(ti))
 
 
 def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
@@ -220,17 +216,11 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
     """
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
-    cut_out = float(spec.cut_out) if spec.cut_out is not None else curve.cut_out()
+    if spec.cut_out is None:
+        raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
     bands = band_areas(spec.rotor_diameter, spec.hub_height, n_bands)
     u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, bands)
-
-    base, _ = _plateau_extended(curve, cut_out)
-    remapped = np.interp(u_eq, curve.wind_grid, base)
-    remapped[curve.wind_grid > cut_out + GRID_EPS] = 0.0
-
-    meta = dict(curve.meta)
-    meta["effects"] = dict(meta.get("effects", {}),
-                           shear_alpha=float(shear_alpha),
-                           veer_rate=float(veer_rate),
-                           n_bands=int(n_bands))
-    return PowerCurve(curve.wind_grid, remapped, meta)
+    base, _ = _plateau_extended(curve, spec.cut_out)
+    return _windowed(curve, np.interp(u_eq, curve.wind_grid, base), spec.cut_out,
+                     shear_alpha=float(shear_alpha), veer_rate=float(veer_rate),
+                     n_bands=int(n_bands))

@@ -42,7 +42,7 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
                 curve = apply_shear_veer(curve, completed, env.shear_alpha,
                                          env.veer_rate, n_bands)
         else:
-            curve = apply_turbulence(curve, env.ti)
+            curve = apply_turbulence(curve, env.ti, cut_out=completed.cut_out)
 
     curve.meta["defaults_report"] = report.to_list()
     curve.meta["env_order"] = env_order

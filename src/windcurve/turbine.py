@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -32,6 +33,15 @@ RULE_CUT_IN = "fleet-modal-cut-in"
 RULE_CUT_OUT = "fleet-modal-cut-out"
 RULE_OMEGA_MIN = "rpm-diameter-fit-min"
 RULE_OMEGA_MAX = "rpm-diameter-fit-max"
+
+
+def check_value(name: str, value, kind: type = numbers.Real) -> None:
+    """Raise ValueError naming the field unless value is a kind, and finite
+    if a real number.  A bool never passes, though Python counts it an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if kind is numbers.Real and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,8 @@ class TurbineSpec:
             return ValueError(f"{self.name}: {msg}")
 
         for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise bad(f"{f.name} must be finite, got {value}")
+            if getattr(self, f.name) is not None:
+                check_value(f"{self.name}: {f.name}", getattr(self, f.name))
         if self.rotor_diameter is not None and not self.rotor_diameter > 0:
             raise bad(f"rotor_diameter must be > 0, got {self.rotor_diameter}")
         if self.rated_power is not None and not self.rated_power > 0:

@@ -50,7 +50,7 @@ def test_c02_statistical_defaults():
 
 def test_c03_zero_ti_identity(reference_curve):
     assert reference_curve.dv == pytest.approx(0.05)
-    out = apply_turbulence(reference_curve, 0.0)
+    out = apply_turbulence(reference_curve, 0.0, cut_out=25.0)
     assert out.power.tobytes() == reference_curve.power.tobytes()
     assert out.wind_grid.tobytes() == reference_curve.wind_grid.tobytes()
     _ok(3, "apply_turbulence(ti=0) is bit-identical on the 0.05 m/s grid")
@@ -62,7 +62,7 @@ def test_c04_ti_knee_ordering_and_sharp_cut_out(reference_curve):
     ti_grid = (0.0, 0.025, 0.05, 0.075, 0.10)
     knee_power = []
     for ti in ti_grid:
-        smoothed = apply_turbulence(reference_curve, ti)
+        smoothed = apply_turbulence(reference_curve, ti, cut_out=25.0)
         knee_power.append(smoothed.power[knee])
         assert smoothed.power[i_cut] == pytest.approx(2000.0, abs=1e-6)
         assert smoothed.power[i_cut + 1] == 0.0

@@ -111,6 +111,13 @@ class TestSweep:
         gen_lines = gen.read_text().splitlines()
         assert [l.split(",", 1)[1] for l in sweep_lines[1:]] == gen_lines[1:]
 
+    def test_failing_value_last_writes_nothing(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, ["sweep", "--param", "omega_max",
+                                      "--values", "40,30,5", "--out", str(out)])
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_out_of_interval_warns_but_runs(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         result = runner.invoke(main, ["sweep", "--param", "rotor_diameter",

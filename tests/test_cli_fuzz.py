@@ -1,10 +1,11 @@
 """CLI fuzz over degenerate numeric flag values.
 
 Every numeric ``generate`` flag is set in turn to nan, inf, -inf, a negative
-and zero on top of a site configuration that runs every stage.  Whatever the
-value, the command must end with a documented exit code (0, 2 or 3), print
-exactly one ``error:`` line when it fails, never escape with a traceback,
-and only ever write finite, non-negative power.
+and zero on top of a site configuration that runs every stage; ``--n-bands``
+also gets text click cannot parse as an integer.  Whatever the value, the
+command must end with a documented exit code (0, 2 or 3), print exactly one
+``error:`` line and no usage block when it fails, never escape with a
+traceback, and only ever write finite, non-negative power.
 """
 
 import numpy as np
@@ -23,8 +24,7 @@ FLOAT_FLAGS = ("--diameter", "--rated-power", "--cut-in", "--cut-out",
 DEGENERATE = ("nan", "inf", "-inf", "-1", "0")
 
 CASES = ([(flag, value) for flag in FLOAT_FLAGS for value in DEGENERATE]
-         # click itself rejects non-integer text for --n-bands
-         + [("--n-bands", "-1"), ("--n-bands", "0")])
+         + [("--n-bands", value) for value in ("-1", "0", "nan", "1.5", "x")])
 
 
 @pytest.mark.parametrize("flag,value", CASES)
@@ -36,6 +36,7 @@ def test_generate_degenerate_flag(flag, value, tmp_path):
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         repr(result.exception)
     assert "Traceback" not in result.output
+    assert "Usage:" not in result.output
     if result.exit_code == 0:
         _, power = read_curve_csv(out)
         assert np.all(np.isfinite(power))

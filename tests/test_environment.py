@@ -107,51 +107,51 @@ class TestRews:
 
 class TestApplyTurbulence:
     def test_zero_ti_is_bit_identical(self, reference_curve):
-        out = apply_turbulence(reference_curve, 0.0)
+        out = apply_turbulence(reference_curve, 0.0, cut_out=25.0)
         assert out.power.tobytes() == reference_curve.power.tobytes()
         assert out.wind_grid.tobytes() == reference_curve.wind_grid.tobytes()
         assert out.meta["effects"]["ti"] == 0.0
 
     def test_plateau_is_reproduced_exactly(self, reference_curve):
         # at 20 m/s the kernel support (ti=0.04 -> +-4 m/s) sees only rated
-        out = apply_turbulence(reference_curve, 0.04)
+        out = apply_turbulence(reference_curve, 0.04, cut_out=25.0)
         i = int(round(20.0 / 0.05))
         assert out.power[i] == pytest.approx(2000.0, abs=1e-9)
 
     def test_knee_drops_below_rated(self, reference_curve):
         knee = rated_knee(reference_curve)
-        out = apply_turbulence(reference_curve, 0.10)
+        out = apply_turbulence(reference_curve, 0.10, cut_out=25.0)
         assert out.power[knee] < 2000.0
 
     def test_monotone_in_ti_at_the_knee(self, reference_curve):
         knee = rated_knee(reference_curve)
-        values = [apply_turbulence(reference_curve, ti).power[knee]
+        values = [apply_turbulence(reference_curve, ti, cut_out=25.0).power[knee]
                   for ti in (0.0, 0.025, 0.05, 0.075, 0.10)]
         assert np.all(np.diff(values) < 0)
 
     def test_bounds_preserved(self, reference_curve):
-        out = apply_turbulence(reference_curve, 0.12)
+        out = apply_turbulence(reference_curve, 0.12, cut_out=25.0)
         assert np.all(out.power >= 0.0)
         assert np.all(out.power <= 2000.0 + 1e-9)
 
     def test_cut_out_stays_sharp(self, reference_curve):
         i = int(round(25.0 / 0.05))
         for ti in (0.025, 0.05, 0.10):
-            out = apply_turbulence(reference_curve, ti)
+            out = apply_turbulence(reference_curve, ti, cut_out=25.0)
             assert out.power[i] == pytest.approx(2000.0, abs=1e-6)
             assert out.power[i + 1] == 0.0
 
     def test_smooths_the_cut_in_toe(self, reference_curve):
         # turbulence produces some power slightly below cut-in: gusts above
         # cut-in within the averaging window
-        out = apply_turbulence(reference_curve, 0.10)
+        out = apply_turbulence(reference_curve, 0.10, cut_out=25.0)
         just_below = int(round(3.4 / 0.05))
         assert reference_curve.power[just_below] == 0.0
         assert out.power[just_below] > 0.0
 
     def test_matches_reference_convolution(self, reference_curve):
         for ti in (0.03, 0.10):
-            out = apply_turbulence(reference_curve, ti)
+            out = apply_turbulence(reference_curve, ti, cut_out=25.0)
             oracle = convolve_reference(reference_curve.wind_grid,
                                         reference_curve.power, ti, 25.0)
             np.testing.assert_allclose(out.power, oracle, rtol=1e-12, atol=1e-9)
@@ -160,24 +160,22 @@ class TestApplyTurbulence:
         # pattern check against the same smoothing on a 5x finer grid
         knee_v = 11.25
         coarse = apply_turbulence(
-            ideal_curve(reference_spec, reference_model), 0.10)
+            ideal_curve(reference_spec, reference_model), 0.10, cut_out=25.0)
         fine_ideal = ideal_curve(reference_spec, reference_model, dv=0.01)
         fine = convolve_reference(fine_ideal.wind_grid, fine_ideal.power, 0.10, 25.0)
         i_c = int(round(knee_v / 0.05))
         i_f = int(round(knee_v / 0.01))
         assert coarse.power[i_c] == pytest.approx(fine[i_f], rel=5e-3)
 
-    def test_missing_cut_out_metadata(self, reference_curve):
+    def test_bare_curve_with_explicit_window(self, reference_curve):
         bare = type(reference_curve)(reference_curve.wind_grid,
                                      reference_curve.power, {})
-        with pytest.raises(ValueError, match="cut-out"):
-            apply_turbulence(bare, 0.05)
         out = apply_turbulence(bare, 0.05, cut_out=25.0)
         assert out.power.max() <= 2000.0 + 1e-9
 
     def test_negative_ti_rejected(self, reference_curve):
         with pytest.raises(ValueError):
-            apply_turbulence(reference_curve, -0.01)
+            apply_turbulence(reference_curve, -0.01, cut_out=25.0)
 
 
 class TestKernelWeights:
@@ -219,4 +217,9 @@ class TestApplyShearVeer:
                            cut_out=25.0, omega_min=10.0, omega_max=30.0,
                            cp_max=0.4615)
         with pytest.raises(ValueError, match="hub_height"):
+            apply_shear_veer(reference_curve, spec, 0.2, 0.0)
+
+    def test_requires_cut_out(self, reference_curve):
+        spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
+        with pytest.raises(ValueError, match="spec incomplete"):
             apply_shear_veer(reference_curve, spec, 0.2, 0.0)

@@ -1,5 +1,6 @@
-"""Input bounds: finite values everywhere and the physical veer limit."""
+"""Input bounds: finite numbers everywhere and the physical veer limit."""
 
+import json
 import math
 
 import pytest
@@ -67,3 +68,56 @@ def test_cli_out_of_bounds_exits_2(flags, tmp_path):
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ValueError:")
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["80", True, [80.0]])
+@pytest.mark.parametrize("name", ["rotor_diameter", "rated_power", "cut_out",
+                                  "hub_height"])
+def test_spec_rejects_non_numbers(name, value):
+    kwargs = dict(REFERENCE_KWARGS, hub_height=60.0)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=name):
+        TurbineSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value", ["0.1", True])
+@pytest.mark.parametrize("name", ["ti", "rho", "shear_alpha", "veer_rate"])
+def test_environment_rejects_non_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        EnvironmentConditions(**{name: value})
+
+
+@pytest.mark.parametrize("option,key,value", [
+    ("--config", "rotor_diameter", "80"),
+    ("--spec", "rotor_diameter", "80"),
+    ("--spec", "rated_power", True),
+    ("--config", "ti", "0.1"),
+    ("--config", "dv", "0.05"),
+    ("--config", "v_max", False),
+    ("--config", "n_bands", 1.5),
+    ("--config", "cp_model", 5),
+    ("--config", "env_order", ["ti"]),
+])
+def test_cli_wrong_typed_json_exits_2(option, key, value, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"rotor_diameter": 80, "rated_power": 2000,
+                                key: value}))
+    result = CliRunner().invoke(main, ["generate", option, str(path),
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ValueError:")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert key in result.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_validate_wrong_typed_spec_exits_2(tmp_path):
+    assert CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                     "--rated-power", "2000", "--out",
+                                     str(tmp_path / "t.csv")]).exit_code == 0
+    (tmp_path / "t.json").write_text(json.dumps({"rotor_diameter": "80",
+                                                 "rated_power": 2000}))
+    result = CliRunner().invoke(main, ["validate", "--input-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ValueError:")
+    assert "rotor_diameter" in result.stderr

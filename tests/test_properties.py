@@ -7,10 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from windcurve import (NonFiniteResult, TurbineSpec, band_areas, complete_spec,
-                       cp_general, cp_general_array, rews, scale_cp)
+from windcurve import (EnvironmentConditions, NonFiniteResult, TurbineSpec,
+                       band_areas, complete_spec, cp_general, cp_general_array,
+                       get_parameterisation, ideal_curve, rews, scale_cp,
+                       synthesize)
 from windcurve.cp_models import BETZ_LIMIT, REGISTRY, CpParameterisation
+from windcurve.curve_engine import GRID_EPS
 from windcurve.environment import kernel_weights
+
+from oracles import convolve_reference
 
 finite = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
@@ -133,3 +138,19 @@ def test_completed_random_specs_validate(name):
     dataclasses.replace(spec)
     assert spec.cut_in < spec.cut_out
     assert spec.omega_min <= spec.omega_max
+
+
+@given(st.floats(min_value=20.0, max_value=170.0),
+       st.floats(min_value=300.0, max_value=9000.0),
+       st.floats(min_value=20.0, max_value=30.0),
+       st.floats(min_value=0.0, max_value=0.15, exclude_min=True),
+       registry_names)
+@settings(max_examples=30, deadline=None)
+def test_turbulence_matches_reference_convolution(diameter, power, cut_out, ti, name):
+    spec, _ = complete_spec(TurbineSpec(rotor_diameter=diameter,
+                                        rated_power=power, cut_out=cut_out))
+    curve, _ = synthesize(spec, EnvironmentConditions(ti=ti), cp_model=name)
+    ideal = ideal_curve(spec, scale_cp(get_parameterisation(name), spec.cp_max))
+    oracle = convolve_reference(ideal.wind_grid, ideal.power, ti, cut_out)
+    np.testing.assert_allclose(curve.power, oracle, rtol=1e-12, atol=1e-9)
+    assert np.all(curve.power[curve.wind_grid > cut_out + GRID_EPS] == 0.0)

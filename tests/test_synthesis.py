@@ -35,7 +35,7 @@ class TestSynthesize:
         auto, _ = synthesize(reference_spec, env, cp_model="dai2016")
         manual = ideal_curve(reference_spec, reference_model, env.rho)
         manual = apply_shear_veer(manual, reference_spec, 0.15, 0.4, 100)
-        manual = apply_turbulence(manual, 0.08)
+        manual = apply_turbulence(manual, 0.08, cut_out=25.0)
         np.testing.assert_array_equal(auto.power, manual.power)
 
     def test_env_order_switch(self, reference_spec):
