@@ -19,19 +19,19 @@ import numpy as np
 
 from . import __version__
 from .cp_models import (DEFAULT_PARAMETERISATION, REGISTRY, cp_general_array,
-                        get_parameterisation, registry_to_json)
-from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, PowerCurve
+                        get_parameterisation, lambda_grid, registry_to_json)
+from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import (NoPositiveCp, NonFiniteResult, UnknownParameter,
                      WindcurveError)
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import DefaultsReport, TurbineSpec, check_value, complete_spec, load_spec
+from .turbine import (DefaultsReport, TurbineSpec, check_value, complete_spec,
+                      flat_record, load_spec)
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
-_INPUT_ERRORS = (WindcurveError, ValueError, FileNotFoundError)
-_NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, FloatingPointError,
-                   ZeroDivisionError)
+_INPUT_ERRORS = (WindcurveError, ValueError, OSError)
+_NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, ArithmeticError)
 
 
 @dataclass
@@ -81,12 +81,11 @@ _PARTS = {"turbine": TurbineSpec, "env": EnvironmentConditions}
 CONFIG_KEYS = tuple(RunConfig(TurbineSpec()).to_dict())
 
 
-# Reference configuration and typical variation intervals used by sweeps.
-# Sweep values outside their interval draw a warning, not an error.
+# Reference turbine (all else defaulted) and typical variation intervals used
+# by sweeps.  Sweep values outside their interval draw a warning, not an error.
 REFERENCE_CONFIG = dict(
     name="reference", rotor_diameter=80.0, rated_power=2000.0, cut_in=3.5,
-    cut_out=25.0, omega_min=10.0, omega_max=30.0, cp_max=0.4615,
-    cp_model="dai2016", ti=0.0, rho=1.225, shear_alpha=0.0, veer_rate=0.0)
+    cut_out=25.0, omega_min=10.0, omega_max=30.0, cp_max=0.4615)
 
 SWEEP_INTERVALS: dict[str, tuple[float, float]] = {
     "rotor_diameter": (40.0, 120.0),
@@ -124,9 +123,7 @@ class _Guarded(click.Group):
 
 
 def _load_config_file(path: str | None) -> dict:
-    data = {} if path is None else json.loads(Path(path).read_text())
-    if "config" in data and isinstance(data["config"], dict):
-        data = data["config"]
+    data = {} if path is None else flat_record(json.loads(Path(path).read_text()))
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -321,8 +318,7 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
         return
     names = [get_parameterisation(m).name for m in models] or sorted(REGISTRY)
     beta_values = [float(b) for b in betas.split(",")]
-    n = int(round((lambda_max - lambda_min) / step))
-    lams = np.linspace(lambda_min, lambda_max, n + 1)
+    lams = lambda_grid(lambda_min, lambda_max, step)
 
     lines = ["model,beta_deg,lambda,cp"]
     for name in names:
@@ -344,7 +340,7 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
               help="Directory of paired curve CSVs and spec JSONs.")
 @click.option("--ti-grid", default=",".join(f"{t:g}" for t in DEFAULT_TI_GRID),
               show_default=True, help="Comma-separated TI candidates.")
-@click.option("--rho", type=float, default=1.225, show_default=True)
+@click.option("--rho", type=float, default=DEFAULT_RHO, show_default=True)
 @click.option("--cp-model", "cp_model", default=DEFAULT_PARAMETERISATION,
               show_default=True)
 @click.option("--out-json", type=click.Path(), default=None,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -138,13 +138,22 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
     return np.where(ok, cp, 0.0)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Golden-section maximiser on [lo, hi]; ties resolve to the left."""
+def lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Tip-speed ratios from lo to hi inclusive, evenly spaced about step apart."""
+    count = (hi - lo) / step if step > 0 else math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and math.isfinite(count)):
+        raise ValueError(f"tip-speed-ratio grid needs finite bounds lo < hi and a step > 0 "
+                         f"giving a finite point count, got {lo}, {hi}, step {step}")
+    return np.linspace(lo, hi, int(round(count)) + 1)
+
+
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximiser on [lo, hi] to width 1e-6; ties resolve to the left."""
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-6:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -175,8 +184,7 @@ def lambda_opt(p: CpParameterisation) -> tuple[float, float]:
         If cp never exceeds zero on the search interval.
     """
     lo, hi = LAMBDA_DOMAIN
-    n = int(round((hi - lo) / 0.01)) + 1
-    grid = np.linspace(lo, hi, n)
+    grid = lambda_grid(lo, hi, 0.01)
     cps = cp_general_array(grid, 0.0, p)
     i = int(np.argmax(cps))
     if cps[i] <= 0.0:
@@ -226,13 +234,13 @@ class ScaledCpModel:
     def scale(self) -> float:
         return self.cp_max / self.raw_cp_at_opt
 
-    def cp(self, lam: float, beta: float = 0.0) -> float:
-        """Scaled cp at one point; raises like :func:`cp_general`."""
-        return cp_general(lam, beta, self.base) * self.scale
+    def cp(self, lam: float) -> float:
+        """Scaled cp at one point and beta = 0; raises like :func:`cp_general`."""
+        return cp_general(lam, 0.0, self.base) * self.scale
 
-    def cp_array(self, lams: np.ndarray, beta: float = 0.0) -> np.ndarray:
-        """Scaled cp on an array, degenerate points mapped to 0."""
-        return cp_general_array(lams, beta, self.base) * self.scale
+    def cp_array(self, lams: np.ndarray) -> np.ndarray:
+        """Scaled cp on an array at beta = 0, degenerate points mapped to 0."""
+        return cp_general_array(lams, 0.0, self.base) * self.scale
 
 
 def scale_cp(p: CpParameterisation, cp_max: float) -> ScaledCpModel:
@@ -322,14 +330,6 @@ def get_parameterisation(name: str) -> CpParameterisation:
             f"unknown cp parameterisation {name!r}; bundled sets: {known}") from None
 
 
-def registry_to_json(indent: int | None = 2) -> str:
+def registry_to_json() -> str:
     """Serialise the bundled registry as a JSON array."""
-    rows = []
-    for row in _REGISTRY_ROWS:
-        d = {"name": row.name}
-        d.update({f"c{i}": c for i, c in enumerate(row.coefficients(), start=1)})
-        d["x"] = row.x
-        d["beta_offset"] = row.beta_offset
-        d["provenance"] = row.provenance
-        rows.append(d)
-    return json.dumps(rows, indent=indent)
+    return json.dumps([asdict(row) for row in _REGISTRY_ROWS], indent=2)

@@ -37,6 +37,9 @@ POWER_CURVE_CSV_HEADER = "wind_speed_ms,power_kw"
 DEFAULT_V_MAX = 40.0
 DEFAULT_DV = 0.05
 
+#: Air density in kg/m^3 when the caller gives none: the ISA sea-level value.
+DEFAULT_RHO = 1.225
+
 
 def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.ndarray:
     """Uniform wind-speed grid [0, v_max] with step dv."""
@@ -153,7 +156,7 @@ def operating_state(v: float, spec: TurbineSpec, model: ScaledCpModel) -> Operat
                           beta=0.0, cp=float(cp[0]))
 
 
-def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = 1.225,
+def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RHO,
                 *, v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> PowerCurve:
     """Power curve under laminar, uniform inflow.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curve_engine import GRID_EPS, PowerCurve
+from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve
 from .errors import GroundStrike
 from .turbine import TurbineSpec, check_value
 
@@ -46,7 +46,7 @@ class EnvironmentConditions:
     """
 
     ti: float = 0.0
-    rho: float = 1.225
+    rho: float = DEFAULT_RHO
     shear_alpha: float = 0.0
     veer_rate: float = 0.0
 

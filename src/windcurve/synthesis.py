@@ -8,10 +8,13 @@ those effects are actually requested.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cp_models import DEFAULT_PARAMETERISATION, get_parameterisation, scale_cp
 from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, PowerCurve, ideal_curve
 from .environment import (DEFAULT_N_BANDS, EnvironmentConditions,
                           apply_shear_veer, apply_turbulence)
+from .errors import NonFiniteResult
 from .turbine import DefaultsReport, TurbineSpec, complete_spec
 
 ENV_ORDERS = ("shear_veer,ti", "ti,shear_veer")
@@ -26,7 +29,7 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
 
     Missing spec fields are filled from the statistical defaults; the report
     of substitutions is returned alongside the curve and recorded in its
-    metadata.
+    metadata.  Any non-finite power value raises :class:`NonFiniteResult`.
     """
     env = env or EnvironmentConditions()
     if env_order not in ENV_ORDERS:
@@ -43,6 +46,8 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
                                          env.veer_rate, n_bands)
         else:
             curve = apply_turbulence(curve, env.ti, cut_out=completed.cut_out)
+    if not np.all(np.isfinite(curve.power)):
+        raise NonFiniteResult(f"{completed.name}: synthesized power is not finite")
 
     curve.meta["defaults_report"] = report.to_list()
     curve.meta["env_order"] = env_order

@@ -44,6 +44,15 @@ def check_value(name: str, value, kind: type = numbers.Real) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def flat_record(data) -> dict:
+    """The flat record held by a parsed JSON value: the object itself, or the
+    ``config`` object of a sidecar written by the CLI."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    config = data.get("config")
+    return config if isinstance(config, dict) else data
+
+
 @dataclass(frozen=True)
 class TurbineSpec:
     """Catalogue characteristics of one turbine; unknown fields are None.
@@ -206,8 +215,7 @@ def spec_from_json(record: dict) -> TurbineSpec:
     both layouts are accepted.  Unknown keys are ignored so richer sidecars
     stay readable.
     """
-    if "config" in record and isinstance(record["config"], dict):
-        record = record["config"]
+    record = flat_record(record)
     known = {f.name for f in fields(TurbineSpec)}
     kwargs = {k: v for k, v in record.items() if k in known and v is not None}
     if "name" in kwargs:

@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION
-from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, read_curve_csv
+from .curve_engine import DEFAULT_RHO, read_curve_csv
 from .environment import EnvironmentConditions
 from .errors import MissingDiameter
 from .synthesis import synthesize
@@ -61,7 +61,7 @@ class MeasuredCurve:
         return cls(turbine=load_spec(spec_json), wind=wind, power=power)
 
 
-def invert_cp(m: MeasuredCurve, rho: float = 1.225) -> tuple[np.ndarray, float]:
+def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, float]:
     """Extract cp(v) from measured samples by inverting the power equation.
 
     Returns the per-sample cp values (NaN where v = 0) and their maximum.
@@ -116,14 +116,15 @@ class CurveValidation:
 
 
 def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, *,
-                  rho: float = 1.225, cp_model: str = DEFAULT_PARAMETERISATION,
-                  v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> CurveValidation:
+                  rho: float = DEFAULT_RHO,
+                  cp_model: str = DEFAULT_PARAMETERISATION) -> CurveValidation:
     """Score a measured curve against synthesized candidates over a TI grid.
 
-    Missing spec fields are completed with the statistical defaults.  The
-    comparison runs on the measured samples inside [cut_in, 0.95 * cut_out];
-    the synthesized curve is interpolated linearly at the sample speeds.
-    Ties in the error map resolve to the smallest TI.
+    Missing spec fields are completed with the statistical defaults.  Each
+    candidate is synthesized on the default wind grid and interpolated
+    linearly at the sample speeds; the comparison runs on the measured
+    samples inside [cut_in, 0.95 * cut_out].  Ties in the error map resolve
+    to the smallest TI.
     """
     ti_grid = sorted(float(t) for t in ti_grid)
     if not ti_grid:
@@ -140,8 +141,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     rmse_by_ti: dict[float, float] = {}
     best_ti, best_rmse = None, math.inf
     for ti in ti_grid:
-        curve, _ = synthesize(spec, EnvironmentConditions(ti=ti, rho=rho),
-                              cp_model=cp_model, v_max=v_max, dv=dv)
+        curve, _ = synthesize(spec, EnvironmentConditions(ti=ti, rho=rho), cp_model=cp_model)
         model_p = np.interp(m.wind[mask], curve.wind_grid, curve.power)
         rmse = float(np.sqrt(np.mean((model_p - m.power[mask]) ** 2)) / spec.rated_power)
         rmse_by_ti[ti] = rmse
@@ -160,7 +160,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
 
 
 def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT_TI_GRID,
-                       *, rho: float = 1.225,
+                       *, rho: float = DEFAULT_RHO,
                        cp_model: str = DEFAULT_PARAMETERISATION) -> list[CurveValidation]:
     """Validate every (curve CSV, spec JSON) pair in a directory.
 

@@ -121,3 +121,72 @@ def test_validate_wrong_typed_spec_exits_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ValueError:")
     assert "rotor_diameter" in result.stderr
+
+
+def _one_error_line(result) -> str:
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, result.stderr
+    assert "Traceback" not in result.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("content", ["[]", "5"])
+@pytest.mark.parametrize("option", ["--config", "--spec"])
+def test_cli_non_object_json_exits_2(option, content, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    result = CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                       "--rated-power", "2000", option, str(path),
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith("error: ValueError:")
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_validate_non_object_spec_exits_2(tmp_path):
+    assert CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                     "--rated-power", "2000", "--out",
+                                     str(tmp_path / "t.csv")]).exit_code == 0
+    (tmp_path / "t.json").write_text("[]")
+    result = CliRunner().invoke(main, ["validate", "--input-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--diameter", "80", "--rated-power", "2000"],
+    ["sweep", "--param", "rho", "--values", "1.2"],
+])
+def test_cli_out_is_a_directory_exits_2(command, tmp_path):
+    result = CliRunner().invoke(main, [*command, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith("error: IsADirectoryError:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--step", "0"],
+    ["--step", "-0.1"],
+    ["--step", "nan"],
+    ["--lambda-max", "1e308", "--step", "1e-300"],
+    ["--lambda-min", "5", "--lambda-max", "1"],
+    ["--lambda-min", "5", "--lambda-max", "5"],
+    ["--lambda-max", "inf"],
+    ["--lambda-min", "nan"],
+])
+def test_cp_table_degenerate_grid_exits_2(flags):
+    result = CliRunner().invoke(main, ["cp-table", *flags])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith("error: ValueError: tip-speed-ratio grid")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cut-in", "0", "--rho", "1e306"],
+    ["--diameter", "1e160"],
+])
+def test_cli_overflowing_run_exits_3(flags, tmp_path):
+    result = CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                       "--rated-power", "2000", *flags,
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 3, result.output
+    _one_error_line(result)
+    assert not (tmp_path / "c.csv").exists()

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from windcurve import (EnvironmentConditions, NonFiniteResult, TurbineSpec,
@@ -154,3 +154,46 @@ def test_turbulence_matches_reference_convolution(diameter, power, cut_out, ti, 
     oracle = convolve_reference(ideal.wind_grid, ideal.power, ti, cut_out)
     np.testing.assert_allclose(curve.power, oracle, rtol=1e-12, atol=1e-9)
     assert np.all(curve.power[curve.wind_grid > cut_out + GRID_EPS] == 0.0)
+
+
+def _magnitude(lo_exp: float, hi_exp: float):
+    """Log-uniform positive floats between 10**lo_exp and 10**hi_exp."""
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def wide_specs(draw):
+    diameter = draw(st.floats(min_value=20.0, max_value=170.0))
+    return dict(rotor_diameter=diameter,
+                rated_power=draw(st.floats(min_value=300.0, max_value=9000.0)),
+                cut_in=draw(st.just(0.0) | st.floats(min_value=0.0, max_value=5.0)),
+                cut_out=draw(st.floats(min_value=20.0, max_value=30.0)),
+                hub_height=diameter * draw(st.floats(min_value=0.6, max_value=2.0)))
+
+
+@st.composite
+def wide_environments(draw):
+    return dict(ti=draw(st.floats(min_value=0.0, max_value=0.15)),
+                rho=draw(_magnitude(-1.0, 306.0)),
+                shear_alpha=draw(st.just(0.0) | _magnitude(-3.0, 308.0)),
+                veer_rate=draw(st.floats(min_value=-0.75, max_value=0.75)))
+
+
+@given(wide_specs(), wide_environments(), registry_names)
+@example(dict(rotor_diameter=80.0, rated_power=2000.0, cut_in=0.0, cut_out=25.0,
+              hub_height=90.0),
+         dict(ti=0.0, rho=1e306, shear_alpha=0.0, veer_rate=0.0), "dai2016")
+@settings(max_examples=30, deadline=None)
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_synthesized_power_is_finite_and_bounded(spec_kwargs, env_kwargs, name):
+    """Any accepted input either fails as a numeric error or gives finite
+    power within [0, rated] that is zero past cut-out."""
+    spec = TurbineSpec(**spec_kwargs)
+    try:
+        curve, _ = synthesize(spec, EnvironmentConditions(**env_kwargs), cp_model=name)
+    except (NonFiniteResult, ArithmeticError):
+        return
+    assert np.all(np.isfinite(curve.power))
+    assert np.all(curve.power >= 0.0)
+    assert np.all(curve.power <= spec.rated_power * (1.0 + 1e-12))
+    assert np.all(curve.power[curve.wind_grid > spec.cut_out + GRID_EPS] == 0.0)
