@@ -13,8 +13,8 @@ from .cp_models import (BETZ_LIMIT, DEFAULT_PARAMETERISATION, LAMBDA_DOMAIN,
                         REGISTRY, CpParameterisation, ScaledCpModel,
                         cp_general, cp_general_array, get_parameterisation,
                         lambda_opt, registry_to_json, scale_cp)
-from .curve_engine import (OperatingState, PowerCurve, ideal_curve,
-                           make_wind_grid, raw_power, rotor_speed, tsr)
+from .curve_engine import (PowerCurve, ideal_curve, make_wind_grid, raw_power,
+                           rotor_speed, tsr)
 from .environment import (EnvironmentConditions, RotorBands, apply_shear_veer,
                           apply_turbulence, band_areas, rews)
 from .errors import (GroundStrike, MissingDiameter, MissingMandatoryField,
@@ -22,9 +22,7 @@ from .errors import (GroundStrike, MissingDiameter, MissingMandatoryField,
                      UnknownParameterisation, WindcurveError)
 from .synthesis import synthesize
 from .turbine import (DefaultsReport, TurbineSpec, complete_spec,
-                      default_cp_max, default_cut_speeds,
-                      default_rotation_speeds, read_turbine_csv,
-                      spec_from_json)
+                      default_rotation_speeds, spec_from_json)
 from .validation import (CurveValidation, MeasuredCurve, betz_screen,
                          invert_cp, match_over_ti, validate_directory)
 
@@ -34,7 +32,7 @@ __all__ = [
     "BETZ_LIMIT", "DEFAULT_PARAMETERISATION", "LAMBDA_DOMAIN", "REGISTRY",
     "CpParameterisation", "ScaledCpModel", "cp_general", "cp_general_array",
     "get_parameterisation", "lambda_opt", "registry_to_json", "scale_cp",
-    "OperatingState", "PowerCurve", "ideal_curve", "make_wind_grid",
+    "PowerCurve", "ideal_curve", "make_wind_grid",
     "raw_power", "rotor_speed", "tsr",
     "EnvironmentConditions", "RotorBands", "apply_shear_veer",
     "apply_turbulence", "band_areas", "rews",
@@ -42,9 +40,8 @@ __all__ = [
     "NonFiniteResult", "NoPositiveCp", "UnknownParameter",
     "UnknownParameterisation", "WindcurveError",
     "synthesize",
-    "DefaultsReport", "TurbineSpec", "complete_spec", "default_cp_max",
-    "default_cut_speeds", "default_rotation_speeds", "read_turbine_csv",
-    "spec_from_json",
+    "DefaultsReport", "TurbineSpec", "complete_spec",
+    "default_rotation_speeds", "spec_from_json",
     "CurveValidation", "MeasuredCurve", "betz_screen", "invert_cp",
     "match_over_ti", "validate_directory",
     "__version__",

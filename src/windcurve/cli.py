@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -109,17 +110,22 @@ def _fail(code: int, reason: str) -> None:
 
 
 class _Guarded(click.Group):
-    """Map every error, option parsing included, to its exit code and one error line."""
+    """Map every error, option parsing included, to its exit code and one error
+    line.  Warnings are held back and shown only when the command succeeds."""
 
     def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except _NUMERIC_ERRORS as exc:
-            _fail(3, f"{type(exc).__name__}: {exc}")
-        except _INPUT_ERRORS as exc:
-            _fail(2, f"{type(exc).__name__}: {exc}")
-        except click.ClickException as exc:
-            _fail(2, exc.format_message())
+        with warnings.catch_warnings(record=True) as held:
+            try:
+                result = super().invoke(ctx)
+            except _NUMERIC_ERRORS as exc:
+                _fail(3, f"{type(exc).__name__}: {exc}")
+            except _INPUT_ERRORS as exc:
+                _fail(2, f"{type(exc).__name__}: {exc}")
+            except click.ClickException as exc:
+                _fail(2, exc.format_message())
+        for w in held:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return result
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -263,15 +269,14 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
     base = {**REFERENCE_CONFIG, **_load_config_file(config_path), **_given(flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
 
+    # Synthesize every curve first: a failing value prints only its error, writes nothing.
+    curves = [RunConfig.from_flat({**base, key: v}).synthesize()[0] for v in sweep_values]
     interval = SWEEP_INTERVALS.get(param)
     if interval is not None:
         for v in sweep_values:
             if not interval[0] <= v <= interval[1]:
                 click.echo(f"warning: {param}={v:g} outside the typical "
                            f"interval [{interval[0]:g}, {interval[1]:g}]", err=True)
-
-    # Synthesize every curve before opening the file: a failing value writes nothing.
-    curves = [RunConfig.from_flat({**base, key: v}).synthesize()[0] for v in sweep_values]
     with Path(out_path).open("w", newline="") as fh:
         fh.write("param_value,wind_speed_ms,power_kw\n")
         for v, curve in zip(sweep_values, curves):

@@ -74,10 +74,6 @@ class CpParameterisation:
             if not math.isfinite(v):
                 raise ValueError(f"{self.name}: coefficient {f.name} is not finite")
 
-    def coefficients(self) -> tuple[float, ...]:
-        return (self.c1, self.c2, self.c3, self.c4, self.c5,
-                self.c6, self.c7, self.c8, self.c9, self.c10)
-
 
 def _cp_family(lams: np.ndarray, beta: float,
                p: CpParameterisation) -> tuple[np.ndarray, np.ndarray]:
@@ -233,10 +229,6 @@ class ScaledCpModel:
     @property
     def scale(self) -> float:
         return self.cp_max / self.raw_cp_at_opt
-
-    def cp(self, lam: float) -> float:
-        """Scaled cp at one point and beta = 0; raises like :func:`cp_general`."""
-        return cp_general(lam, 0.0, self.base) * self.scale
 
     def cp_array(self, lams: np.ndarray) -> np.ndarray:
         """Scaled cp on an array at beta = 0, degenerate points mapped to 0."""

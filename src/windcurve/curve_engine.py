@@ -107,17 +107,6 @@ def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return ws, power
 
 
-@dataclass(frozen=True)
-class OperatingState:
-    """Operating point of the turbine at one wind speed."""
-
-    v: float          # m/s
-    omega: float      # rpm
-    lam: float        # tip-speed ratio
-    beta: float       # deg
-    cp: float
-
-
 def rotor_speed(v: float | np.ndarray, spec: TurbineSpec, lambda_opt: float):
     """Rotor speed schedule in rpm: track lambda_opt, clamped to the limits."""
     radius = spec.rotor_diameter / 2.0
@@ -139,23 +128,6 @@ def raw_power(v: float | np.ndarray, cp: float | np.ndarray, rho: float,
     return 0.5 * rho * area * v ** 3 * cp / 1000.0
 
 
-def _operating_chain(vs: np.ndarray, spec: TurbineSpec,
-                     model: ScaledCpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega (rpm), lambda and cp (0 outside LAMBDA_DOMAIN) at speeds vs > 0."""
-    omega = rotor_speed(vs, spec, model.lambda_opt)
-    lam = tsr(vs, omega, spec.rotor_diameter)
-    cp = model.cp_array(lam)
-    cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
-    return omega, lam, cp
-
-
-def operating_state(v: float, spec: TurbineSpec, model: ScaledCpModel) -> OperatingState:
-    """Chain omega -> lambda -> cp at one wind speed (beta = 0)."""
-    omega, lam, cp = _operating_chain(np.array([v], dtype=np.float64), spec, model)
-    return OperatingState(v=v, omega=float(omega[0]), lam=float(lam[0]),
-                          beta=0.0, cp=float(cp[0]))
-
-
 def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RHO,
                 *, v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> PowerCurve:
     """Power curve under laminar, uniform inflow.
@@ -174,7 +146,9 @@ def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RH
                  & (grid <= spec.cut_out + GRID_EPS)
                  & (grid > 0.0))
     vs = grid[producing]
-    _, _, cp = _operating_chain(vs, spec, model)
+    lam = tsr(vs, rotor_speed(vs, spec, model.lambda_opt), spec.rotor_diameter)
+    cp = model.cp_array(lam)
+    cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
     power[producing] = np.minimum(spec.rated_power,
                                   raw_power(vs, cp, rho, spec.rotor_diameter))
 

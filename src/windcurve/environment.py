@@ -58,8 +58,9 @@ class EnvironmentConditions:
         if not self.rho > 0.0:
             raise ValueError(f"air density must be positive, got {self.rho}")
         if not 0.9 <= self.rho <= 1.5:
+            # stacklevel 3 skips the dataclass-generated __init__ to the caller.
             warnings.warn(f"air density {self.rho} kg/m^3 outside the usual "
-                          "0.9-1.5 band", UserWarning, stacklevel=2)
+                          "0.9-1.5 band", UserWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,6 @@ class RotorBands:
             raise ValueError("band areas must be positive")
 
     @property
-    def n(self) -> int:
-        return len(self.areas)
-
-    @property
     def total_area(self) -> float:
         return float(self.areas.sum())
 
@@ -106,7 +103,7 @@ def band_areas(rotor_diameter: float, hub_height: float, n: int = DEFAULT_N_BAND
     edges = np.linspace(-radius, radius, n + 1)
     # Antiderivative of the chord length; clip guards asin against round-off.
     ratio = np.clip(edges / radius, -1.0, 1.0)
-    anti = edges * np.sqrt(np.maximum(radius ** 2 - edges ** 2, 0.0)) \
+    anti = edges * np.sqrt(np.maximum(radius * radius - edges * edges, 0.0)) \
         + radius ** 2 * np.arcsin(ratio)
     areas = np.diff(anti)
     centres = 0.5 * (edges[:-1] + edges[1:])

@@ -34,7 +34,3 @@ class GroundStrike(WindcurveError):
 class UnknownParameter(WindcurveError):
     """Sweep parameter name is not recognised."""
 
-
-class ModelExtrapolationWarning(UserWarning):
-    """A fitted default was evaluated outside the range where it behaves
-    sensibly (for example rotation-speed fits crossing at tiny rotors)."""

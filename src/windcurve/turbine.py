@@ -8,16 +8,14 @@ rotation-speed limits, from power-law fits against rotor diameter.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .cp_models import BETZ_LIMIT
-from .errors import MissingMandatoryField, ModelExtrapolationWarning
+from .errors import MissingMandatoryField
 
 # Fleet-statistics defaults: modal maximum power coefficient, modal cut-in /
 # cut-out speeds, and power-law fits of the rotation-speed limits vs rotor
@@ -45,12 +43,15 @@ def check_value(name: str, value, kind: type = numbers.Real) -> None:
 
 
 def flat_record(data) -> dict:
-    """The flat record held by a parsed JSON value: the object itself, or the
-    ``config`` object of a sidecar written by the CLI."""
+    """The flat record held by a parsed JSON value: the object itself, the
+    ``config`` object of a ``generate`` sidecar or the ``spec`` object of a
+    ``defaults`` output."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    config = data.get("config")
-    return config if isinstance(config, dict) else data
+    for key in ("config", "spec"):
+        if isinstance(data.get(key), dict):
+            return data[key]
+    return data
 
 
 @dataclass(frozen=True)
@@ -127,40 +128,18 @@ class DefaultsReport:
         return [{"field": f.field, "value": f.value, "rule": f.rule}
                 for f in self.filled]
 
-    def __bool__(self) -> bool:
-        return bool(self.filled)
-
-
-def default_cp_max() -> float:
-    """Modal maximum power coefficient across a large turbine fleet."""
-    return DEFAULT_CP_MAX
-
-
-def default_cut_speeds() -> tuple[float, float]:
-    """Modal (cut_in, cut_out) wind speeds in m/s."""
-    return (DEFAULT_CUT_IN, DEFAULT_CUT_OUT)
-
 
 def default_rotation_speeds(rotor_diameter: float) -> tuple[float, float]:
     """Rotation-speed limits in rpm from power-law fits vs rotor diameter.
 
-    The two fitted curves cross for very small rotors; in that case both
-    values are returned unmodified and a warning is emitted, because quietly
-    reordering them would hide that the fit is being extrapolated.
+    The two fitted curves cross near D = 4.7 m; below it the fitted
+    omega_min exceeds the fitted omega_max.
     """
     if not rotor_diameter > 0:
         raise ValueError(f"rotor_diameter must be > 0, got {rotor_diameter}")
     a, b = OMEGA_MIN_FIT
     c, d = OMEGA_MAX_FIT
-    omega_min = a * rotor_diameter ** b
-    omega_max = c * rotor_diameter ** d
-    if omega_min > omega_max:
-        warnings.warn(
-            f"rotation-speed fits cross at D={rotor_diameter} m "
-            f"(omega_min={omega_min:.2f} > omega_max={omega_max:.2f} rpm); "
-            "values returned unmodified", ModelExtrapolationWarning,
-            stacklevel=2)
-    return (omega_min, omega_max)
+    return (a * rotor_diameter ** b, c * rotor_diameter ** d)
 
 
 def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
@@ -168,7 +147,9 @@ def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
 
     Rotor diameter and rated power are mandatory.  The report lists every
     substituted field with its value and the rule that produced it; an
-    already complete spec comes back unchanged with an empty report.
+    already complete spec comes back unchanged with an empty report.  A
+    rotation-speed pair completed from the fits that comes out inverted
+    (small rotors, where the fits cross) raises ValueError.
     """
     if partial.rotor_diameter is None or partial.rated_power is None:
         missing = [n for n in ("rotor_diameter", "rated_power")
@@ -179,6 +160,12 @@ def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
     w_min = w_max = None
     if partial.omega_min is None or partial.omega_max is None:
         w_min, w_max = default_rotation_speeds(partial.rotor_diameter)
+        pair = (w_min if partial.omega_min is None else partial.omega_min,
+                w_max if partial.omega_max is None else partial.omega_max)
+        if pair[0] > pair[1]:
+            raise ValueError(f"{partial.name}: the rotation-speed fits at rotor_diameter "
+                             f"{partial.rotor_diameter} m complete an inverted pair, omega_min "
+                             f"{pair[0]:.6g} > omega_max {pair[1]:.6g} rpm; give both limits")
     rules = (("cut_in", DEFAULT_CUT_IN, RULE_CUT_IN),
              ("cut_out", DEFAULT_CUT_OUT, RULE_CUT_OUT),
              ("cp_max", DEFAULT_CP_MAX, RULE_CP_MAX),
@@ -191,29 +178,14 @@ def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
 
 
 # ---------------------------------------------------------------------------
-# Ingestion: JSON records and CSV rows
+# Ingestion: JSON records
 # ---------------------------------------------------------------------------
-
-_CSV_COLUMNS = {
-    "name": "name",
-    "rotor_diameter_m": "rotor_diameter",
-    "rated_power_kw": "rated_power",
-    "cut_in_ms": "cut_in",
-    "cut_out_ms": "cut_out",
-    "omega_min_rpm": "omega_min",
-    "omega_max_rpm": "omega_max",
-    "cp_max": "cp_max",
-    "hub_height_m": "hub_height",
-}
-TURBINE_CSV_HEADER = ",".join(_CSV_COLUMNS)
-
 
 def spec_from_json(record: dict) -> TurbineSpec:
     """Build a spec from a JSON record keyed by TurbineSpec field names.
 
-    Sidecar files written by the CLI wrap the record in a ``config`` object;
-    both layouts are accepted.  Unknown keys are ignored so richer sidecars
-    stay readable.
+    The record may be wrapped as :func:`flat_record` describes.  Unknown keys
+    are ignored so richer sidecars stay readable.
     """
     record = flat_record(record)
     known = {f.name for f in fields(TurbineSpec)}
@@ -221,27 +193,6 @@ def spec_from_json(record: dict) -> TurbineSpec:
     if "name" in kwargs:
         kwargs["name"] = str(kwargs["name"])
     return TurbineSpec(**kwargs)
-
-
-def read_turbine_csv(path: str | Path) -> list[TurbineSpec]:
-    """Read turbine specs from a CSV file; empty cells mean absent."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        got = ",".join(reader.fieldnames or [])
-        if got != TURBINE_CSV_HEADER:
-            raise ValueError(
-                f"{path}: unexpected header {got!r}; expected {TURBINE_CSV_HEADER!r}")
-        specs = []
-        for row in reader:
-            kwargs: dict = {}
-            for col, name in _CSV_COLUMNS.items():
-                cell = (row.get(col) or "").strip()
-                if not cell:
-                    continue
-                kwargs[name] = cell if name == "name" else float(cell)
-            specs.append(TurbineSpec(**kwargs))
-    return specs
 
 
 def load_spec(path: str | Path) -> TurbineSpec:

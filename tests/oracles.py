@@ -92,7 +92,7 @@ def rews_banded(u_hub: float, rotor_diameter: float, hub_height: float,
 def _segment_area(radius: float, h0: float, h1: float) -> float:
     def anti(h: float) -> float:
         r = min(max(h / radius, -1.0), 1.0)
-        return h * math.sqrt(max(radius ** 2 - h * h, 0.0)) + radius ** 2 * math.asin(r)
+        return h * math.sqrt(max(radius * radius - h * h, 0.0)) + radius ** 2 * math.asin(r)
     return anti(h1) - anti(h0)
 
 

@@ -13,8 +13,7 @@ import pytest
 
 from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
                        REGISTRY, TurbineSpec, apply_turbulence, band_areas,
-                       betz_screen, default_cp_max, default_cut_speeds,
-                       default_rotation_speeds, ideal_curve, invert_cp,
+                       betz_screen, complete_spec, ideal_curve, invert_cp,
                        match_over_ti, raw_power, rews, scale_cp, synthesize)
 
 from conftest import REFERENCE_KWARGS, rated_knee
@@ -38,9 +37,11 @@ def test_c01_power_equation_spot_check():
 
 def test_c02_statistical_defaults():
     t0 = time.monotonic()
-    assert default_cp_max() == 0.44
-    assert default_cut_speeds() == (3.0, 25.0)
-    w_min, w_max = default_rotation_speeds(80.0)
+    _, report = complete_spec(TurbineSpec(rotor_diameter=80.0, rated_power=2000.0))
+    filled = {f.field: f.value for f in report.filled}
+    assert filled["cp_max"] == 0.44
+    assert (filled["cut_in"], filled["cut_out"]) == (3.0, 25.0)
+    w_min, w_max = filled["omega_min"], filled["omega_max"]
     assert w_min == pytest.approx(8.78, abs=0.01)
     assert w_max == pytest.approx(18.18, abs=0.01)
     assert time.monotonic() - t0 < 1.0

@@ -10,7 +10,6 @@ from windcurve import (REGISTRY, NonFiniteResult, TurbineSpec, band_areas,
                        cp_general, cp_general_array, raw_power, rews,
                        rotor_speed, tsr)
 from windcurve.cli import CONFIG_KEYS, RunConfig, main
-from windcurve.curve_engine import operating_state
 
 VS = np.linspace(0.5, 30.0, 60)
 
@@ -43,8 +42,6 @@ def test_chain_arrays_match_scalars(reference_spec, reference_model):
         assert omega[i] == rotor_speed(float(v), reference_spec, reference_model.lambda_opt)
         assert lam[i] == tsr(float(v), omega[i], 80.0)
         assert power[i] == raw_power(float(v), 0.4, 1.225, 80.0)
-        st = operating_state(float(v), reference_spec, reference_model)
-        assert (st.omega, st.lam) == (omega[i], lam[i])
 
 
 def test_tsr_array_with_a_zero_speed_raises():

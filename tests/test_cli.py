@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,20 @@ class TestDefaultsCmd:
         result = runner.invoke(main, ["defaults", "--rated-power", "2000"])
         assert result.exit_code == 2
 
+    def test_output_feeds_generate(self, runner, tmp_path):
+        flags = ["--diameter", "80", "--rated-power", "2000", "--cut-in", "4"]
+        completed = tmp_path / "d.json"
+        assert runner.invoke(main, ["defaults", *flags, "--out", str(completed)]).exit_code == 0
+        ref = tmp_path / "ref.csv"
+        assert runner.invoke(main, ["generate", *flags, "--out", str(ref)]).exit_code == 0
+        for option in ("--spec", "--config"):
+            out = tmp_path / f"{option[2:]}.csv"
+            result = runner.invoke(main, ["generate", option, str(completed),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert json.loads(out.with_suffix(".json").read_text())["config"]["cut_in"] == 4.0
+            assert out.read_text() == ref.read_text()
+
 
 class TestCpTable:
     def test_table_layout(self, runner, tmp_path):
@@ -234,3 +252,33 @@ class TestValidateCmd:
         result = runner.invoke(main, ["validate", "--input-dir",
                                       str(tmp_path / "nope")])
         assert result.exit_code == 2
+
+
+class TestStderr:
+    """Run as a subprocess: pytest records warnings before CliRunner sees them."""
+
+    @staticmethod
+    def run(tmp_path, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "windcurve.cli", *args],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+
+    @pytest.mark.parametrize("args, code", [
+        (["generate", "--diameter", "80", "--rated-power", "2000", "--cut-in", "0",
+          "--rho", "1e306"], 3),
+        (["sweep", "--param", "omega_max", "--values", "40,30,5"], 2),
+    ])
+    def test_failure_prints_only_the_error_line(self, tmp_path, args, code):
+        result = self.run(tmp_path, *args, "--out", "c.csv")
+        assert result.returncode == code
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error:")
+
+    def test_success_still_shows_warnings_at_the_caller(self, tmp_path):
+        result = self.run(tmp_path, "generate", "--diameter", "80", "--rated-power",
+                          "2000", "--rho", "0.5", "--out", "c.csv")
+        assert result.returncode == 0, result.stderr
+        assert "UserWarning: air density 0.5" in result.stderr
+        assert "cli.py:" in result.stderr and "<string>" not in result.stderr

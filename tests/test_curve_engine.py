@@ -7,8 +7,7 @@ import pytest
 from windcurve import (PowerCurve, TurbineSpec, get_parameterisation,
                        ideal_curve, make_wind_grid, raw_power, rotor_speed,
                        scale_cp, tsr)
-from windcurve.curve_engine import (POWER_CURVE_CSV_HEADER, OperatingState,
-                                    operating_state, read_curve_csv)
+from windcurve.curve_engine import POWER_CURVE_CSV_HEADER, read_curve_csv
 from windcurve.cp_models import REGISTRY
 
 from conftest import REFERENCE_KWARGS, rated_knee
@@ -104,16 +103,19 @@ class TestIdealCurve:
         radius = spec.rotor_diameter / 2.0
         v_clamp = spec.omega_max * (2 * math.pi / 60) * radius / model.lambda_opt
         vs = np.arange(v_clamp + 0.05, 25.0, 0.05)
-        cps = [operating_state(v, spec, model).cp for v in vs]
+        cps = model.cp_array(tsr(vs, rotor_speed(vs, spec, model.lambda_opt),
+                                 spec.rotor_diameter))
         assert np.all(np.diff(cps) <= 1e-12)
 
     def test_operating_state_invariants(self, reference_spec, reference_model):
-        for v in np.linspace(0.5, 30.0, 60):
-            st = operating_state(v, reference_spec, reference_model)
-            assert isinstance(st, OperatingState)
-            assert reference_spec.omega_min <= st.omega <= reference_spec.omega_max
-            assert st.cp >= 0.0
-            assert st.beta == 0.0
+        vs = np.linspace(0.5, 30.0, 60)
+        omega = rotor_speed(vs, reference_spec, reference_model.lambda_opt)
+        lam = tsr(vs, omega, reference_spec.rotor_diameter)
+        cp = reference_model.cp_array(lam)
+        assert np.all((reference_spec.omega_min <= omega)
+                      & (omega <= reference_spec.omega_max))
+        assert np.all(lam > 0.0)
+        assert np.all(cp >= 0.0)
 
     def test_matches_naive_reimplementation_on_random_specs(self):
         rng = np.random.default_rng(2024)

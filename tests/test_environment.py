@@ -34,11 +34,16 @@ class TestEnvironmentConditions:
         with pytest.warns(UserWarning, match="air density"):
             EnvironmentConditions(rho=0.7)
 
+    def test_rho_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="air density") as record:
+            EnvironmentConditions(rho=0.7)
+        assert record[0].filename == __file__
+
 
 class TestBandAreas:
     def test_single_band_is_the_disc(self):
         bands = band_areas(80.0, 60.0, 1)
-        assert bands.n == 1
+        assert len(bands.areas) == 1
         assert bands.areas[0] == pytest.approx(np.pi * 80.0 ** 2 / 4.0, rel=1e-12)
 
     def test_two_bands_halve_the_disc(self):

@@ -190,3 +190,12 @@ def test_cli_overflowing_run_exits_3(flags, tmp_path):
     assert result.exit_code == 3, result.output
     _one_error_line(result)
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_tiny_rotor_exits_2_naming_the_fits(tmp_path):
+    result = CliRunner().invoke(main, ["generate", "--diameter", "3", "--rated-power", "5",
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    line = _one_error_line(result)
+    assert "rotation-speed fits at rotor_diameter 3.0 m" in line
+    assert not (tmp_path / "c.csv").exists()

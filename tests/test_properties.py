@@ -61,7 +61,7 @@ def test_array_form_matches_scalar_form(name, lams):
        st.floats(min_value=0.01, max_value=BETZ_LIMIT))
 def test_scaled_peak_hits_cp_max(name, cp_max):
     model = scale_cp(REGISTRY[name], cp_max)
-    assert model.cp(model.lambda_opt) == pytest.approx(cp_max, abs=1e-9)
+    assert model.cp_array(np.array([model.lambda_opt]))[0] == pytest.approx(cp_max, abs=1e-9)
     grid = np.linspace(0.5, 25.0, 2451)
     assert model.cp_array(grid).max() <= cp_max + 1e-9
 
@@ -69,6 +69,9 @@ def test_scaled_peak_hits_cp_max(name, cp_max):
 @given(st.floats(min_value=5.0, max_value=200.0),
        st.floats(min_value=1.01, max_value=4.0),
        st.integers(min_value=1, max_value=300))
+# radius ** 2 (libm pow) and radius * radius round 1 ulp apart at this
+# diameter, which left a nonzero chord at the rim.
+@example(29.53500699225793, 2.0, 1)
 def test_band_areas_partition_the_disc(diameter, hub_factor, n):
     bands = band_areas(diameter, hub_factor * diameter / 2.0, n)
     disc = np.pi * diameter ** 2 / 4.0

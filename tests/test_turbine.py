@@ -1,14 +1,11 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 
 from windcurve import (BETZ_LIMIT, MissingMandatoryField, TurbineSpec,
-                       complete_spec, default_cp_max, default_cut_speeds,
-                       default_rotation_speeds, read_turbine_csv,
-                       spec_from_json)
-from windcurve.errors import ModelExtrapolationWarning
-from windcurve.turbine import TURBINE_CSV_HEADER
+                       complete_spec, default_rotation_speeds, spec_from_json)
 
 # Frozen oracle values: independent high-precision evaluation of the
 # rpm-vs-diameter power-law fits at D = 80 m.
@@ -16,22 +13,29 @@ OMEGA_MIN_D80 = 8.776105129
 OMEGA_MAX_D80 = 18.178134783
 
 
+def _filled(**kwargs) -> dict:
+    """Values complete_spec fills into a spec holding only kwargs."""
+    _, report = complete_spec(TurbineSpec(**kwargs))
+    return {f.field: f.value for f in report.filled}
+
+
 class TestDefaults:
     def test_default_cp_max(self):
-        assert default_cp_max() == 0.44
-        assert default_cp_max() <= BETZ_LIMIT
-        assert 0.4 <= default_cp_max() <= 0.5
+        cp_max = _filled(rotor_diameter=80, rated_power=2000)["cp_max"]
+        assert cp_max == 0.44
+        assert cp_max <= BETZ_LIMIT
+        assert 0.4 <= cp_max <= 0.5
 
     def test_default_cut_speeds(self):
-        cut_in, cut_out = default_cut_speeds()
+        filled = _filled(rotor_diameter=80, rated_power=2000)
+        cut_in, cut_out = filled["cut_in"], filled["cut_out"]
         assert (cut_in, cut_out) == (3.0, 25.0)
         assert cut_in < cut_out
         assert 15.0 <= cut_out <= 30.0
 
     def test_rotation_speed_fit_at_unit_diameter(self):
         # the power-law factor is 1 at D=1 (and the fits legitimately cross)
-        with pytest.warns(ModelExtrapolationWarning):
-            w_min, _ = default_rotation_speeds(1.0)
+        w_min, _ = default_rotation_speeds(1.0)
         assert w_min == pytest.approx(1046.558, abs=1e-9)
 
     def test_rotation_speed_fit_at_80m(self):
@@ -45,11 +49,22 @@ class TestDefaults:
         assert all(a > b for a, b in zip(mins, mins[1:]))
         assert all(a > b for a, b in zip(maxs, maxs[1:]))
 
-    def test_crossing_fits_warn_but_return_unmodified(self):
+    def test_crossing_fits_are_rejected_when_completing(self):
         # the two fitted curves cross below roughly 4.7 m diameter
-        with pytest.warns(ModelExtrapolationWarning):
-            w_min, w_max = default_rotation_speeds(3.0)
+        w_min, w_max = default_rotation_speeds(3.0)
         assert w_min > w_max
+        with pytest.raises(ValueError, match=r"rotation-speed fits at rotor_diameter 3\.0 m"):
+            complete_spec(TurbineSpec(rotor_diameter=3.0, rated_power=5.0))
+        with pytest.raises(ValueError, match="rotation-speed fits"):
+            complete_spec(TurbineSpec(rotor_diameter=80, rated_power=2000, omega_min=20))
+
+    def test_crossing_fits_with_a_valid_given_limit_complete_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec, _ = complete_spec(TurbineSpec(rotor_diameter=3.0, rated_power=5.0,
+                                                omega_max=2000.0))
+        assert spec.omega_min == pytest.approx(1046.558 * 3.0 ** -1.0911)
+        assert spec.omega_max == 2000.0
 
     def test_bad_diameter(self):
         with pytest.raises(ValueError):
@@ -78,7 +93,7 @@ class TestCompleteSpec:
     def test_fully_specified_spec_unchanged(self, reference_spec):
         spec, report = complete_spec(reference_spec)
         assert spec is reference_spec
-        assert not report
+        assert not report.filled
 
     def test_missing_mandatory_fields(self):
         with pytest.raises(MissingMandatoryField):
@@ -124,24 +139,6 @@ class TestSpecInvariants:
 
 
 class TestIngestion:
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "fleet.csv"
-        path.write_text(
-            TURBINE_CSV_HEADER + "\n"
-            "alpha,80,2000,3.5,25,10,30,0.4615,60\n"
-            "beta,90,2500,,,,,,\n")
-        specs = read_turbine_csv(path)
-        assert [s.name for s in specs] == ["alpha", "beta"]
-        assert specs[0].hub_height == 60.0
-        assert specs[1].rotor_diameter == 90.0
-        assert specs[1].cut_in is None and specs[1].cp_max is None
-
-    def test_csv_header_is_pinned(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("name,diameter\nfoo,80\n")
-        with pytest.raises(ValueError, match="header"):
-            read_turbine_csv(path)
-
     def test_json_record(self):
         spec = spec_from_json({"name": "x", "rotor_diameter": 80,
                                "rated_power": 2000, "cp_max": 0.45})
@@ -154,6 +151,12 @@ class TestIngestion:
                                "model_version": "0.1.0"})
         assert spec.rotor_diameter == 70
         assert spec.name == "x"
+
+    def test_json_defaults_wrapper(self):
+        spec = spec_from_json({"spec": {"name": "d", "rotor_diameter": 90,
+                                        "rated_power": 2500, "cut_in": 4.0},
+                               "defaults_report": []})
+        assert (spec.name, spec.rotor_diameter, spec.cut_in) == ("d", 90, 4.0)
 
     def test_completed_specs_serialise(self, defaults_spec):
         # to_dict gives JSON-ready plain values
