@@ -11,11 +11,11 @@ against measured or manufacturer data.
 
 from .cp_models import (BETZ_LIMIT, DEFAULT_PARAMETERISATION, LAMBDA_DOMAIN,
                         REGISTRY, CpParameterisation, ScaledCpModel,
-                        cp_general, cp_general_array, get_parameterisation,
-                        lambda_opt, registry_to_json, scale_cp)
+                        cp_general_array, get_parameterisation, lambda_opt,
+                        registry_to_json, scale_cp)
 from .curve_engine import (PowerCurve, ideal_curve, make_wind_grid, raw_power,
                            rotor_speed, tsr)
-from .environment import (EnvironmentConditions, RotorBands, apply_shear_veer,
+from .environment import (EnvironmentConditions, apply_shear_veer,
                           apply_turbulence, band_areas, rews)
 from .errors import (GroundStrike, MissingDiameter, MissingMandatoryField,
                      NonFiniteResult, NoPositiveCp, UnknownParameter,
@@ -30,12 +30,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BETZ_LIMIT", "DEFAULT_PARAMETERISATION", "LAMBDA_DOMAIN", "REGISTRY",
-    "CpParameterisation", "ScaledCpModel", "cp_general", "cp_general_array",
+    "CpParameterisation", "ScaledCpModel", "cp_general_array",
     "get_parameterisation", "lambda_opt", "registry_to_json", "scale_cp",
     "PowerCurve", "ideal_curve", "make_wind_grid",
     "raw_power", "rotor_speed", "tsr",
-    "EnvironmentConditions", "RotorBands", "apply_shear_veer",
-    "apply_turbulence", "band_areas", "rews",
+    "EnvironmentConditions", "apply_shear_veer", "apply_turbulence",
+    "band_areas", "rews",
     "GroundStrike", "MissingDiameter", "MissingMandatoryField",
     "NonFiniteResult", "NoPositiveCp", "UnknownParameter",
     "UnknownParameterisation", "WindcurveError",

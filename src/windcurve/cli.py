@@ -128,16 +128,16 @@ class _Guarded(click.Group):
         return result
 
 
+def _given(values: dict) -> dict:
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _load_config_file(path: str | None) -> dict:
     data = {} if path is None else flat_record(json.loads(Path(path).read_text()))
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return data
-
-
-def _given(values: dict) -> dict:
-    return {k: v for k, v in values.items() if v is not None}
+    return _given(data)
 
 
 def _resolve_config(config_path: str | None, spec_path: str | None,

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import NonFiniteResult, NoPositiveCp, UnknownParameterisation
+from .errors import NoPositiveCp, UnknownParameterisation
 
 #: Betz limit, the hard physical ceiling for any power coefficient.
 BETZ_LIMIT = 16.0 / 27.0
@@ -75,10 +75,16 @@ class CpParameterisation:
                 raise ValueError(f"{self.name}: coefficient {f.name} is not finite")
 
 
-def _cp_family(lams: np.ndarray, beta: float,
-               p: CpParameterisation) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped cp on an array, and the mask of points where lambda > 0,
-    lambda + c9*b > 0 and 1/li > 0 (cp elsewhere is a placeholder)."""
+def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np.ndarray:
+    """Evaluate the cp family on an array of tip-speed ratios at pitch beta (deg).
+
+    cp is clamped to >= 0.  Points where lambda <= 0, lambda + c9*b <= 0 or
+    1/li <= 0 lie outside the range where the parameterisation is meaningful
+    and evaluate to 0, the treatment the curve engine needs.  A non-finite
+    beta raises ValueError.
+    """
+    if not math.isfinite(beta):
+        raise ValueError(f"pitch angle beta must be finite, got {beta}")
     lams = np.asarray(lams, dtype=np.float64)
     b = beta + p.beta_offset
     shifted = lams + p.c9 * b
@@ -89,49 +95,7 @@ def _cp_family(lams: np.ndarray, beta: float,
     li = 1.0 / inv_li
     cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
           * np.exp(-p.c7 * inv_li) + p.c8 * lams)
-    return np.maximum(cp, 0.0), ok
-
-
-def cp_general(lam: float, beta: float, p: CpParameterisation) -> float:
-    """Evaluate the analytic cp family at one point.
-
-    Parameters
-    ----------
-    lam : float
-        Tip-speed ratio, > 0.
-    beta : float
-        Blade pitch angle in degrees, >= 0.
-    p : CpParameterisation
-        Coefficient set.
-
-    Returns
-    -------
-    float
-        Power coefficient, clamped to >= 0.
-
-    Raises
-    ------
-    NonFiniteResult
-        If the intermediate variable degenerates (its inverse is <= 0 or the
-        expression overflows), which signals a tip-speed ratio outside the
-        range where the parameterisation is meaningful.  Callers that build
-        curves treat this case as cp = 0.
-    """
-    cp, ok = _cp_family(np.array([lam], dtype=np.float64), beta, p)
-    if not (ok[0] and math.isfinite(cp[0])):
-        raise NonFiniteResult(f"cp degenerated at lambda={lam}, beta={beta}")
-    return float(cp[0])
-
-
-def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np.ndarray:
-    """Vectorised :func:`cp_general` that maps degenerate points to 0.
-
-    Same arithmetic as the scalar form; grid points where the scalar form
-    would raise :class:`NonFiniteResult` evaluate to 0 instead, which is the
-    treatment the curve engine applies anyway.
-    """
-    cp, ok = _cp_family(lams, beta, p)
-    return np.where(ok, cp, 0.0)
+    return np.where(ok, np.maximum(cp, 0.0), 0.0)
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:

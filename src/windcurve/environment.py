@@ -63,36 +63,14 @@ class EnvironmentConditions:
                           "0.9-1.5 band", UserWarning, stacklevel=3)
 
 
-@dataclass(frozen=True)
-class RotorBands:
-    """Horizontal slices of the rotor disc.
-
-    heights are band centres relative to the hub (m), areas the exact
-    circular-segment slice areas (m^2); they sum to the full disc.
-    """
-
-    heights: np.ndarray
-    areas: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "heights", np.asarray(self.heights, dtype=np.float64))
-        object.__setattr__(self, "areas", np.asarray(self.areas, dtype=np.float64))
-        if self.heights.shape != self.areas.shape or self.heights.ndim != 1:
-            raise ValueError("heights and areas must be 1-d arrays of equal length")
-        if np.any(self.areas <= 0):
-            raise ValueError("band areas must be positive")
-
-    @property
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
-
-def band_areas(rotor_diameter: float, hub_height: float, n: int = DEFAULT_N_BANDS) -> RotorBands:
+def band_areas(rotor_diameter: float, hub_height: float,
+               n: int = DEFAULT_N_BANDS) -> tuple[np.ndarray, np.ndarray]:
     """Slice the rotor disc into n equal-height horizontal bands.
 
-    Band areas are computed analytically from the antiderivative of the chord
-    length 2*sqrt(R^2 - h^2), so they partition the disc exactly; the band
-    centre serves as the representative height.
+    Returns (heights, areas): the band centres relative to the hub (m), which
+    serve as the representative heights, and the slice areas (m^2), computed
+    analytically from the antiderivative of the chord length
+    2*sqrt(R^2 - h^2), so they partition the disc exactly.
     """
     if n < 1:
         raise ValueError(f"need at least one band, got {n}")
@@ -106,17 +84,20 @@ def band_areas(rotor_diameter: float, hub_height: float, n: int = DEFAULT_N_BAND
     anti = edges * np.sqrt(np.maximum(radius * radius - edges * edges, 0.0)) \
         + radius ** 2 * np.arcsin(ratio)
     areas = np.diff(anti)
+    if not np.all(areas > 0.0):  # they underflow to 0 below a diameter of ~1e-160 m
+        raise ValueError("band areas must be positive")
     centres = 0.5 * (edges[:-1] + edges[1:])
-    return RotorBands(heights=centres, areas=areas)
+    return centres, areas
 
 
 def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
-         veer_rate: float, bands: RotorBands):
+         veer_rate: float, n_bands: int = DEFAULT_N_BANDS):
     """Rotor-equivalent wind speed for a hub-height speed u_hub.
 
     Cube-root of the area-weighted mean of (U_i * cos(dphi_i))^3 over the
-    bands, with U_i from the power-law profile anchored at the hub and
-    dphi_i the linear veer angle at the band centre; u_hub may be an array.
+    n_bands bands of the spec's rotor (see :func:`band_areas`), with U_i from
+    the power-law profile anchored at the hub and dphi_i the linear veer
+    angle at the band centre; u_hub may be an array.
     The veer across the rotor must stay below 90 deg (|veer_rate| * D/2 < 90),
     past which cos(dphi) < 0 reverses the band speeds; the typical range,
     0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
@@ -125,14 +106,15 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
         raise ValueError(f"u_hub must be >= 0, got {u_hub}")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
+    heights, areas = band_areas(spec.rotor_diameter, spec.hub_height, n_bands)
     if not abs(veer_rate) * spec.rotor_diameter / 2.0 < 90.0:
         raise ValueError(
             f"veer_rate {veer_rate} deg/m turns the wind by 90 deg or more across "
             f"a {spec.rotor_diameter} m rotor")
-    z = spec.hub_height + bands.heights
+    z = spec.hub_height + heights
     speed_ratio = (z / spec.hub_height) ** shear_alpha
-    dphi = np.deg2rad(veer_rate * bands.heights)
-    weights = bands.areas / bands.total_area
+    dphi = np.deg2rad(veer_rate * heights)
+    weights = areas / areas.sum()
     return u_hub * float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
 
 
@@ -211,12 +193,9 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
     linearly at rews(u).  The cut-out gate acts on the hub-height speed, not
     on the rotor-equivalent one, so the shutdown position is untouched.
     """
-    if spec.hub_height is None:
-        raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
     if spec.cut_out is None:
         raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
-    bands = band_areas(spec.rotor_diameter, spec.hub_height, n_bands)
-    u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, bands)
+    u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, n_bands)
     base, _ = _plateau_extended(curve, spec.cut_out)
     return _windowed(curve, np.interp(u_eq, curve.wind_grid, base), spec.cut_out,
                      shear_alpha=float(shear_alpha), veer_rate=float(veer_rate),

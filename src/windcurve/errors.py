@@ -6,8 +6,8 @@ class WindcurveError(Exception):
 
 
 class NonFiniteResult(WindcurveError):
-    """The power-coefficient expression degenerated (tip-speed ratio outside
-    the range where the parameterisation is meaningful)."""
+    """A synthesized power curve holds a non-finite value (the inputs drove
+    the arithmetic past the floating-point range)."""
 
 
 class NoPositiveCp(WindcurveError):

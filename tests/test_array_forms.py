@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from windcurve import (REGISTRY, NonFiniteResult, TurbineSpec, band_areas,
-                       cp_general, cp_general_array, raw_power, rews,
+from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power, rews,
                        rotor_speed, tsr)
 from windcurve.cli import CONFIG_KEYS, RunConfig, main
 
@@ -16,22 +15,18 @@ VS = np.linspace(0.5, 30.0, 60)
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_cp_scalar_equals_array_bitwise(name):
+    # lambda_opt refines one point at a time on the grid it scanned whole
     p = REGISTRY[name]
     lams = np.linspace(0.5, 25.0, 50)
     vec = cp_general_array(lams, 0.0, p)
     for lam, v in zip(lams, vec):
-        try:
-            assert cp_general(float(lam), 0.0, p) == v
-        except NonFiniteResult:
-            assert v == 0.0
+        assert cp_general_array(np.array([lam]), 0.0, p)[0] == v
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), 30.0])
 def test_cp_scalar_raises_where_array_masks(lam):
     p = REGISTRY["heier2014"]
     assert cp_general_array(np.array([lam]), 0.0, p)[0] == 0.0
-    with pytest.raises(NonFiniteResult):
-        cp_general(lam, 0.0, p)
 
 
 def test_chain_arrays_match_scalars(reference_spec, reference_model):
@@ -51,11 +46,10 @@ def test_tsr_array_with_a_zero_speed_raises():
 
 def test_rews_array_matches_scalar():
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
-    bands = band_areas(80.0, 60.0, 100)
-    vec = rews(VS, spec, 0.2, 0.3, bands)
-    assert [rews(float(u), spec, 0.2, 0.3, bands) for u in VS] == list(vec)
+    vec = rews(VS, spec, 0.2, 0.3)
+    assert [rews(float(u), spec, 0.2, 0.3) for u in VS] == list(vec)
     with pytest.raises(ValueError):
-        rews(np.array([1.0, -1.0]), spec, 0.0, 0.0, bands)
+        rews(np.array([1.0, -1.0]), spec, 0.0, 0.0)
 
 
 class TestRunConfig:

@@ -82,6 +82,29 @@ class TestGenerate:
         assert sidecar["config"]["name"] == "filed"
         assert sidecar["config"]["rotor_diameter"] == 70
 
+    def test_null_in_config_falls_through_to_spec(self, runner, tmp_path):
+        # a sidecar records an unset hub height as null
+        _, plain = generate(runner, tmp_path, stem="plain")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"rotor_diameter": 80, "rated_power": 2000,
+                                         "hub_height": 90}))
+        out = tmp_path / "layered.csv"
+        result = runner.invoke(main, ["generate", "--spec", str(spec_path),
+                                      "--config", str(plain.with_suffix(".json")),
+                                      "--shear-alpha", "0.2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.with_suffix(".json").read_text())["config"]["hub_height"] == 90
+        _, direct = generate(runner, tmp_path, "--hub-height", "90",
+                             "--shear-alpha", "0.2", stem="direct")
+        assert out.read_bytes() == direct.read_bytes()
+
+    def test_null_unknown_config_key_still_rejected(self, runner, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"foo": None}))
+        result, _ = generate(runner, tmp_path, "--config", str(config))
+        assert result.exit_code == 2
+        assert result.stderr == "error: ValueError: unknown config keys: foo\n"
+
     def test_numeric_failure_exits_3(self, runner, tmp_path, monkeypatch):
         from windcurve import errors
         import windcurve.cli as cli_mod
@@ -149,6 +172,16 @@ class TestSweep:
         assert result.exit_code == 0, result.output
         labels = {l.split(",")[0] for l in out.read_text().splitlines()[1:]}
         assert labels == {"dai2016", "heier2014", "slootweg2003"}
+
+    def test_null_in_config_takes_the_default(self, runner, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"cp_model": None}))
+        outs = [tmp_path / "with.csv", tmp_path / "without.csv"]
+        for extra, out in zip((["--config", str(config)], []), outs):
+            result = runner.invoke(main, ["sweep", "--param", "ti", "--values", "0.05",
+                                          *extra, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_unknown_param_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["sweep", "--param", "paint_colour",

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from windcurve import (BETZ_LIMIT, REGISTRY, CpParameterisation, NoPositiveCp,
-                       NonFiniteResult, ScaledCpModel, UnknownParameterisation,
-                       cp_general, cp_general_array, get_parameterisation,
-                       lambda_opt, registry_to_json, scale_cp)
+                       ScaledCpModel, UnknownParameterisation, cp_general_array,
+                       get_parameterisation, lambda_opt, registry_to_json,
+                       scale_cp)
 
-from oracles import brute_lambda_opt, cp_mp
+from oracles import brute_lambda_opt, cp_direct, cp_mp
 
 # Frozen oracle values: mpmath evaluation of the family for the dai2016 row,
 # and exhaustive argmax at grid step 1e-5 over [0.5, 25].
@@ -30,31 +30,33 @@ def _params(**kw) -> CpParameterisation:
     return CpParameterisation(**base)
 
 
+def _cp(lam: float, beta: float, p: CpParameterisation) -> float:
+    return float(cp_general_array(np.array([lam]), beta, p)[0])
+
+
 class TestCpGeneral:
     def test_zero_coefficients_give_zero(self):
-        assert cp_general(7.0, 0.0, _params()) == 0.0
+        assert _cp(7.0, 0.0, _params()) == 0.0
 
     def test_pure_linear_term(self):
-        assert cp_general(5.0, 0.0, _params(c8=0.1)) == pytest.approx(0.5, abs=1e-15)
+        assert _cp(5.0, 0.0, _params(c8=0.1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_dai2016_matches_high_precision_oracle(self):
         p = get_parameterisation("dai2016")
-        got = cp_general(8.0, 0.0, p)
+        got = _cp(8.0, 0.0, p)
         assert got == pytest.approx(CP_DAI2016_AT_8, abs=1e-12)
         # and the frozen constant matches a live arbitrary-precision run
         assert float(cp_mp(8.0, 0.0, p)) == pytest.approx(CP_DAI2016_AT_8, abs=1e-15)
 
     def test_negative_values_clamp_to_zero(self):
         # heier2014 turns negative shortly before its pole near lambda 28.6
-        assert cp_general(28.0, 0.0, get_parameterisation("heier2014")) == 0.0
+        assert _cp(28.0, 0.0, get_parameterisation("heier2014")) == 0.0
 
     def test_degenerate_lambda_raises(self):
-        with pytest.raises(NonFiniteResult):
-            cp_general(30.0, 0.0, get_parameterisation("heier2014"))
-        with pytest.raises(NonFiniteResult):
-            cp_general(0.0, 0.0, get_parameterisation("heier2014"))
-        with pytest.raises(NonFiniteResult):
-            cp_general(-1.0, 0.0, get_parameterisation("dai2016"))
+        # past the pole, at zero and below, cp is masked to 0
+        assert _cp(30.0, 0.0, get_parameterisation("heier2014")) == 0.0
+        assert _cp(0.0, 0.0, get_parameterisation("heier2014")) == 0.0
+        assert _cp(-1.0, 0.0, get_parameterisation("dai2016")) == 0.0
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0, 5.0])
@@ -63,11 +65,7 @@ class TestCpGeneral:
         lams = np.linspace(0.2, 30.0, 313)
         vec = cp_general_array(lams, beta, p)
         for lam, v in zip(lams, vec):
-            try:
-                expect = cp_general(float(lam), beta, p)
-            except NonFiniteResult:
-                expect = 0.0
-            assert v == pytest.approx(expect, abs=1e-14)
+            assert v == pytest.approx(cp_direct(float(lam), beta, p), abs=1e-14)
 
     def test_nonfinite_coefficient_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +111,7 @@ class TestScaleCp:
         model = scale_cp(p, raw)
         assert model.scale == pytest.approx(1.0, abs=1e-15)
         for l in (4.0, 7.0, 9.5):
-            assert model.cp_array(np.array([l]))[0] == cp_general(l, 0.0, p)
+            assert model.cp_array(np.array([l]))[0] == _cp(l, 0.0, p)
 
     @pytest.mark.parametrize("cp_max", [0.44, 0.4615])
     @pytest.mark.parametrize("name", sorted(REGISTRY))

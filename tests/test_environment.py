@@ -14,11 +14,6 @@ REWS_SHEAR_02 = 9.952081132   # u=10, alpha=0.2, veer=0
 REWS_VEER_075 = 9.672795368   # u=10, alpha=0, veer=0.75 deg/m
 
 
-@pytest.fixture
-def bands100():
-    return band_areas(80.0, 60.0, 100)
-
-
 class TestEnvironmentConditions:
     def test_ti_band(self):
         with pytest.raises(ValueError):
@@ -42,22 +37,22 @@ class TestEnvironmentConditions:
 
 class TestBandAreas:
     def test_single_band_is_the_disc(self):
-        bands = band_areas(80.0, 60.0, 1)
-        assert len(bands.areas) == 1
-        assert bands.areas[0] == pytest.approx(np.pi * 80.0 ** 2 / 4.0, rel=1e-12)
+        _, areas = band_areas(80.0, 60.0, 1)
+        assert len(areas) == 1
+        assert areas[0] == pytest.approx(np.pi * 80.0 ** 2 / 4.0, rel=1e-12)
 
     def test_two_bands_halve_the_disc(self):
-        bands = band_areas(80.0, 60.0, 2)
-        np.testing.assert_allclose(bands.areas, np.pi * 40.0 ** 2 / 2.0, rtol=1e-12)
+        _, areas = band_areas(80.0, 60.0, 2)
+        np.testing.assert_allclose(areas, np.pi * 40.0 ** 2 / 2.0, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 100, 999])
     def test_partition_of_the_disc(self, n):
-        bands = band_areas(80.0, 60.0, n)
+        heights, areas = band_areas(80.0, 60.0, n)
         disc = np.pi * 80.0 ** 2 / 4.0
-        assert abs(bands.total_area - disc) / disc < 1e-9
+        assert abs(areas.sum() - disc) / disc < 1e-9
         # symmetric about the hub
-        np.testing.assert_allclose(bands.areas, bands.areas[::-1], rtol=1e-9)
-        np.testing.assert_allclose(bands.heights, -bands.heights[::-1], atol=1e-9)
+        np.testing.assert_allclose(areas, areas[::-1], rtol=1e-9)
+        np.testing.assert_allclose(heights, -heights[::-1], atol=1e-9)
 
     def test_ground_strike(self):
         with pytest.raises(GroundStrike):
@@ -65,49 +60,53 @@ class TestBandAreas:
         with pytest.raises(ValueError):
             band_areas(80.0, 60.0, 0)
 
+    def test_underflowing_areas_rejected(self):
+        with pytest.raises(ValueError, match="band areas must be positive"):
+            band_areas(1e-200, 60.0, 10)
+
 
 class TestRews:
     @pytest.fixture
     def spec(self):
         return TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
 
-    def test_uniform_flow_identity(self, spec, bands100):
+    def test_uniform_flow_identity(self, spec):
         for u in (0.0, 3.0, 10.0, 24.0):
-            assert rews(u, spec, 0.0, 0.0, bands100) == pytest.approx(u, abs=1e-9)
+            assert rews(u, spec, 0.0, 0.0, 100) == pytest.approx(u, abs=1e-9)
 
-    def test_veer_always_reduces(self, spec, bands100):
+    def test_veer_always_reduces(self, spec):
         for u in (2.0, 10.0, 25.0):
-            assert rews(u, spec, 0.0, 0.75, bands100) < u
+            assert rews(u, spec, 0.0, 0.75, 100) < u
 
-    def test_shear_case_against_fine_oracle(self, spec, bands100):
-        got = rews(10.0, spec, 0.2, 0.0, bands100)
+    def test_shear_case_against_fine_oracle(self, spec):
+        got = rews(10.0, spec, 0.2, 0.0, 100)
         oracle = rews_banded(10.0, 80.0, 60.0, 0.2, 0.0, 10_000)
         assert oracle == pytest.approx(REWS_SHEAR_02, abs=1e-6)
         assert abs(got - oracle) / oracle < 1e-4
         # shear barely moves the effective speed
         assert abs(got - 10.0) / 10.0 < 0.02
 
-    def test_veer_case_against_fine_oracle(self, spec, bands100):
-        got = rews(10.0, spec, 0.0, 0.75, bands100)
+    def test_veer_case_against_fine_oracle(self, spec):
+        got = rews(10.0, spec, 0.0, 0.75, 100)
         oracle = rews_banded(10.0, 80.0, 60.0, 0.0, 0.75, 10_000)
         assert oracle == pytest.approx(REWS_VEER_075, abs=1e-6)
         assert abs(got - oracle) / oracle < 1e-4
 
     def test_band_refinement_converges(self, spec):
         oracle = rews_banded(10.0, 80.0, 60.0, 0.3, 0.5, 10_000)
-        errors = [abs(rews(10.0, spec, 0.3, 0.5, band_areas(80.0, 60.0, n)) - oracle)
+        errors = [abs(rews(10.0, spec, 0.3, 0.5, n) - oracle)
                   for n in (5, 20, 100)]
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] / oracle < 1e-4
 
-    def test_veer_monotonicity(self, spec, bands100):
+    def test_veer_monotonicity(self, spec):
         rates = np.linspace(0.0, 0.75, 16)
-        values = [rews(12.0, spec, 0.1, r, bands100) for r in rates]
+        values = [rews(12.0, spec, 0.1, r, 100) for r in rates]
         assert np.all(np.diff(values) < 0)
 
-    def test_negative_hub_speed_rejected(self, spec, bands100):
+    def test_negative_hub_speed_rejected(self, spec):
         with pytest.raises(ValueError):
-            rews(-1.0, spec, 0.0, 0.0, bands100)
+            rews(-1.0, spec, 0.0, 0.0)
 
 
 class TestApplyTurbulence:

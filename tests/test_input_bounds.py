@@ -6,8 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from windcurve import (EnvironmentConditions, TurbineSpec, band_areas,
-                       make_wind_grid, rews)
+from windcurve import EnvironmentConditions, TurbineSpec, make_wind_grid, rews
 from windcurve.cli import main
 
 from conftest import REFERENCE_KWARGS
@@ -42,15 +41,14 @@ def test_wind_grid_rejects_non_finite(v_max, dv):
 
 class TestVeerBound:
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=90.0)
-    bands = band_areas(80.0, 90.0, 100)
 
     def test_just_below_ninety_degrees_is_accepted(self):
-        assert rews(10.0, self.spec, 0.0, 2.24, self.bands) > 0.0
+        assert rews(10.0, self.spec, 0.0, 2.24) > 0.0
 
     @pytest.mark.parametrize("veer", [2.25, -2.25, 10.0])
     def test_ninety_degrees_or_more_rejected(self, veer):
         with pytest.raises(ValueError, match="veer_rate"):
-            rews(10.0, self.spec, 0.0, veer, self.bands)
+            rews(10.0, self.spec, 0.0, veer)
 
 
 @pytest.mark.parametrize("flags", [
@@ -177,6 +175,14 @@ def test_cp_table_degenerate_grid_exits_2(flags):
     result = CliRunner().invoke(main, ["cp-table", *flags])
     assert result.exit_code == 2, result.output
     assert _one_error_line(result).startswith("error: ValueError: tip-speed-ratio grid")
+
+
+@pytest.mark.parametrize("betas", ["nan", "inf", "-inf", "0,nan"])
+def test_cp_table_non_finite_pitch_exits_2(betas):
+    result = CliRunner().invoke(main, ["cp-table", "--betas", betas])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith("error: ValueError: pitch angle beta")
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("flags", [
