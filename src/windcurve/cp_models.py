@@ -22,6 +22,7 @@ aerodynamic efficiency actually reached by a given turbine.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -80,16 +81,23 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
 
     cp is clamped to >= 0.  Points where lambda <= 0, lambda + c9*b <= 0 or
     1/li <= 0 lie outside the range where the parameterisation is meaningful
-    and evaluate to 0, the treatment the curve engine needs.  A non-finite
-    beta raises ValueError.
+    and evaluate to 0, the treatment the curve engine needs.  A pitch at
+    which the family is not real and finite raises ValueError: a non-finite
+    beta, a shifted pitch b = -1 (where b**3 + 1 = 0), b < 0 with a
+    non-integer exponent x (where b**x is complex), or b = 0 with x < 0.
     """
     if not math.isfinite(beta):
         raise ValueError(f"pitch angle beta must be finite, got {beta}")
     lams = np.asarray(lams, dtype=np.float64)
     b = beta + p.beta_offset
+    pitch_term = b ** 3 + 1.0
+    if (pitch_term == 0.0 or (b < 0.0 and not float(p.x).is_integer())
+            or (b == 0.0 and p.x < 0.0)):
+        raise ValueError(f"{p.name}: cp is not real and finite at pitch beta = {beta} deg "
+                         f"(shifted pitch {b}, exponent x = {p.x})")
     shifted = lams + p.c9 * b
     ok = (lams > 0.0) & (shifted > 0.0)
-    inv_li = np.where(ok, 1.0 / np.where(ok, shifted, 1.0), 0.0) - p.c10 / (b ** 3 + 1.0)
+    inv_li = np.where(ok, 1.0 / np.where(ok, shifted, 1.0), 0.0) - p.c10 / pitch_term
     ok &= inv_li > 0.0
     inv_li = np.where(ok, inv_li, 1.0)
     li = 1.0 / inv_li
@@ -125,13 +133,16 @@ def _golden_max(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
+@functools.lru_cache(maxsize=64)
 def lambda_opt(p: CpParameterisation) -> tuple[float, float]:
     """Locate the tip-speed ratio maximising cp(lambda, beta=0).
 
     A coarse scan (step 0.01 over ``LAMBDA_DOMAIN``) brackets the maximum and
     a golden-section refinement narrows it well below the 1e-4 tolerance the
     rest of the package relies on.  Among equal maxima the smallest lambda
-    wins, so the result is deterministic.
+    wins, so the result is deterministic.  The result depends only on the
+    frozen parameterisation, so it is cached per parameterisation (bounded,
+    since callers may build arbitrary coefficient sets).
 
     Returns
     -------

@@ -34,6 +34,10 @@ DEFAULT_N_BANDS = 100
 #: renormalized; the discarded mass is below 1e-6.
 KERNEL_REACH = 5.0
 
+#: Most kernel taps the turbulence stage evaluates at once; bounds its
+#: temporaries to a few hundred kB whatever the grid and TI.
+BLOCK_TAPS = 8192
+
 
 @dataclass(frozen=True)
 class EnvironmentConditions:
@@ -133,17 +137,6 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[np.ndarray, fl
     return extended, plateau
 
 
-def kernel_weights(offsets: np.ndarray, sigma: float) -> np.ndarray:
-    """Truncated, renormalized Gaussian weights over grid offsets.
-
-    Zero outside +-KERNEL_REACH standard deviations; the surviving weights
-    sum to exactly one, so a constant input is reproduced exactly.
-    """
-    w = np.where(np.abs(offsets) <= KERNEL_REACH * sigma,
-                 np.exp(-0.5 * (offsets / sigma) ** 2), 0.0)
-    return w / w.sum()
-
-
 def _windowed(curve: PowerCurve, values: np.ndarray, cut_out: float,
               **effects) -> PowerCurve:
     """Zero values past the hub-height cut-out; record effects in a copy of meta."""
@@ -158,10 +151,16 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
 
     Each output point at wind speed U up to cut_out is the kernel-weighted
     average of the plateau-extended input, the kernel being a Gaussian
-    centred at U with standard deviation U * ti (truncated and
-    renormalized).  Past cut_out the output is zero, so the shutdown edge
-    stays one grid step wide.  ti = 0 returns the input values unchanged
-    inside the window.
+    centred at U with standard deviation U * ti (truncated at
+    +-KERNEL_REACH standard deviations and renormalized).  Past cut_out the
+    output is zero, so the shutdown edge stays one grid step wide.  ti = 0
+    returns the input values unchanged inside the window.
+
+    Only each row's +-KERNEL_REACH sigma window is evaluated, gathered in
+    blocks of at most BLOCK_TAPS (8192) kernel taps, a wider row being a
+    block of its own.  The cost is rows x window, which grows as N^2 * ti
+    for N grid points rather than N * (N + extension), and the temporaries
+    stay bounded.
     """
     if ti < 0:
         raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
@@ -180,8 +179,27 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     # Only rows inside the window with sigma >= dv/2 need the kernel; the rest keep base.
     sigma = ti * grid
     smoothed = base.copy()
-    for i in np.flatnonzero((grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0)):
-        smoothed[i] = kernel_weights(ext_grid - grid[i], sigma[i]) @ ext_power
+    rows = np.flatnonzero((grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0))
+    # Two points of padding absorb the floor and grid round-off, so each window
+    # holds every tap of the inclusive +-KERNEL_REACH*sigma mask below.
+    half = np.floor(KERNEL_REACH * sigma[rows] / dv).astype(np.intp) + 2
+    lo = np.maximum(rows - half, 0)
+    widths = np.minimum(rows + half + 1, len(ext_grid)) - lo
+    ends = np.cumsum(widths)
+    first = 0
+    while first < len(rows):
+        # The next rows holding at most BLOCK_TAPS taps together, or one wider row.
+        last = max(int(np.searchsorted(ends, ends[first] - widths[first] + BLOCK_TAPS,
+                                       side="right")), first + 1)
+        r, counts = rows[first:last], widths[first:last]
+        starts = np.cumsum(counts) - counts
+        taps = np.repeat(lo[first:last] - starts, counts) + np.arange(int(counts.sum()))
+        offsets = ext_grid[taps] - np.repeat(grid[r], counts)
+        s = np.repeat(sigma[r], counts)
+        w = np.where(np.abs(offsets) <= KERNEL_REACH * s,
+                     np.exp(-0.5 * (offsets / s) ** 2), 0.0)
+        smoothed[r] = np.add.reduceat(w * ext_power[taps], starts) / np.add.reduceat(w, starts)
+        first = last
     return _windowed(curve, smoothed, cut_out, ti=float(ti))
 
 

@@ -71,6 +71,24 @@ class TestCpGeneral:
         with pytest.raises(ValueError):
             _params(c2=float("inf"))
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_pole_of_pitch_term_raises(self, name):
+        # shifted pitch b = -1 zeroes b**3 + 1
+        p = REGISTRY[name]
+        with pytest.raises(ValueError, match=f"{name}: cp is not real and finite"):
+            cp_general_array(np.array([7.0]), -1.0 - p.beta_offset, p)
+
+    def test_negative_pitch_with_fractional_exponent_raises(self):
+        # b**x is complex for b < 0 and a non-integer x (slootweg2003: x = 2.14)
+        with pytest.raises(ValueError, match="slootweg2003: cp is not real and finite"):
+            cp_general_array(np.array([7.0]), -2.0, get_parameterisation("slootweg2003"))
+        assert np.isrealobj(cp_general_array(np.array([7.0]), -2.0,
+                                             get_parameterisation("heier2014")))
+
+    def test_zero_pitch_with_negative_exponent_raises(self):
+        with pytest.raises(ValueError, match="adhoc: cp is not real and finite"):
+            cp_general_array(np.array([7.0]), 0.0, _params(c5=0.1, x=-1.0))
+
 
 class TestLambdaOpt:
     def test_linear_objective_hits_upper_bound(self):
@@ -102,6 +120,16 @@ class TestLambdaOpt:
     def test_unusable_parameterisation(self):
         with pytest.raises(NoPositiveCp):
             lambda_opt(_params())
+
+    def test_cache_is_bounded(self):
+        # callers may build arbitrary coefficient sets, so it must not grow forever
+        assert lambda_opt.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_cached_equals_fresh(self, name):
+        p = REGISTRY[name]
+        lambda_opt(p)
+        assert lambda_opt(p) == lambda_opt.__wrapped__(p)
 
 
 class TestScaleCp:

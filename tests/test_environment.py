@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from windcurve import (EnvironmentConditions, GroundStrike, TurbineSpec,
+from windcurve import (EnvironmentConditions, GroundStrike, PowerCurve, TurbineSpec,
                        apply_shear_veer, apply_turbulence, band_areas,
-                       ideal_curve, rews)
-from windcurve.environment import kernel_weights
+                       ideal_curve, make_wind_grid, rews)
 
 from conftest import rated_knee
 from oracles import convolve_reference, rews_banded
@@ -184,10 +183,18 @@ class TestApplyTurbulence:
 
 class TestKernelWeights:
     def test_normalisation(self):
-        grid = np.linspace(0, 40, 801)
-        w = kernel_weights(grid - 11.0, 1.1)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w[np.abs(grid - 11.0) > 5.5] == 0.0)
+        # the weights sum to one: a constant comes back unchanged
+        grid = make_wind_grid()
+        flat = apply_turbulence(PowerCurve(grid, np.full(grid.shape, 1234.5)), 0.1,
+                                cut_out=40.0)
+        np.testing.assert_allclose(flat.power, 1234.5, rtol=1e-12, atol=0.0)
+        # and vanish past 5 sigma (0.5 u at TI 0.1): rows that far from a
+        # step at 11 m/s see one side of it only
+        step = np.where(grid >= 11.0, 1234.5, 0.0)
+        out = apply_turbulence(PowerCurve(grid, step), 0.1, cut_out=40.0)
+        far = np.abs(grid - 11.0) > 0.5 * grid
+        assert far.sum() > 500
+        np.testing.assert_allclose(out.power[far], step[far], rtol=1e-12, atol=0.0)
 
 
 class TestApplyShearVeer:

@@ -185,6 +185,19 @@ def test_cp_table_non_finite_pitch_exits_2(betas):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("flags, model", [
+    (["--betas=-1"], "dekooning2013"),                       # b**3 + 1 = 0
+    (["--model", "dai2016", "--betas=-3.5"], "dai2016"),     # the same at offset 2.5
+    (["--model", "slootweg2003", "--betas=-2"], "slootweg2003"),  # b**2.14 is complex
+])
+def test_cp_table_pitch_outside_the_real_family_exits_2(flags, model):
+    result = CliRunner().invoke(main, ["cp-table", *flags])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith(
+        f"error: ValueError: {model}: cp is not real and finite at pitch")
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("flags", [
     ["--cut-in", "0", "--rho", "1e306"],
     ["--diameter", "1e160"],

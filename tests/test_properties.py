@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from windcurve import (EnvironmentConditions, NonFiniteResult, TurbineSpec,
-                       band_areas, complete_spec, cp_general_array,
-                       get_parameterisation, ideal_curve, rews, scale_cp,
-                       synthesize)
+from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
+                       TurbineSpec, apply_turbulence, band_areas, complete_spec,
+                       cp_general_array, get_parameterisation, ideal_curve,
+                       make_wind_grid, rews, scale_cp, synthesize)
 from windcurve.cp_models import BETZ_LIMIT, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS
-from windcurve.environment import kernel_weights
 
+from conftest import REFERENCE_KWARGS
 from oracles import convolve_reference, cp_direct
 
 finite = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
@@ -115,14 +115,20 @@ def test_complete_spec_idempotent(diameter, power, with_cuts, with_omega, with_c
     assert len(filled_fields) == len(set(filled_fields))
 
 
-@given(st.floats(min_value=0.05, max_value=4.0),
-       st.floats(min_value=0.0, max_value=40.0))
+@given(st.floats(min_value=0.005, max_value=0.3),
+       st.floats(min_value=1.0, max_value=5000.0),
+       st.floats(min_value=5.0, max_value=35.0))
 @settings(max_examples=50)
-def test_kernel_weights_normalised(sigma, centre):
-    grid = np.linspace(0.0, 80.0, 1601)
-    w = kernel_weights(grid - centre, sigma)
-    assert w.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(w >= 0.0)
+def test_kernel_weights_normalised(ti, level, step_at):
+    grid = make_wind_grid()
+    flat = apply_turbulence(PowerCurve(grid, np.full(grid.shape, level)), ti, cut_out=40.0)
+    np.testing.assert_allclose(flat.power, level, rtol=1e-12, atol=0.0)
+    # rows more than 5 sigma from a step see only one side of it
+    step = np.where(grid >= step_at, level, 0.0)
+    out = apply_turbulence(PowerCurve(grid, step), ti, cut_out=40.0)
+    far = np.abs(grid - step_at) > 5.0 * ti * grid
+    np.testing.assert_allclose(out.power[far], step[far], rtol=1e-12, atol=0.0)
+    assert np.all(out.power >= 0.0)
 
 
 @given(registry_names)
@@ -148,6 +154,22 @@ def test_turbulence_matches_reference_convolution(diameter, power, cut_out, ti, 
     oracle = convolve_reference(ideal.wind_grid, ideal.power, ti, cut_out)
     np.testing.assert_allclose(curve.power, oracle, rtol=1e-12, atol=1e-9)
     assert np.all(curve.power[curve.wind_grid > cut_out + GRID_EPS] == 0.0)
+
+
+@given(st.floats(min_value=0.005, max_value=0.3),
+       st.sampled_from((0.05, 0.01, 0.037)),
+       st.floats(min_value=15.0, max_value=35.0))
+@example(0.1, 0.05, 25.0)    # 5 sigma at 10 m/s lands exactly on the grid point 5 m/s away
+@example(0.021, 0.05, 25.0)  # the first block of rows holds exactly BLOCK_TAPS taps
+@example(0.3, 0.01, 35.0)    # each row past about 32.8 m/s is wider than BLOCK_TAPS
+@settings(max_examples=20, deadline=None)
+def test_windowed_turbulence_matches_reference(ti, dv, cut_out):
+    spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
+    model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
+    ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
+    out = apply_turbulence(ideal, ti, cut_out=cut_out)
+    oracle = convolve_reference(ideal.wind_grid, ideal.power, ti, cut_out)
+    np.testing.assert_allclose(out.power, oracle, rtol=1e-12, atol=1e-9)
 
 
 def _magnitude(lo_exp: float, hi_exp: float):
