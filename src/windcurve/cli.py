@@ -213,11 +213,11 @@ def main() -> None:
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
               help="JSON turbine spec record.")
 @click.option("--out", "out_path", type=click.Path(), required=True,
-              help="Output power-curve CSV; a .json metadata sidecar is "
+              help="Output power-curve CSV; a .json sidecar is "
                    "written next to it.")
 def generate(config_path: str | None, spec_path: str | None, out_path: str,
              **flags) -> None:
-    """Generate one power curve and its metadata sidecar."""
+    """Generate one power curve and its JSON sidecar."""
     cfg = _resolve_config(config_path, spec_path, flags)
     curve, report = cfg.synthesize()
     resolved = {**cfg.to_dict(), **{f.field: f.value for f in report.filled}}

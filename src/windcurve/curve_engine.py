@@ -14,7 +14,7 @@ where the tip-speed ratio needs them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
@@ -53,16 +53,10 @@ def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.n
 
 @dataclass
 class PowerCurve:
-    """Sampled power curve on a uniform wind-speed grid.
-
-    ``meta`` records the generating turbine spec, the cp model and the
-    environment effects applied so far, for provenance; no computation
-    reads it.
-    """
+    """Sampled power curve on a uniform wind-speed grid."""
 
     wind_grid: np.ndarray
     power: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.wind_grid = np.asarray(self.wind_grid, dtype=np.float64)
@@ -101,9 +95,12 @@ def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         header = fh.readline().strip()
         if header != POWER_CURVE_CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    ws = np.array([float(r[0]) for r in rows])
-    power = np.array([float(r[1]) for r in rows])
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 2) if line.strip()]
+    for n, r in rows:
+        if len(r) != 2:
+            raise ValueError(f"{path}: line {n} has {len(r)} fields, expected 2")
+    ws = np.array([float(r[0]) for _, r in rows])
+    power = np.array([float(r[1]) for _, r in rows])
     return ws, power
 
 
@@ -151,14 +148,4 @@ def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RH
     cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
     power[producing] = np.minimum(spec.rated_power,
                                   raw_power(vs, cp, rho, spec.rotor_diameter))
-
-    meta = {
-        "turbine": spec.to_dict(),
-        "cp_model": model.base.name,
-        "cp_max": model.cp_max,
-        "lambda_opt": model.lambda_opt,
-        "rho": rho,
-        "grid": {"v_max": float(v_max), "dv": float(dv)},
-        "effects": {"ti": 0.0, "shear_alpha": 0.0, "veer_rate": 0.0},
-    }
-    return PowerCurve(grid, power, meta)
+    return PowerCurve(grid, power)

@@ -137,13 +137,10 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[np.ndarray, fl
     return extended, plateau
 
 
-def _windowed(curve: PowerCurve, values: np.ndarray, cut_out: float,
-              **effects) -> PowerCurve:
-    """Zero values past the hub-height cut-out; record effects in a copy of meta."""
+def _windowed(curve: PowerCurve, values: np.ndarray, cut_out: float) -> PowerCurve:
+    """Zero values past the hub-height cut-out."""
     values[curve.wind_grid > cut_out + GRID_EPS] = 0.0
-    meta = dict(curve.meta)
-    meta["effects"] = dict(meta.get("effects", {}), **effects)
-    return PowerCurve(curve.wind_grid, values, meta)
+    return PowerCurve(curve.wind_grid, values)
 
 
 def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCurve:
@@ -165,7 +162,7 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     if ti < 0:
         raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
     if ti == 0.0:
-        return _windowed(curve, curve.power.copy(), cut_out, ti=float(ti))
+        return _windowed(curve, curve.power.copy(), cut_out)
 
     grid, dv = curve.wind_grid, curve.dv
     base, plateau = _plateau_extended(curve, cut_out)
@@ -200,7 +197,7 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
                      np.exp(-0.5 * (offsets / s) ** 2), 0.0)
         smoothed[r] = np.add.reduceat(w * ext_power[taps], starts) / np.add.reduceat(w, starts)
         first = last
-    return _windowed(curve, smoothed, cut_out, ti=float(ti))
+    return _windowed(curve, smoothed, cut_out)
 
 
 def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
@@ -215,6 +212,4 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
         raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
     u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, n_bands)
     base, _ = _plateau_extended(curve, spec.cut_out)
-    return _windowed(curve, np.interp(u_eq, curve.wind_grid, base), spec.cut_out,
-                     shear_alpha=float(shear_alpha), veer_rate=float(veer_rate),
-                     n_bands=int(n_bands))
+    return _windowed(curve, np.interp(u_eq, curve.wind_grid, base), spec.cut_out)

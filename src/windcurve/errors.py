@@ -6,8 +6,9 @@ class WindcurveError(Exception):
 
 
 class NonFiniteResult(WindcurveError):
-    """A synthesized power curve holds a non-finite value (the inputs drove
-    the arithmetic past the floating-point range)."""
+    """A synthesized power curve, or a measured curve's error against one,
+    is not finite (the inputs drove the arithmetic past the floating-point
+    range)."""
 
 
 class NoPositiveCp(WindcurveError):

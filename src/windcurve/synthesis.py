@@ -28,8 +28,8 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
     """Synthesize the site-adapted power curve of a turbine.
 
     Missing spec fields are filled from the statistical defaults; the report
-    of substitutions is returned alongside the curve and recorded in its
-    metadata.  Any non-finite power value raises :class:`NonFiniteResult`.
+    of substitutions is returned alongside the curve.  Any non-finite power
+    value raises :class:`NonFiniteResult`.
     """
     env = env or EnvironmentConditions()
     if env_order not in ENV_ORDERS:
@@ -48,7 +48,4 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
             curve = apply_turbulence(curve, env.ti, cut_out=completed.cut_out)
     if not np.all(np.isfinite(curve.power)):
         raise NonFiniteResult(f"{completed.name}: synthesized power is not finite")
-
-    curve.meta["defaults_report"] = report.to_list()
-    curve.meta["env_order"] = env_order
     return curve, report

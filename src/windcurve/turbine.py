@@ -76,6 +76,7 @@ class TurbineSpec:
         def bad(msg: str) -> ValueError:
             return ValueError(f"{self.name}: {msg}")
 
+        check_value("name", self.name, str)
         for f in fields(self)[1:]:
             if getattr(self, f.name) is not None:
                 check_value(f"{self.name}: {f.name}", getattr(self, f.name))
@@ -189,10 +190,7 @@ def spec_from_json(record: dict) -> TurbineSpec:
     """
     record = flat_record(record)
     known = {f.name for f in fields(TurbineSpec)}
-    kwargs = {k: v for k, v in record.items() if k in known and v is not None}
-    if "name" in kwargs:
-        kwargs["name"] = str(kwargs["name"])
-    return TurbineSpec(**kwargs)
+    return TurbineSpec(**{k: v for k, v in record.items() if k in known and v is not None})
 
 
 def load_spec(path: str | Path) -> TurbineSpec:

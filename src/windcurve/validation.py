@@ -22,7 +22,7 @@ import numpy as np
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION
 from .curve_engine import DEFAULT_RHO, read_curve_csv
 from .environment import EnvironmentConditions
-from .errors import MissingDiameter
+from .errors import MissingDiameter, NonFiniteResult
 from .synthesis import synthesize
 from .turbine import TurbineSpec, complete_spec, load_spec
 
@@ -50,8 +50,12 @@ class MeasuredCurve:
             raise ValueError("wind and power must be 1-d arrays of equal length")
         if len(self.wind) < 4:
             raise ValueError("need at least 4 samples to score a curve")
+        if not (np.all(np.isfinite(self.wind)) and np.all(self.wind >= 0)):
+            raise ValueError("wind speeds must be finite and >= 0")
         if not np.all(np.diff(self.wind) > 0):
             raise ValueError("wind speeds must be strictly increasing")
+        if not np.all(np.isfinite(self.power)):
+            raise ValueError("powers must be finite")
         if np.any(self.power < 0):
             raise ValueError("powers must be >= 0")
 
@@ -144,6 +148,8 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
         curve, _ = synthesize(spec, EnvironmentConditions(ti=ti, rho=rho), cp_model=cp_model)
         model_p = np.interp(m.wind[mask], curve.wind_grid, curve.power)
         rmse = float(np.sqrt(np.mean((model_p - m.power[mask]) ** 2)) / spec.rated_power)
+        if not math.isfinite(rmse):
+            raise NonFiniteResult(f"{m.turbine.name}: RMSE at TI {ti:g} is not finite")
         rmse_by_ti[ti] = rmse
         if rmse < best_rmse:
             best_ti, best_rmse = ti, rmse
@@ -164,12 +170,17 @@ def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT
                        cp_model: str = DEFAULT_PARAMETERISATION) -> list[CurveValidation]:
     """Validate every (curve CSV, spec JSON) pair in a directory.
 
-    Pairs share a stem: ``foo.csv`` goes with ``foo.json``.  Results come
-    back sorted by turbine name so batch runs are deterministic.
+    Pairs share a stem: ``foo.csv`` goes with ``foo.json``.  A summary CSV
+    written by :func:`write_summary_csv` is skipped, so a directory can be
+    validated again in place.  Results come back sorted by turbine name so
+    batch runs are deterministic.
     """
     input_dir = Path(input_dir)
     results = []
     for csv_path in sorted(input_dir.glob("*.csv")):
+        with csv_path.open() as fh:
+            if fh.readline().strip() == SUMMARY_CSV_HEADER:
+                continue
         spec_path = csv_path.with_suffix(".json")
         if not spec_path.exists():
             raise FileNotFoundError(f"{csv_path}: no sidecar spec {spec_path.name}")

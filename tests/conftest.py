@@ -32,9 +32,8 @@ def reference_curve(reference_spec, reference_model):
     return ideal_curve(reference_spec, reference_model)
 
 
-def rated_knee(curve) -> int:
-    """Grid index where the ideal curve first reaches rated power."""
-    rated = curve.meta["turbine"]["rated_power"]
+def rated_knee(curve, rated: float) -> int:
+    """Grid index where the ideal curve first reaches rated power (kW)."""
     hits = np.nonzero(curve.power >= rated - 1e-9)[0]
     assert hits.size, "curve never reaches rated power"
     return int(hits[0])

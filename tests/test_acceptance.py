@@ -58,7 +58,7 @@ def test_c03_zero_ti_identity(reference_curve):
 
 
 def test_c04_ti_knee_ordering_and_sharp_cut_out(reference_curve):
-    knee = rated_knee(reference_curve)
+    knee = rated_knee(reference_curve, 2000.0)
     i_cut = int(round(25.0 / 0.05))
     ti_grid = (0.0, 0.025, 0.05, 0.075, 0.10)
     knee_power = []
@@ -160,7 +160,7 @@ def test_c09_sensitivity_patterns():
         curves[name] = ideal_curve(spec, scale_cp(p, 0.4615))
     grid = next(iter(curves.values())).wind_grid
     stack = np.vstack([c.power for c in curves.values()])
-    knee_v = grid[rated_knee(curves["dai2016"])]
+    knee_v = grid[rated_knee(curves["dai2016"], 2000.0)]
     region2 = (grid >= REFERENCE_KWARGS["cut_in"]) & (grid <= knee_v)
     worst_rms = 0.0
     for i in range(len(stack)):

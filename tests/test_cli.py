@@ -281,6 +281,23 @@ class TestValidateCmd:
         report = json.loads((gen_dir / "report.json").read_text())
         assert report[0]["best_ti"] == 0.05
 
+    def test_rerun_in_place_gives_the_same_files(self, runner, tmp_path):
+        # the first run's summary.csv sits among the curve CSVs; the second skips it
+        for name, ti in (("unit1", "0.05"), ("unit2", "0.1")):
+            result = runner.invoke(
+                main, ["generate", "--name", name, "--diameter", "80",
+                       "--rated-power", "2000", "--ti", ti,
+                       "--out", str(tmp_path / f"{name}.csv")])
+            assert result.exit_code == 0, result.output
+        outputs = []
+        for _ in range(2):
+            result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+            outputs.append([(tmp_path / f).read_bytes()
+                            for f in ("summary.csv", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[1][0].splitlines()) == 3
+
     def test_missing_dir_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--input-dir",
                                       str(tmp_path / "nope")])

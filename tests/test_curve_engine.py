@@ -82,7 +82,7 @@ class TestIdealCurve:
         grid = reference_curve.wind_grid
         radius = 40.0
         v_free = 10.0 * (2 * math.pi / 60) * radius / reference_model.lambda_opt
-        v_hi = grid[rated_knee(reference_curve)]
+        v_hi = grid[rated_knee(reference_curve, 2000.0)]
         zone = (grid >= v_free) & (grid <= v_hi)
         assert np.all(np.diff(reference_curve.power[zone]) > 0)
 
@@ -155,13 +155,6 @@ class TestIdealCurve:
         model = scale_cp(get_parameterisation("dai2016"), 0.44)
         with pytest.raises(ValueError, match="incomplete"):
             ideal_curve(TurbineSpec(rotor_diameter=80, rated_power=2000), model)
-
-    def test_meta_snapshot(self, reference_curve):
-        meta = reference_curve.meta
-        assert meta["turbine"]["cut_out"] == 25.0
-        assert meta["cp_model"] == "dai2016"
-        assert meta["rho"] == 1.225
-        assert meta["effects"] == {"ti": 0.0, "shear_alpha": 0.0, "veer_rate": 0.0}
 
 
 class TestPowerCurveType:

@@ -113,7 +113,6 @@ class TestApplyTurbulence:
         out = apply_turbulence(reference_curve, 0.0, cut_out=25.0)
         assert out.power.tobytes() == reference_curve.power.tobytes()
         assert out.wind_grid.tobytes() == reference_curve.wind_grid.tobytes()
-        assert out.meta["effects"]["ti"] == 0.0
 
     def test_plateau_is_reproduced_exactly(self, reference_curve):
         # at 20 m/s the kernel support (ti=0.04 -> +-4 m/s) sees only rated
@@ -122,12 +121,12 @@ class TestApplyTurbulence:
         assert out.power[i] == pytest.approx(2000.0, abs=1e-9)
 
     def test_knee_drops_below_rated(self, reference_curve):
-        knee = rated_knee(reference_curve)
+        knee = rated_knee(reference_curve, 2000.0)
         out = apply_turbulence(reference_curve, 0.10, cut_out=25.0)
         assert out.power[knee] < 2000.0
 
     def test_monotone_in_ti_at_the_knee(self, reference_curve):
-        knee = rated_knee(reference_curve)
+        knee = rated_knee(reference_curve, 2000.0)
         values = [apply_turbulence(reference_curve, ti, cut_out=25.0).power[knee]
                   for ti in (0.0, 0.025, 0.05, 0.075, 0.10)]
         assert np.all(np.diff(values) < 0)
@@ -171,8 +170,7 @@ class TestApplyTurbulence:
         assert coarse.power[i_c] == pytest.approx(fine[i_f], rel=5e-3)
 
     def test_bare_curve_with_explicit_window(self, reference_curve):
-        bare = type(reference_curve)(reference_curve.wind_grid,
-                                     reference_curve.power, {})
+        bare = PowerCurve(reference_curve.wind_grid, reference_curve.power)
         out = apply_turbulence(bare, 0.05, cut_out=25.0)
         assert out.power.max() <= 2000.0 + 1e-9
 
@@ -206,7 +204,7 @@ class TestApplyShearVeer:
     def test_veer_reduces_region_two(self, reference_curve, reference_spec):
         out = apply_shear_veer(reference_curve, reference_spec, 0.0, 0.75)
         assert np.all(out.power <= reference_curve.power + 1e-9)
-        knee = rated_knee(reference_curve)
+        knee = rated_knee(reference_curve, 2000.0)
         assert out.power[knee] < reference_curve.power[knee]
 
     def test_cut_out_gate_uses_hub_speed(self, reference_curve, reference_spec):

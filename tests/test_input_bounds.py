@@ -6,7 +6,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from windcurve import EnvironmentConditions, TurbineSpec, make_wind_grid, rews
+from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, make_wind_grid,
+                       rews, spec_from_json)
 from windcurve.cli import main
 
 from conftest import REFERENCE_KWARGS
@@ -78,6 +79,14 @@ def test_spec_rejects_non_numbers(name, value):
         TurbineSpec(**kwargs)
 
 
+@pytest.mark.parametrize("value", [5, [1, 2], True])
+def test_spec_rejects_non_string_name(value):
+    with pytest.raises(ValueError, match="name must be of type str"):
+        TurbineSpec(name=value, **REFERENCE_KWARGS)
+    with pytest.raises(ValueError, match="name must be of type str"):
+        spec_from_json({"name": value, **REFERENCE_KWARGS})
+
+
 @pytest.mark.parametrize("value", ["0.1", True])
 @pytest.mark.parametrize("name", ["ti", "rho", "shear_alpha", "veer_rate"])
 def test_environment_rejects_non_numbers(name, value):
@@ -95,6 +104,9 @@ def test_environment_rejects_non_numbers(name, value):
     ("--config", "n_bands", 1.5),
     ("--config", "cp_model", 5),
     ("--config", "env_order", ["ti"]),
+    ("--config", "name", [1, 2]),
+    ("--config", "name", 5),
+    ("--spec", "name", 5),
 ])
 def test_cli_wrong_typed_json_exits_2(option, key, value, tmp_path):
     path = tmp_path / "in.json"
@@ -218,3 +230,55 @@ def test_cli_tiny_rotor_exits_2_naming_the_fits(tmp_path):
     line = _one_error_line(result)
     assert "rotation-speed fits at rotor_diameter 3.0 m" in line
     assert not (tmp_path / "c.csv").exists()
+
+
+def _measured_dir(tmp_path, rows: str):
+    """A validate input directory: one generated spec and a curve CSV whose
+    rows after the header are ``rows``."""
+    assert CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                     "--rated-power", "2000", "--out",
+                                     str(tmp_path / "t.csv")]).exit_code == 0
+    (tmp_path / "t.csv").write_text("wind_speed_ms,power_kw\n" + rows)
+    return tmp_path
+
+
+def _validate(input_dir):
+    return CliRunner().invoke(main, ["validate", "--input-dir", str(input_dir)])
+
+
+def _rows(power) -> str:
+    return "".join(f"{v},{p}\n" for v, p in zip(range(26), power))
+
+
+def test_validate_one_field_row_exits_2(tmp_path):
+    result = _validate(_measured_dir(tmp_path, _rows([0.0] * 10) + "5\n"))
+    assert result.exit_code == 2, result.output
+    line = _one_error_line(result)
+    assert line.startswith("error: ValueError:")
+    assert "t.csv: line 12 has 1 fields, expected 2" in line
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_validate_non_finite_power_exits_2(bad, tmp_path):
+    power = [0.0] * 5 + [100.0 * i for i in range(1, 21)] + [2000.0]
+    power[12] = bad
+    result = _validate(_measured_dir(tmp_path, _rows(power)))
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == "error: ValueError: powers must be finite"
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("wind", [[-1.0, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, math.inf]])
+def test_measured_wind_must_be_finite_and_non_negative(wind):
+    with pytest.raises(ValueError, match="wind speeds must be finite and >= 0"):
+        MeasuredCurve(TurbineSpec(), wind, [0.0] * 4)
+
+
+def test_validate_overflowing_error_exits_3(tmp_path):
+    result = _validate(_measured_dir(tmp_path, _rows([1e308] * 26)))
+    assert result.exit_code == 3, result.output
+    assert _one_error_line(result).startswith("error: NonFiniteResult:")
+    assert "RMSE at TI 0 is not finite" in result.stderr
+    assert not (tmp_path / "summary.csv").exists()
+    assert not (tmp_path / "report.json").exists()

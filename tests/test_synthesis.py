@@ -13,14 +13,11 @@ class TestSynthesize:
         assert len(curve.wind_grid) == 801
         assert {d["field"] for d in report.to_list()} == {
             "cut_in", "cut_out", "cp_max", "omega_min", "omega_max"}
-        assert curve.meta["defaults_report"] == report.to_list()
-        assert curve.meta["env_order"] == "shear_veer,ti"
 
     def test_ti_only_needs_no_hub_height(self):
         spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0)
         curve, _ = synthesize(spec, EnvironmentConditions(ti=0.10))
         assert spec.hub_height is None
-        assert curve.meta["effects"]["ti"] == 0.10
 
     def test_shear_requires_hub_height(self):
         spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0)
@@ -73,4 +70,5 @@ class TestSynthesize:
         curve, _ = synthesize(TurbineSpec(rotor_diameter=60.0, rated_power=1000.0),
                               v_max=30.0, dv=0.1)
         assert len(curve.wind_grid) == 301
-        assert curve.meta["grid"] == {"v_max": 30.0, "dv": 0.1}
+        assert curve.dv == 0.1
+        assert curve.wind_grid[-1] == 30.0
