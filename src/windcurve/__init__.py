@@ -18,8 +18,8 @@ from .curve_engine import (PowerCurve, ideal_curve, make_wind_grid, raw_power,
 from .environment import (EnvironmentConditions, apply_shear_veer,
                           apply_turbulence, band_areas, rews)
 from .errors import (GroundStrike, MissingDiameter, MissingMandatoryField,
-                     NonFiniteResult, NoPositiveCp, UnknownParameter,
-                     UnknownParameterisation, WindcurveError)
+                     NonFiniteResult, NoPositiveCp, UnknownParameterisation,
+                     WindcurveError)
 from .synthesis import synthesize
 from .turbine import (DefaultsReport, TurbineSpec, complete_spec,
                       default_rotation_speeds, spec_from_json)
@@ -37,8 +37,8 @@ __all__ = [
     "EnvironmentConditions", "apply_shear_veer", "apply_turbulence",
     "band_areas", "rews",
     "GroundStrike", "MissingDiameter", "MissingMandatoryField",
-    "NonFiniteResult", "NoPositiveCp", "UnknownParameter",
-    "UnknownParameterisation", "WindcurveError",
+    "NonFiniteResult", "NoPositiveCp", "UnknownParameterisation",
+    "WindcurveError",
     "synthesize",
     "DefaultsReport", "TurbineSpec", "complete_spec",
     "default_rotation_speeds", "spec_from_json",

@@ -9,10 +9,9 @@ precedence over built-in defaults.
 from __future__ import annotations
 
 import json
-import numbers
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -23,11 +22,10 @@ from .cp_models import (DEFAULT_PARAMETERISATION, REGISTRY, cp_general_array,
                         get_parameterisation, lambda_grid, registry_to_json)
 from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
-from .errors import (NoPositiveCp, NonFiniteResult, UnknownParameter,
-                     WindcurveError)
+from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import (DefaultsReport, TurbineSpec, check_value, complete_spec,
-                      flat_record, load_spec)
+from .turbine import (DefaultsReport, TurbineSpec, complete_spec, flat_record,
+                      load_spec)
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
@@ -35,51 +33,24 @@ _INPUT_ERRORS = (WindcurveError, ValueError, OSError)
 _NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, ArithmeticError)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run: a turbine, its site and the run settings.  Config files
-    and sidecars hold it flat, keyed by the field names of all three."""
-
-    turbine: TurbineSpec
-    cp_model: str = DEFAULT_PARAMETERISATION
-    env: EnvironmentConditions = field(default_factory=EnvironmentConditions)
-    n_bands: int = DEFAULT_N_BANDS
-    v_max: float = DEFAULT_V_MAX
-    dv: float = DEFAULT_DV
-    env_order: str = ENV_ORDERS[0]
-
-    def __post_init__(self) -> None:
-        for name, kind in (("cp_model", str), ("n_bands", numbers.Integral),
-                           ("v_max", numbers.Real), ("dv", numbers.Real),
-                           ("env_order", str)):
-            check_value(name, getattr(self, name), kind)
-
-    @classmethod
-    def from_flat(cls, flat: dict) -> "RunConfig":
-        """Build from flat keys; absent keys take their defaults."""
-        def pick(shape) -> dict:
-            return {f.name: flat[f.name] for f in fields(shape) if f.name in flat}
-        return cls(**{**pick(cls), **{k: part(**pick(part)) for k, part in _PARTS.items()}})
-
-    def to_dict(self) -> dict:
-        """Flat form, the inverse of :meth:`from_flat`."""
-        flat: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            flat.update(asdict(value) if f.name in _PARTS else {f.name: value})
-        return flat
-
-    def synthesize(self) -> tuple[PowerCurve, DefaultsReport]:
-        """Synthesize this run's curve."""
-        return synthesize(self.turbine, self.env, cp_model=self.cp_model,
-                          v_max=self.v_max, dv=self.dv, n_bands=self.n_bands,
-                          env_order=self.env_order)
-
-
-_PARTS = {"turbine": TurbineSpec, "env": EnvironmentConditions}
+#: A run held flat, as config files and sidecars hold it: the default of every
+#: key, in sidecar order (turbine, cp model, site, then the grid and bands).
+_DEFAULT_RECORD = {**asdict(TurbineSpec()), "cp_model": DEFAULT_PARAMETERISATION,
+                   **asdict(EnvironmentConditions()), "n_bands": DEFAULT_N_BANDS,
+                   "v_max": DEFAULT_V_MAX, "dv": DEFAULT_DV, "env_order": ENV_ORDERS[0]}
 
 #: Every key a flat run configuration may hold, in sidecar order.
-CONFIG_KEYS = tuple(RunConfig(TurbineSpec()).to_dict())
+CONFIG_KEYS = tuple(_DEFAULT_RECORD)
+
+
+def _synthesize(flat: dict) -> tuple[PowerCurve, DefaultsReport]:
+    """Synthesize the curve of a flat run record; absent keys take their defaults."""
+    run = {**_DEFAULT_RECORD, **flat}
+
+    def take(shape):
+        return shape(**{f.name: run.pop(f.name) for f in fields(shape)})
+    turbine, env = take(TurbineSpec), take(EnvironmentConditions)
+    return synthesize(turbine, env, **run)
 
 
 # Reference turbine (all else defaulted) and typical variation intervals used
@@ -141,11 +112,10 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve_config(config_path: str | None, spec_path: str | None,
-                    flag_values: dict) -> RunConfig:
-    """Overlay precedence: flags > config file > spec file > defaults."""
+                    flag_values: dict) -> dict:
+    """The given keys of a run, by precedence: flags > config file > spec file."""
     spec = load_spec(spec_path).to_dict() if spec_path is not None else {}
-    return RunConfig.from_flat({**_given(spec), **_load_config_file(config_path),
-                                **_given(flag_values)})
+    return {**_given(spec), **_load_config_file(config_path), **_given(flag_values)}
 
 
 _turbine_options = [
@@ -218,9 +188,9 @@ def main() -> None:
 def generate(config_path: str | None, spec_path: str | None, out_path: str,
              **flags) -> None:
     """Generate one power curve and its JSON sidecar."""
-    cfg = _resolve_config(config_path, spec_path, flags)
-    curve, report = cfg.synthesize()
-    resolved = {**cfg.to_dict(), **{f.field: f.value for f in report.filled}}
+    given = _resolve_config(config_path, spec_path, flags)
+    curve, report = _synthesize(given)
+    resolved = {**_DEFAULT_RECORD, **given, **{f.field: f.value for f in report.filled}}
     out = Path(out_path)
     curve.write_csv(out)
     sidecar = out.with_suffix(".json")
@@ -232,9 +202,6 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
 
 def _parse_sweep_values(param: str, values: str | None,
                         vrange: tuple[float, float, int] | None) -> list:
-    if param not in SWEEPABLE:
-        raise UnknownParameter(
-            f"cannot sweep {param!r}; choose one of: {', '.join(SWEEPABLE)}")
     if (values is None) == (vrange is None):
         raise ValueError("give exactly one of --values or --range")
     if param == "cp_parameterisation":
@@ -250,9 +217,8 @@ def _parse_sweep_values(param: str, values: str | None,
 
 
 @main.command()
-@click.option("--param", required=True,
-              help=f"Parameter varied around the reference configuration; "
-                   f"one of: {', '.join(SWEEPABLE)}.")
+@click.option("--param", required=True, type=click.Choice(SWEEPABLE),
+              help="Parameter varied around the reference configuration.")
 @click.option("--values", default=None,
               help="Comma-separated explicit sweep values.")
 @click.option("--range", "vrange", nargs=3, type=(float, float, int), default=None,
@@ -270,7 +236,7 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
     key = "cp_model" if param == "cp_parameterisation" else param
 
     # Synthesize every curve first: a failing value prints only its error, writes nothing.
-    curves = [RunConfig.from_flat({**base, key: v}).synthesize()[0] for v in sweep_values]
+    curves = [_synthesize({**base, key: v})[0] for v in sweep_values]
     interval = SWEEP_INTERVALS.get(param)
     if interval is not None:
         for v in sweep_values:

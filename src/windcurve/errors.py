@@ -16,7 +16,7 @@ class NoPositiveCp(WindcurveError):
     searched tip-speed-ratio interval, so it cannot drive a turbine model."""
 
 
-class UnknownParameterisation(WindcurveError, KeyError):
+class UnknownParameterisation(WindcurveError):
     """Requested power-coefficient parameterisation is not in the registry."""
 
 
@@ -30,8 +30,4 @@ class MissingDiameter(WindcurveError):
 
 class GroundStrike(WindcurveError):
     """Hub height does not clear the rotor radius."""
-
-
-class UnknownParameter(WindcurveError):
-    """Sweep parameter name is not recognised."""
 

@@ -8,6 +8,8 @@ those effects are actually requested.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .cp_models import DEFAULT_PARAMETERISATION, get_parameterisation, scale_cp
@@ -15,7 +17,7 @@ from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, PowerCurve, ideal_curve
 from .environment import (DEFAULT_N_BANDS, EnvironmentConditions,
                           apply_shear_veer, apply_turbulence)
 from .errors import NonFiniteResult
-from .turbine import DefaultsReport, TurbineSpec, complete_spec
+from .turbine import DefaultsReport, TurbineSpec, check_value, complete_spec
 
 ENV_ORDERS = ("shear_veer,ti", "ti,shear_veer")
 
@@ -28,9 +30,15 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
     """Synthesize the site-adapted power curve of a turbine.
 
     Missing spec fields are filled from the statistical defaults; the report
-    of substitutions is returned alongside the curve.  Any non-finite power
-    value raises :class:`NonFiniteResult`.
+    of substitutions is returned alongside the curve.  A wrongly typed
+    setting raises ValueError naming it; any non-finite power value raises
+    :class:`NonFiniteResult`.
     """
+    for name, value, kind in (("cp_model", cp_model, str),
+                              ("n_bands", n_bands, numbers.Integral),
+                              ("v_max", v_max, numbers.Real), ("dv", dv, numbers.Real),
+                              ("env_order", env_order, str)):
+        check_value(name, value, kind)
     env = env or EnvironmentConditions()
     if env_order not in ENV_ORDERS:
         raise ValueError(f"env_order must be one of {ENV_ORDERS}, got {env_order!r}")

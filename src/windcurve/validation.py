@@ -19,12 +19,12 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION
+from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
 from .curve_engine import DEFAULT_RHO, read_curve_csv
 from .environment import EnvironmentConditions
 from .errors import MissingDiameter, NonFiniteResult
 from .synthesis import synthesize
-from .turbine import TurbineSpec, complete_spec, load_spec
+from .turbine import TurbineSpec, check_value, complete_spec, load_spec
 
 DEFAULT_TI_GRID = (0.0, 0.025, 0.05, 0.075, 0.10)
 
@@ -119,6 +119,16 @@ class CurveValidation:
         }
 
 
+def _ti_sites(ti_grid: Sequence[float], rho: float) -> list[EnvironmentConditions]:
+    """The site of each TI candidate, smallest TI first.  Every caller builds
+    them on this one line, so an unusual air density warns only once."""
+    sites = [EnvironmentConditions(ti=ti, rho=rho)
+             for ti in sorted(float(t) for t in ti_grid)]
+    if not sites:
+        raise ValueError("ti_grid must not be empty")
+    return sites
+
+
 def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, *,
                   rho: float = DEFAULT_RHO,
                   cp_model: str = DEFAULT_PARAMETERISATION) -> CurveValidation:
@@ -130,10 +140,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     samples inside [cut_in, 0.95 * cut_out].  Ties in the error map resolve
     to the smallest TI.
     """
-    ti_grid = sorted(float(t) for t in ti_grid)
-    if not ti_grid:
-        raise ValueError("ti_grid must not be empty")
-
+    sites = _ti_sites(ti_grid, rho)
     _, cp_max = invert_cp(m, rho)
     spec, report = complete_spec(m.turbine)
     lo, hi = spec.cut_in, 0.95 * spec.cut_out
@@ -144,8 +151,9 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
 
     rmse_by_ti: dict[float, float] = {}
     best_ti, best_rmse = None, math.inf
-    for ti in ti_grid:
-        curve, _ = synthesize(spec, EnvironmentConditions(ti=ti, rho=rho), cp_model=cp_model)
+    for env in sites:
+        ti = env.ti
+        curve, _ = synthesize(spec, env, cp_model=cp_model)
         model_p = np.interp(m.wind[mask], curve.wind_grid, curve.power)
         rmse = float(np.sqrt(np.mean((model_p - m.power[mask]) ** 2)) / spec.rated_power)
         if not math.isfinite(rmse):
@@ -173,8 +181,12 @@ def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT
     Pairs share a stem: ``foo.csv`` goes with ``foo.json``.  A summary CSV
     written by :func:`write_summary_csv` is skipped, so a directory can be
     validated again in place.  Results come back sorted by turbine name so
-    batch runs are deterministic.
+    batch runs are deterministic.  The settings are checked before any pair
+    is read, so they are rejected in a directory that holds none.
     """
+    check_value("cp_model", cp_model, str)
+    get_parameterisation(cp_model)
+    _ti_sites(ti_grid, rho)
     input_dir = Path(input_dir)
     results = []
     for csv_path in sorted(input_dir.glob("*.csv")):

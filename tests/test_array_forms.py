@@ -1,14 +1,19 @@
 """The scalar and array forms of each formula are one implementation."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power, rews,
                        rotor_speed, tsr)
-from windcurve.cli import CONFIG_KEYS, RunConfig, main
+from windcurve.cli import CONFIG_KEYS, main
+from windcurve.synthesis import ENV_ORDERS
 
 VS = np.linspace(0.5, 30.0, 60)
 
@@ -52,15 +57,50 @@ def test_rews_array_matches_scalar():
         rews(np.array([1.0, -1.0]), spec, 0.0, 0.0)
 
 
+@st.composite
+def run_records(draw) -> dict:
+    """A valid flat run record: the two mandatory fields plus a random subset
+    of the other keys; shear and veer only come with a hub height."""
+    record = draw(st.fixed_dictionaries(
+        {"rotor_diameter": st.floats(40.0, 150.0),
+         "rated_power": st.floats(500.0, 5000.0)},
+        optional={"name": st.text("abcxyz-_0123", min_size=1, max_size=8),
+                  "cut_in": st.floats(0.0, 5.0), "cut_out": st.floats(20.0, 30.0),
+                  "cp_max": st.floats(0.3, 0.59),
+                  "cp_model": st.sampled_from(sorted(REGISTRY)),
+                  "ti": st.floats(0.0, 0.15), "rho": st.floats(0.95, 1.4),
+                  "n_bands": st.integers(1, 100), "v_max": st.sampled_from([30.0, 35.0]),
+                  "dv": st.sampled_from([0.05, 0.1]),
+                  "env_order": st.sampled_from(ENV_ORDERS)}))
+    if draw(st.booleans()):
+        record.update(omega_min=draw(st.floats(3.0, 12.0)),
+                      omega_max=draw(st.floats(15.0, 40.0)))
+    if draw(st.booleans()):
+        record["hub_height"] = record["rotor_diameter"] / 2 + draw(st.floats(5.0, 60.0))
+        record.update(draw(st.fixed_dictionaries(
+            {}, optional={"shear_alpha": st.floats(0.0, 0.4),
+                          "veer_rate": st.floats(0.0, 0.5)})))
+    return record
+
+
 class TestRunConfig:
     flat = {"name": "t", "rotor_diameter": 90.0, "rated_power": 2500.0,
             "hub_height": 100.0, "ti": 0.08, "shear_alpha": 0.2, "dv": 0.1}
 
-    def test_flat_round_trip(self):
-        cfg = RunConfig.from_flat(self.flat)
-        assert cfg.turbine.rotor_diameter == 90.0 and cfg.env.ti == 0.08
-        assert tuple(cfg.to_dict()) == CONFIG_KEYS
-        assert RunConfig.from_flat(cfg.to_dict()) == cfg
+    @settings(max_examples=25, deadline=None)
+    @given(run_records())
+    def test_sidecar_holds_the_record_and_replays_it(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "run.json").write_text(json.dumps(record))
+            for config, out in (("run.json", "curve.csv"), ("curve.json", "replay.csv")):
+                result = CliRunner().invoke(main, ["generate", "--config", str(tmp / config),
+                                                   "--out", str(tmp / out)])
+                assert result.exit_code == 0, result.output
+            sidecar = json.loads((tmp / "curve.json").read_text())["config"]
+            assert tuple(sidecar) == CONFIG_KEYS
+            assert {k: sidecar[k] for k in record} == record
+            assert (tmp / "curve.csv").read_bytes() == (tmp / "replay.csv").read_bytes()
 
     def test_config_keys_are_the_documented_ones(self):
         assert CONFIG_KEYS == (

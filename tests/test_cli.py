@@ -120,6 +120,13 @@ class TestGenerate:
         result, _ = generate(runner, tmp_path, "--cp-model", "bogus", stem="bad")
         assert result.exit_code == 2
 
+    def test_unknown_cp_model_error_line_is_unquoted(self, runner, tmp_path):
+        result, _ = generate(runner, tmp_path, "--cp-model", "foo", stem="bad")
+        assert result.stderr == (
+            "error: UnknownParameterisation: unknown cp parameterisation 'foo'; "
+            "bundled sets: dai2016, dekooning2013, heier2014, ochieng2014, "
+            "slootweg2003, thongam2009\n")
+
 
 class TestSweep:
     def test_single_value_matches_generate(self, runner, tmp_path):
@@ -188,6 +195,8 @@ class TestSweep:
                                       "--values", "3", "--out",
                                       str(tmp_path / "x.csv")])
         assert result.exit_code == 2
+        errors = [l for l in result.stderr.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "'--param'" in errors[0], result.stderr
 
     def test_values_and_range_mutually_exclusive(self, runner, tmp_path):
         result = runner.invoke(main, ["sweep", "--param", "ti", "--values", "0",
@@ -303,6 +312,15 @@ class TestValidateCmd:
                                       str(tmp_path / "nope")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--rho", "-1"], ["--ti-grid", "2"], ["--ti-grid=-0.5"], ["--cp-model", "foo"]],
+        ids=["rho", "ti-above-one", "ti-negative", "cp-model"])
+    def test_bad_setting_exits_2_in_a_directory_without_pairs(self, runner, tmp_path, flags):
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path), *flags])
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStderr:
     """Run as a subprocess: pytest records warnings before CliRunner sees them."""
@@ -325,6 +343,15 @@ class TestStderr:
         assert result.returncode == code
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error:")
+
+    def test_validate_warns_once_of_an_unusual_density(self, tmp_path):
+        for name in ("unit1", "unit2"):
+            result = self.run(tmp_path, "generate", "--name", name, "--diameter", "80",
+                              "--rated-power", "2000", "--out", f"{name}.csv")
+            assert result.returncode == 0, result.stderr
+        result = self.run(tmp_path, "validate", "--input-dir", ".", "--rho", "0.8")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.count("UserWarning: air density 0.8") == 1, result.stderr
 
     def test_success_still_shows_warnings_at_the_caller(self, tmp_path):
         result = self.run(tmp_path, "generate", "--diameter", "80", "--rated-power",

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, make_wind_grid,
-                       rews, spec_from_json)
+                       rews, spec_from_json, synthesize)
 from windcurve.cli import main
 
 from conftest import REFERENCE_KWARGS
@@ -119,6 +119,16 @@ def test_cli_wrong_typed_json_exits_2(option, key, value, tmp_path):
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert key in result.stderr
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_bands", True), ("n_bands", 7.0), ("dv", True), ("cp_model", 5),
+    ("env_order", None)])
+def test_synthesize_rejects_wrong_typed_settings(key, value):
+    # the library call gets the same check a --config file gets
+    spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0)
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        synthesize(spec, **{key: value})
 
 
 def test_validate_wrong_typed_spec_exits_2(tmp_path):

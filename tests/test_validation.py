@@ -172,6 +172,13 @@ class TestBatchValidation:
         assert results[0].best_ti == 0.05
         assert results[1].best_ti == 0.10
 
+    @pytest.mark.parametrize("ti_grid, kwargs, match", [
+        ([], {}, "ti_grid must not be empty"),
+        ([0.05], {"cp_model": 5}, "cp_model must be of type str")])
+    def test_bad_settings_rejected_without_pairs(self, tmp_path, ti_grid, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            validate_directory(tmp_path, ti_grid, **kwargs)
+
     def test_missing_sidecar(self, batch_dir):
         (batch_dir / "gamma.csv").write_text("wind_speed_ms,power_kw\n1,0\n")
         with pytest.raises(FileNotFoundError):
