@@ -17,12 +17,11 @@ from .curve_engine import (PowerCurve, ideal_curve, make_wind_grid, raw_power,
                            rotor_speed, tsr)
 from .environment import (EnvironmentConditions, apply_shear_veer,
                           apply_turbulence, band_areas, rews)
-from .errors import (GroundStrike, MissingDiameter, MissingMandatoryField,
-                     NonFiniteResult, NoPositiveCp, UnknownParameterisation,
-                     WindcurveError)
+from .errors import (MissingMandatoryField, NonFiniteResult, NoPositiveCp,
+                     UnknownParameterisation, WindcurveError)
 from .synthesis import synthesize
-from .turbine import (DefaultsReport, TurbineSpec, complete_spec,
-                      default_rotation_speeds, spec_from_json)
+from .turbine import (TurbineSpec, complete_spec, default_rotation_speeds,
+                      spec_from_json)
 from .validation import (CurveValidation, MeasuredCurve, betz_screen,
                          invert_cp, match_over_ti, validate_directory)
 
@@ -36,12 +35,10 @@ __all__ = [
     "raw_power", "rotor_speed", "tsr",
     "EnvironmentConditions", "apply_shear_veer", "apply_turbulence",
     "band_areas", "rews",
-    "GroundStrike", "MissingDiameter", "MissingMandatoryField",
-    "NonFiniteResult", "NoPositiveCp", "UnknownParameterisation",
-    "WindcurveError",
+    "MissingMandatoryField", "NonFiniteResult", "NoPositiveCp",
+    "UnknownParameterisation", "WindcurveError",
     "synthesize",
-    "DefaultsReport", "TurbineSpec", "complete_spec",
-    "default_rotation_speeds", "spec_from_json",
+    "TurbineSpec", "complete_spec", "default_rotation_speeds", "spec_from_json",
     "CurveValidation", "MeasuredCurve", "betz_screen", "invert_cp",
     "match_over_ti", "validate_directory",
     "__version__",

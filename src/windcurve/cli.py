@@ -24,8 +24,7 @@ from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import (DefaultsReport, TurbineSpec, complete_spec, flat_record,
-                      load_spec)
+from .turbine import TurbineSpec, complete_spec, flat_record, load_spec
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
@@ -43,7 +42,7 @@ _DEFAULT_RECORD = {**asdict(TurbineSpec()), "cp_model": DEFAULT_PARAMETERISATION
 CONFIG_KEYS = tuple(_DEFAULT_RECORD)
 
 
-def _synthesize(flat: dict) -> tuple[PowerCurve, DefaultsReport]:
+def _synthesize(flat: dict) -> tuple[PowerCurve, list[dict]]:
     """Synthesize the curve of a flat run record; absent keys take their defaults."""
     run = {**_DEFAULT_RECORD, **flat}
 
@@ -114,7 +113,7 @@ def _load_config_file(path: str | None) -> dict:
 def _resolve_config(config_path: str | None, spec_path: str | None,
                     flag_values: dict) -> dict:
     """The given keys of a run, by precedence: flags > config file > spec file."""
-    spec = load_spec(spec_path).to_dict() if spec_path is not None else {}
+    spec = asdict(load_spec(spec_path)) if spec_path is not None else {}
     return {**_given(spec), **_load_config_file(config_path), **_given(flag_values)}
 
 
@@ -190,12 +189,12 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
     """Generate one power curve and its JSON sidecar."""
     given = _resolve_config(config_path, spec_path, flags)
     curve, report = _synthesize(given)
-    resolved = {**_DEFAULT_RECORD, **given, **{f.field: f.value for f in report.filled}}
+    resolved = {**_DEFAULT_RECORD, **given, **{f["field"]: f["value"] for f in report}}
     out = Path(out_path)
     curve.write_csv(out)
     sidecar = out.with_suffix(".json")
     sidecar.write_text(json.dumps({"config": resolved,
-                                   "defaults_report": report.to_list(),
+                                   "defaults_report": report,
                                    "model_version": __version__}, indent=2) + "\n")
     click.echo(f"wrote {out} and {sidecar}")
 
@@ -260,8 +259,8 @@ def defaults(out_path: str | None, **flags) -> None:
     """Complete a partial spec with the statistical defaults."""
     spec = TurbineSpec(**_given(flags))
     completed, report = complete_spec(spec)
-    payload = json.dumps({"spec": completed.to_dict(),
-                          "defaults_report": report.to_list()}, indent=2)
+    payload = json.dumps({"spec": asdict(completed), "defaults_report": report},
+                         indent=2)
     if out_path is None:
         click.echo(payload)
     else:

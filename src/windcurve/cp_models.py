@@ -288,6 +288,8 @@ DEFAULT_PARAMETERISATION = "dai2016"
 
 def get_parameterisation(name: str) -> CpParameterisation:
     """Case-insensitive registry lookup."""
+    if not isinstance(name, str):
+        raise ValueError(f"cp_model must be of type str, got {name!r}")
     key = name.strip().lower()
     try:
         return REGISTRY[key]

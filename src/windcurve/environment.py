@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve
-from .errors import GroundStrike
 from .turbine import TurbineSpec, check_value
 
 #: Number of horizontal rotor bands used by default; band refinement is
@@ -67,7 +66,7 @@ class EnvironmentConditions:
                           "0.9-1.5 band", UserWarning, stacklevel=3)
 
 
-def band_areas(rotor_diameter: float, hub_height: float,
+def band_areas(rotor_diameter: float,
                n: int = DEFAULT_N_BANDS) -> tuple[np.ndarray, np.ndarray]:
     """Slice the rotor disc into n equal-height horizontal bands.
 
@@ -79,9 +78,6 @@ def band_areas(rotor_diameter: float, hub_height: float,
     if n < 1:
         raise ValueError(f"need at least one band, got {n}")
     radius = rotor_diameter / 2.0
-    if not hub_height > radius:
-        raise GroundStrike(
-            f"hub height {hub_height} m does not clear the rotor radius {radius} m")
     edges = np.linspace(-radius, radius, n + 1)
     # Antiderivative of the chord length; clip guards asin against round-off.
     ratio = np.clip(edges / radius, -1.0, 1.0)
@@ -110,7 +106,7 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
         raise ValueError(f"u_hub must be >= 0, got {u_hub}")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
-    heights, areas = band_areas(spec.rotor_diameter, spec.hub_height, n_bands)
+    heights, areas = band_areas(spec.rotor_diameter, n_bands)
     if not abs(veer_rate) * spec.rotor_diameter / 2.0 < 90.0:
         raise ValueError(
             f"veer_rate {veer_rate} deg/m turns the wind by 90 deg or more across "

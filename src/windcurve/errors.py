@@ -22,12 +22,3 @@ class UnknownParameterisation(WindcurveError):
 
 class MissingMandatoryField(WindcurveError):
     """Rotor diameter or rated power is absent; neither can be defaulted."""
-
-
-class MissingDiameter(WindcurveError):
-    """Power-coefficient extraction needs the rotor diameter."""
-
-
-class GroundStrike(WindcurveError):
-    """Hub height does not clear the rotor radius."""
-

@@ -17,7 +17,7 @@ from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, PowerCurve, ideal_curve
 from .environment import (DEFAULT_N_BANDS, EnvironmentConditions,
                           apply_shear_veer, apply_turbulence)
 from .errors import NonFiniteResult
-from .turbine import DefaultsReport, TurbineSpec, check_value, complete_spec
+from .turbine import TurbineSpec, check_value, complete_spec
 
 ENV_ORDERS = ("shear_veer,ti", "ti,shear_veer")
 
@@ -26,7 +26,7 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
                cp_model: str = DEFAULT_PARAMETERISATION,
                v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV,
                n_bands: int = DEFAULT_N_BANDS,
-               env_order: str = ENV_ORDERS[0]) -> tuple[PowerCurve, DefaultsReport]:
+               env_order: str = ENV_ORDERS[0]) -> tuple[PowerCurve, list[dict]]:
     """Synthesize the site-adapted power curve of a turbine.
 
     Missing spec fields are filled from the statistical defaults; the report
@@ -34,17 +34,17 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
     setting raises ValueError naming it; any non-finite power value raises
     :class:`NonFiniteResult`.
     """
-    for name, value, kind in (("cp_model", cp_model, str),
-                              ("n_bands", n_bands, numbers.Integral),
+    for name, value, kind in (("n_bands", n_bands, numbers.Integral),
                               ("v_max", v_max, numbers.Real), ("dv", dv, numbers.Real),
                               ("env_order", env_order, str)):
         check_value(name, value, kind)
+    parameterisation = get_parameterisation(cp_model)
     env = env or EnvironmentConditions()
     if env_order not in ENV_ORDERS:
         raise ValueError(f"env_order must be one of {ENV_ORDERS}, got {env_order!r}")
 
     completed, report = complete_spec(spec)
-    model = scale_cp(get_parameterisation(cp_model), completed.cp_max)
+    model = scale_cp(parameterisation, completed.cp_max)
     curve = ideal_curve(completed, model, env.rho, v_max=v_max, dv=dv)
 
     for stage in env_order.split(","):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .cp_models import BETZ_LIMIT
@@ -108,27 +108,6 @@ class TurbineSpec:
                             self.cut_out, self.omega_min, self.omega_max,
                             self.cp_max)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass(frozen=True)
-class FilledDefault:
-    field: str
-    value: float
-    rule: str
-
-
-@dataclass(frozen=True)
-class DefaultsReport:
-    """Which fields were substituted and by which rule."""
-
-    filled: tuple[FilledDefault, ...] = field(default_factory=tuple)
-
-    def to_list(self) -> list[dict]:
-        return [{"field": f.field, "value": f.value, "rule": f.rule}
-                for f in self.filled]
-
 
 def default_rotation_speeds(rotor_diameter: float) -> tuple[float, float]:
     """Rotation-speed limits in rpm from power-law fits vs rotor diameter.
@@ -143,11 +122,11 @@ def default_rotation_speeds(rotor_diameter: float) -> tuple[float, float]:
     return (a * rotor_diameter ** b, c * rotor_diameter ** d)
 
 
-def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
+def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, list[dict]]:
     """Fill missing optional fields of ``partial`` with the defaults above.
 
     Rotor diameter and rated power are mandatory.  The report lists every
-    substituted field with its value and the rule that produced it; an
+    substituted field as a ``{"field", "value", "rule"}`` dict; an
     already complete spec comes back unchanged with an empty report.  A
     rotation-speed pair completed from the fits that comes out inverted
     (small rotors, where the fits cross) raises ValueError.
@@ -172,10 +151,10 @@ def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, DefaultsReport]:
              ("cp_max", DEFAULT_CP_MAX, RULE_CP_MAX),
              ("omega_min", w_min, RULE_OMEGA_MIN),
              ("omega_max", w_max, RULE_OMEGA_MAX))
-    filled = tuple(FilledDefault(name, value, rule) for name, value, rule in rules
-                   if getattr(partial, name) is None)
-    spec = replace(partial, **{f.field: f.value for f in filled}) if filled else partial
-    return spec, DefaultsReport(filled)
+    filled = [{"field": name, "value": value, "rule": rule} for name, value, rule in rules
+              if getattr(partial, name) is None]
+    spec = replace(partial, **{f["field"]: f["value"] for f in filled}) if filled else partial
+    return spec, filled
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ import numpy as np
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
 from .curve_engine import DEFAULT_RHO, read_curve_csv
 from .environment import EnvironmentConditions
-from .errors import MissingDiameter, NonFiniteResult
+from .errors import MissingMandatoryField, NonFiniteResult
 from .synthesis import synthesize
-from .turbine import TurbineSpec, check_value, complete_spec, load_spec
+from .turbine import TurbineSpec, complete_spec, load_spec
 
 DEFAULT_TI_GRID = (0.0, 0.025, 0.05, 0.075, 0.10)
 
@@ -72,7 +72,8 @@ def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, f
     Requires the rotor diameter.
     """
     if m.turbine.rotor_diameter is None:
-        raise MissingDiameter(f"{m.turbine.name}: rotor diameter needed to invert cp")
+        raise MissingMandatoryField(
+            f"{m.turbine.name}: missing mandatory field(s): rotor_diameter")
     area = math.pi * m.turbine.rotor_diameter ** 2 / 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
         cp = np.where(m.wind > 0,
@@ -122,8 +123,8 @@ class CurveValidation:
 def _ti_sites(ti_grid: Sequence[float], rho: float) -> list[EnvironmentConditions]:
     """The site of each TI candidate, smallest TI first.  Every caller builds
     them on this one line, so an unusual air density warns only once."""
-    sites = [EnvironmentConditions(ti=ti, rho=rho)
-             for ti in sorted(float(t) for t in ti_grid)]
+    sites = sorted((EnvironmentConditions(ti=t, rho=rho) for t in ti_grid),
+                   key=lambda e: e.ti)
     if not sites:
         raise ValueError("ti_grid must not be empty")
     return sites
@@ -152,7 +153,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     rmse_by_ti: dict[float, float] = {}
     best_ti, best_rmse = None, math.inf
     for env in sites:
-        ti = env.ti
+        ti = float(env.ti)
         curve, _ = synthesize(spec, env, cp_model=cp_model)
         model_p = np.interp(m.wind[mask], curve.wind_grid, curve.power)
         rmse = float(np.sqrt(np.mean((model_p - m.power[mask]) ** 2)) / spec.rated_power)
@@ -169,7 +170,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
         best_ti=best_ti,
         rmse_by_ti=rmse_by_ti,
         shape_anomaly=best_rmse > SHAPE_ANOMALY_NRMSE,
-        filled_defaults=report.to_list(),
+        filled_defaults=report,
     )
 
 
@@ -184,7 +185,6 @@ def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT
     batch runs are deterministic.  The settings are checked before any pair
     is read, so they are rejected in a directory that holds none.
     """
-    check_value("cp_model", cp_model, str)
     get_parameterisation(cp_model)
     _ti_sites(ti_grid, rho)
     input_dir = Path(input_dir)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from windcurve import TurbineSpec, synthesize
 from windcurve.cli import main
 from windcurve.curve_engine import read_curve_csv
 
@@ -61,6 +62,13 @@ class TestGenerate:
         err = result.stderr if hasattr(result, "stderr") else result.output
         assert "error:" in err
         assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+
+    def test_sidecar_holds_the_library_defaults_report(self, runner, tmp_path):
+        result, out = generate(runner, tmp_path)
+        assert result.exit_code == 0, result.output
+        _, report = synthesize(TurbineSpec(rotor_diameter=80.0, rated_power=2000.0))
+        assert json.loads(json.dumps(report)) == report
+        assert json.loads(out.with_suffix(".json").read_text())["defaults_report"] == report
 
     def test_density_scaling_below_cap(self, runner, tmp_path):
         _, low = generate(runner, tmp_path, "--rho", "1.1", "--ti", "0.05", stem="lo")
@@ -320,6 +328,16 @@ class TestValidateCmd:
         assert result.exit_code == 2
         assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    def test_spec_without_diameter_exits_2(self, runner, tmp_path):
+        result, out = generate(runner, tmp_path, "--name", "bare")
+        assert result.exit_code == 0, result.output
+        out.with_suffix(".json").write_text(json.dumps({"name": "bare",
+                                                        "rated_power": 2000}))
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: MissingMandatoryField: bare: missing mandatory "
+                                 "field(s): rotor_diameter\n")
 
 
 class TestStderr:

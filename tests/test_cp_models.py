@@ -190,6 +190,11 @@ class TestRegistry:
         with pytest.raises(UnknownParameterisation):
             get_parameterisation("nosuchmodel")
 
+    @pytest.mark.parametrize("name", [5, None])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^cp_model must be of type str, got {name}$"):
+            get_parameterisation(name)
+
     def test_json_export(self):
         import json
         rows = json.loads(registry_to_json())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from windcurve import (EnvironmentConditions, GroundStrike, PowerCurve, TurbineSpec,
+from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec,
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
 
@@ -36,17 +36,17 @@ class TestEnvironmentConditions:
 
 class TestBandAreas:
     def test_single_band_is_the_disc(self):
-        _, areas = band_areas(80.0, 60.0, 1)
+        _, areas = band_areas(80.0, 1)
         assert len(areas) == 1
         assert areas[0] == pytest.approx(np.pi * 80.0 ** 2 / 4.0, rel=1e-12)
 
     def test_two_bands_halve_the_disc(self):
-        _, areas = band_areas(80.0, 60.0, 2)
+        _, areas = band_areas(80.0, 2)
         np.testing.assert_allclose(areas, np.pi * 40.0 ** 2 / 2.0, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 100, 999])
     def test_partition_of_the_disc(self, n):
-        heights, areas = band_areas(80.0, 60.0, n)
+        heights, areas = band_areas(80.0, n)
         disc = np.pi * 80.0 ** 2 / 4.0
         assert abs(areas.sum() - disc) / disc < 1e-9
         # symmetric about the hub
@@ -54,14 +54,12 @@ class TestBandAreas:
         np.testing.assert_allclose(heights, -heights[::-1], atol=1e-9)
 
     def test_ground_strike(self):
-        with pytest.raises(GroundStrike):
-            band_areas(80.0, 40.0, 10)
         with pytest.raises(ValueError):
-            band_areas(80.0, 60.0, 0)
+            band_areas(80.0, 0)
 
     def test_underflowing_areas_rejected(self):
         with pytest.raises(ValueError, match="band areas must be positive"):
-            band_areas(1e-200, 60.0, 10)
+            band_areas(1e-200, 10)
 
 
 class TestRews:

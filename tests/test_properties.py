@@ -60,13 +60,12 @@ def test_scaled_peak_hits_cp_max(name, cp_max):
 
 
 @given(st.floats(min_value=5.0, max_value=200.0),
-       st.floats(min_value=1.01, max_value=4.0),
        st.integers(min_value=1, max_value=300))
 # radius ** 2 (libm pow) and radius * radius round 1 ulp apart at this
 # diameter, which left a nonzero chord at the rim.
-@example(29.53500699225793, 2.0, 1)
-def test_band_areas_partition_the_disc(diameter, hub_factor, n):
-    _, areas = band_areas(diameter, hub_factor * diameter / 2.0, n)
+@example(29.53500699225793, 1)
+def test_band_areas_partition_the_disc(diameter, n):
+    _, areas = band_areas(diameter, n)
     disc = np.pi * diameter ** 2 / 4.0
     assert abs(areas.sum() - disc) / disc < 1e-9
     np.testing.assert_allclose(areas, areas[::-1], rtol=1e-9)
@@ -107,11 +106,11 @@ def test_complete_spec_idempotent(diameter, power, with_cuts, with_omega, with_c
     once, report1 = complete_spec(TurbineSpec(**kwargs))
     twice, report2 = complete_spec(once)
     assert once == twice
-    assert not report2.filled
+    assert not report2
     assert once.is_complete()
     # every filled field names exactly one rule
-    assert all(f.rule for f in report1.filled)
-    filled_fields = [f.field for f in report1.filled]
+    assert all(f["rule"] for f in report1)
+    filled_fields = [f["field"] for f in report1]
     assert len(filled_fields) == len(set(filled_fields))
 
 

@@ -11,7 +11,7 @@ class TestSynthesize:
                                                rated_power=2000.0))
         assert curve.power.max() == 2000.0
         assert len(curve.wind_grid) == 801
-        assert {d["field"] for d in report.to_list()} == {
+        assert {d["field"] for d in report} == {
             "cut_in", "cut_out", "cp_max", "omega_min", "omega_max"}
 
     def test_ti_only_needs_no_hub_height(self):

@@ -16,7 +16,7 @@ OMEGA_MAX_D80 = 18.178134783
 def _filled(**kwargs) -> dict:
     """Values complete_spec fills into a spec holding only kwargs."""
     _, report = complete_spec(TurbineSpec(**kwargs))
-    return {f.field: f.value for f in report.filled}
+    return {f["field"]: f["value"] for f in report}
 
 
 class TestDefaults:
@@ -80,7 +80,7 @@ class TestCompleteSpec:
         assert spec.omega_min == pytest.approx(OMEGA_MIN_D80, abs=1e-6)
         assert spec.omega_max == pytest.approx(OMEGA_MAX_D80, abs=1e-6)
         assert spec.is_complete()
-        filled = {f.field: f.rule for f in report.filled}
+        filled = {f["field"]: f["rule"] for f in report}
         assert set(filled) == {"cut_in", "cut_out", "cp_max", "omega_min", "omega_max"}
         assert all(rule for rule in filled.values())
 
@@ -88,12 +88,12 @@ class TestCompleteSpec:
         once, report1 = complete_spec(TurbineSpec(rotor_diameter=60, rated_power=1500))
         twice, report2 = complete_spec(once)
         assert once == twice
-        assert report1.filled and not report2.filled
+        assert report1 and not report2
 
     def test_fully_specified_spec_unchanged(self, reference_spec):
         spec, report = complete_spec(reference_spec)
         assert spec is reference_spec
-        assert not report.filled
+        assert not report
 
     def test_missing_mandatory_fields(self):
         with pytest.raises(MissingMandatoryField):
@@ -108,7 +108,7 @@ class TestCompleteSpec:
         assert spec.cut_out == 22.0
         assert spec.omega_max == 20.0
         assert spec.omega_min == pytest.approx(OMEGA_MIN_D80, abs=1e-6)
-        assert {f.field for f in report.filled} == {"cut_in", "cp_max", "omega_min"}
+        assert {f["field"] for f in report} == {"cut_in", "cp_max", "omega_min"}
 
 
 class TestSpecInvariants:
@@ -159,8 +159,8 @@ class TestIngestion:
         assert (spec.name, spec.rotor_diameter, spec.cut_in) == ("d", 90, 4.0)
 
     def test_completed_specs_serialise(self, defaults_spec):
-        # to_dict gives JSON-ready plain values
-        payload = json.loads(json.dumps(defaults_spec.to_dict()))
+        # asdict gives JSON-ready plain values
+        payload = json.loads(json.dumps(dataclasses.asdict(defaults_spec)))
         assert payload["cp_max"] == 0.44
         round_tripped = spec_from_json(payload)
         assert round_tripped == dataclasses.replace(defaults_spec)

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
-                       MissingDiameter, TurbineSpec, betz_screen,
+                       MissingMandatoryField, TurbineSpec, betz_screen,
                        complete_spec, invert_cp, match_over_ti, synthesize,
                        validate_directory)
 from windcurve.validation import (SUMMARY_CSV_HEADER, write_report_json,
@@ -69,7 +70,8 @@ class TestInvertCp:
     def test_missing_diameter(self):
         spec = TurbineSpec(name="bare", rated_power=2000.0)
         m = MeasuredCurve(spec, np.arange(4.0, 8.0), np.ones(4))
-        with pytest.raises(MissingDiameter):
+        with pytest.raises(MissingMandatoryField,
+                           match="^bare: missing mandatory field\\(s\\): rotor_diameter$"):
             invert_cp(m)
 
 
@@ -86,6 +88,14 @@ class TestBetzScreen:
 
 
 class TestMatchOverTi:
+    def test_integer_ti_scored_as_float(self, defaults_spec):
+        curve, _ = synthesize(defaults_spec)
+        winds = np.arange(0.0, 30.5, 0.5)
+        result = match_over_ti(MeasuredCurve(defaults_spec, winds, sample_curve(curve, winds)),
+                               [0])
+        assert type(result.best_ti) is float
+        assert [type(ti) for ti in result.rmse_by_ti] == [float]
+
     def test_self_consistency_round_trip(self, defaults_spec):
         curve, _ = synthesize(defaults_spec, EnvironmentConditions(ti=0.05))
         winds = np.arange(0.0, 30.5, 0.5)
@@ -163,7 +173,7 @@ class TestBatchValidation:
                 fh.write("wind_speed_ms,power_kw\n")
                 for w, p in zip(winds, power):
                     fh.write(f"{w:.6g},{p:.6g}\n")
-            (tmp_path / f"{name}.json").write_text(json.dumps(spec.to_dict()))
+            (tmp_path / f"{name}.json").write_text(json.dumps(dataclasses.asdict(spec)))
         return tmp_path
 
     def test_directory_run(self, batch_dir):
@@ -174,7 +184,9 @@ class TestBatchValidation:
 
     @pytest.mark.parametrize("ti_grid, kwargs, match", [
         ([], {}, "ti_grid must not be empty"),
-        ([0.05], {"cp_model": 5}, "cp_model must be of type str")])
+        ([0.05], {"cp_model": 5}, "cp_model must be of type str"),
+        ([False, "0.05"], {}, "^ti must be of type Real, got False$"),
+        ([0.05, "0.05"], {}, "^ti must be of type Real, got '0.05'$")])
     def test_bad_settings_rejected_without_pairs(self, tmp_path, ti_grid, kwargs, match):
         with pytest.raises(ValueError, match=match):
             validate_directory(tmp_path, ti_grid, **kwargs)
