@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,6 +140,46 @@ def _windowed(curve: PowerCurve, values: np.ndarray, cut_out: float) -> PowerCur
     return PowerCurve(curve.wind_grid, values)
 
 
+class _RowPlan(NamedTuple):
+    """The turbulence rows that take the kernel, with their padded windows
+    [lo, hi) on the extended grid, and the rows whose window holds one
+    value, with that value."""
+
+    rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    constant_rows: np.ndarray
+    constant_values: np.ndarray
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    @property
+    def taps(self) -> int:
+        """Kernel taps the stage evaluates: its cost."""
+        return int(self.widths.sum())
+
+
+def _row_plan(grid: np.ndarray, sigma: np.ndarray, dv: float, cut_out: float,
+              ext_power: np.ndarray) -> _RowPlan:
+    """Plan the turbulence rows: those inside the window with sigma >= dv/2.
+
+    Two points of padding absorb the floor and grid round-off, so each window
+    holds every tap of the inclusive +-KERNEL_REACH*sigma mask.  A row whose
+    padded window lies inside one run of equal values in ext_power averages
+    that value; it is split off to take ext_power[lo], with no taps.
+    """
+    rows = np.flatnonzero((grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0))
+    half = np.floor(KERNEL_REACH * sigma[rows] / dv).astype(np.intp) + 2
+    lo = np.maximum(rows - half, 0)
+    hi = np.minimum(rows + half + 1, len(ext_power))
+    run = np.concatenate([[0], np.cumsum(ext_power[1:] != ext_power[:-1])])
+    flat = run[lo] == run[hi - 1]
+    keep = ~flat
+    return _RowPlan(rows[keep], lo[keep], hi[keep], rows[flat], ext_power[lo[flat]])
+
+
 def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCurve:
     """Fold turbulence intensity into a power curve.
 
@@ -149,11 +190,13 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     output is zero, so the shutdown edge stays one grid step wide.  ti = 0
     returns the input values unchanged inside the window.
 
-    Only each row's +-KERNEL_REACH sigma window is evaluated, gathered in
-    blocks of at most BLOCK_TAPS (8192) kernel taps, a wider row being a
-    block of its own.  The cost is rows x window, which grows as N^2 * ti
-    for N grid points rather than N * (N + extension), and the temporaries
-    stay bounded.
+    A row whose +-KERNEL_REACH sigma window (padded by two grid points) holds
+    one constant value, such as the rows well past rated speed or wholly
+    below cut-in, takes that value exactly at O(1) cost.  The other rows
+    evaluate only their window, gathered in blocks of at most BLOCK_TAPS
+    (8192) kernel taps, a wider row being a block of its own.  The cost is
+    the taps of those remaining rows, at most rows x window, which grows as
+    N^2 * ti for N grid points; the temporaries stay bounded.
     """
     if ti < 0:
         raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
@@ -169,15 +212,12 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
     ext_power = np.concatenate([base, np.full(n_extra, plateau)])
 
-    # Only rows inside the window with sigma >= dv/2 need the kernel; the rest keep base.
+    # Rows outside the plan keep base: past the window, or sigma below dv/2.
     sigma = ti * grid
     smoothed = base.copy()
-    rows = np.flatnonzero((grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0))
-    # Two points of padding absorb the floor and grid round-off, so each window
-    # holds every tap of the inclusive +-KERNEL_REACH*sigma mask below.
-    half = np.floor(KERNEL_REACH * sigma[rows] / dv).astype(np.intp) + 2
-    lo = np.maximum(rows - half, 0)
-    widths = np.minimum(rows + half + 1, len(ext_grid)) - lo
+    plan = _row_plan(grid, sigma, dv, cut_out, ext_power)
+    smoothed[plan.constant_rows] = plan.constant_values
+    rows, lo, widths = plan.rows, plan.lo, plan.widths
     ends = np.cumsum(widths)
     first = 0
     while first < len(rows):

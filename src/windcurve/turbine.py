@@ -35,10 +35,18 @@ RULE_OMEGA_MAX = "rpm-diameter-fit-max"
 
 def check_value(name: str, value, kind: type = numbers.Real) -> None:
     """Raise ValueError naming the field unless value is a kind, and finite
-    if a real number.  A bool never passes, though Python counts it an int."""
+    if a real number.  A bool never passes, though Python counts it an int,
+    nor does an int too large for a float."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    if kind is numbers.Real and not math.isfinite(value):
+    if kind is not numbers.Real:
+        return
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large "
+                         "for a float") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -121,13 +121,14 @@ class CurveValidation:
 
 
 def _ti_sites(ti_grid: Sequence[float], rho: float) -> list[EnvironmentConditions]:
-    """The site of each TI candidate, smallest TI first.  Every caller builds
-    them on this one line, so an unusual air density warns only once."""
+    """The site of each distinct TI candidate, smallest TI first, so a
+    repeated TI is scored once.  Every caller builds them on this one line,
+    so an unusual air density warns only once."""
     sites = sorted((EnvironmentConditions(ti=t, rho=rho) for t in ti_grid),
                    key=lambda e: e.ti)
     if not sites:
         raise ValueError("ti_grid must not be empty")
-    return sites
+    return list(dict.fromkeys(sites))
 
 
 def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, *,

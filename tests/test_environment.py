@@ -4,6 +4,7 @@ import pytest
 from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec,
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
+from windcurve.environment import _row_plan
 
 from conftest import rated_knee
 from oracles import convolve_reference, rews_banded
@@ -116,7 +117,32 @@ class TestApplyTurbulence:
         # at 20 m/s the kernel support (ti=0.04 -> +-4 m/s) sees only rated
         out = apply_turbulence(reference_curve, 0.04, cut_out=25.0)
         i = int(round(20.0 / 0.05))
-        assert out.power[i] == pytest.approx(2000.0, abs=1e-9)
+        assert out.power[i] == 2000.0
+
+    @pytest.mark.parametrize("ti", [0.02, 0.05, 0.1, 0.15])
+    def test_constant_windows_are_exact(self, reference_curve, ti):
+        # a window padded by two grid points that sees only rated power, or
+        # only the zeros below cut-in, returns that value exactly
+        grid, dv = reference_curve.wind_grid, reference_curve.dv
+        out = apply_turbulence(reference_curve, ti, cut_out=25.0)
+        v_rated = grid[rated_knee(reference_curve, 2000.0)]
+        past_rated = (grid * (1 - 5 * ti) - 2 * dv >= v_rated) & (grid <= 25.0)
+        below_cut_in = grid * (1 + 5 * ti) + 2 * dv < 3.5
+        assert below_cut_in.sum() > 30
+        assert np.all(out.power[past_rated] == 2000.0)
+        assert np.all(out.power[below_cut_in] == 0.0)
+
+    def test_constant_windows_cost_no_taps(self, reference_curve):
+        grid, dv = reference_curve.wind_grid, reference_curve.dv
+        ext_power = np.concatenate([reference_curve.power, np.full(200, 2000.0)])
+        plan = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power)
+        assert plan.taps > 0
+        # every row of the window with sigma >= dv/2 is computed or constant
+        assert len(plan.rows) + len(plan.constant_rows) == np.sum(
+            (grid <= 25.0) & (0.05 * grid >= dv / 2))
+        assert np.all(plan.constant_values[plan.constant_rows > 300] == 2000.0)
+        flat = _row_plan(grid, 0.05 * grid, dv, 25.0, np.full(len(ext_power), 7.5))
+        assert flat.taps == 0 and len(flat.rows) == 0
 
     def test_knee_drops_below_rated(self, reference_curve):
         knee = rated_knee(reference_curve, 2000.0)
@@ -183,7 +209,7 @@ class TestKernelWeights:
         grid = make_wind_grid()
         flat = apply_turbulence(PowerCurve(grid, np.full(grid.shape, 1234.5)), 0.1,
                                 cut_out=40.0)
-        np.testing.assert_allclose(flat.power, 1234.5, rtol=1e-12, atol=0.0)
+        assert np.all(flat.power == 1234.5)
         # and vanish past 5 sigma (0.5 u at TI 0.1): rows that far from a
         # step at 11 m/s see one side of it only
         step = np.where(grid >= 11.0, 1234.5, 0.0)

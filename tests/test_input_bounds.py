@@ -121,6 +121,27 @@ def test_cli_wrong_typed_json_exits_2(option, key, value, tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("option", ["--config", "--spec"])
+def test_cli_oversize_json_integer_exits_2(option, tmp_path):
+    # JSON reads 1 followed by 400 zeros as an exact int that no float holds
+    path = tmp_path / "in.json"
+    path.write_text('{"rotor_diameter": 1' + "0" * 400 + ', "rated_power": 2000}')
+    result = CliRunner().invoke(main, ["generate", option, str(path),
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ValueError:")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "rotor_diameter" in result.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_oversize_integers_rejected_naming_the_field():
+    with pytest.raises(ValueError, match="cut_out must be finite, got an integer too large"):
+        TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=10 ** 400))
+    with pytest.raises(ValueError, match="^rho must be finite, got an integer too large"):
+        EnvironmentConditions(rho=-10 ** 400)
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_bands", True), ("n_bands", 7.0), ("dv", True), ("cp_model", 5),
     ("env_order", None)])

@@ -121,7 +121,7 @@ def test_complete_spec_idempotent(diameter, power, with_cuts, with_omega, with_c
 def test_kernel_weights_normalised(ti, level, step_at):
     grid = make_wind_grid()
     flat = apply_turbulence(PowerCurve(grid, np.full(grid.shape, level)), ti, cut_out=40.0)
-    np.testing.assert_allclose(flat.power, level, rtol=1e-12, atol=0.0)
+    assert np.all(flat.power == level)
     # rows more than 5 sigma from a step see only one side of it
     step = np.where(grid >= step_at, level, 0.0)
     out = apply_turbulence(PowerCurve(grid, step), ti, cut_out=40.0)
@@ -169,6 +169,30 @@ def test_windowed_turbulence_matches_reference(ti, dv, cut_out):
     out = apply_turbulence(ideal, ti, cut_out=cut_out)
     oracle = convolve_reference(ideal.wind_grid, ideal.power, ti, cut_out)
     np.testing.assert_allclose(out.power, oracle, rtol=1e-12, atol=1e-9)
+
+
+@given(st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
+       st.sampled_from((0.05, 0.01, 0.037)),
+       st.floats(min_value=15.0, max_value=35.0))
+@example(0.02, 0.05, 25.0)
+@settings(max_examples=20, deadline=None)
+def test_constant_windows_return_their_value_exactly(ti, dv, cut_out):
+    spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
+    model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
+    ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
+    out = apply_turbulence(ideal, ti, cut_out=cut_out)
+    # the plateau-extended input; past the grid end it keeps its last value
+    grid = ideal.wind_grid
+    inside = grid <= cut_out + GRID_EPS
+    extended = np.where(inside, ideal.power, ideal.power[inside][-1])
+    constant = 0
+    for i in np.flatnonzero(inside):
+        half = int(np.floor(5.0 * ti * grid[i] / dv)) + 2
+        window = extended[max(i - half, 0):i + half + 1]
+        if np.all(window == window[0]):
+            assert out.power[i] == window[0], (i, out.power[i], window[0])
+            constant += 1
+    assert constant > 0
 
 
 def _magnitude(lo_exp: float, hi_exp: float):

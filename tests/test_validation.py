@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
                        MissingMandatoryField, TurbineSpec, betz_screen,
                        complete_spec, invert_cp, match_over_ti, synthesize,
                        validate_directory)
+from windcurve import validation
 from windcurve.validation import (SUMMARY_CSV_HEADER, write_report_json,
                                   write_summary_csv)
 
@@ -138,9 +140,26 @@ class TestMatchOverTi:
         assert first.shape_anomaly
 
     def test_tie_breaks_to_smallest_ti(self, synthetic_measured):
-        # duplicated grid entries make exact ties; the smaller must win
-        result = match_over_ti(synthetic_measured, ti_grid=[0.05, 0.0, 0.0])
+        # below sigma = dv/2 at every grid point a TI changes nothing, so the
+        # two candidates tie exactly; the smaller must win
+        result = match_over_ti(synthetic_measured, ti_grid=[1e-6, 0.05, 0.0])
+        assert result.rmse_by_ti[1e-6] == result.rmse_by_ti[0.0]
         assert result.best_ti == 0.0
+
+    def test_each_distinct_ti_synthesized_once(self, synthetic_measured, monkeypatch):
+        tis = []
+
+        def counting(spec, env, **kwargs):
+            tis.append(env.ti)
+            return synthesize(spec, env, **kwargs)
+
+        monkeypatch.setattr(validation, "synthesize", counting)
+        result = match_over_ti(synthetic_measured, ti_grid=[0.05, 0.05, 0.05])
+        assert tis == [0.05]
+        assert list(result.rmse_by_ti) == [0.05]
+        tis.clear()
+        match_over_ti(synthetic_measured, ti_grid=[0.1, 0.0, 0.1, 0, 0.05])
+        assert tis == [0.0, 0.05, 0.1]
 
     def test_comparison_range_excludes_cut_out_vicinity(self, defaults_spec):
         # corrupt the measured data above 0.95*cut_out only; the score must
@@ -196,8 +215,17 @@ class TestBatchValidation:
         with pytest.raises(FileNotFoundError):
             validate_directory(batch_dir)
 
+    def test_duplicate_tis_write_the_same_bytes(self, batch_dir):
+        def written(ti_grid):
+            results = validate_directory(batch_dir, ti_grid)
+            report, summary = io.StringIO(), io.StringIO()
+            write_report_json(results, report)
+            write_summary_csv(results, summary)
+            return report.getvalue(), summary.getvalue()
+
+        assert written([0.1, 0.05, 0.1, 0.0, 0.05, 0.0]) == written([0.0, 0.05, 0.1])
+
     def test_report_writers(self, batch_dir, tmp_path):
-        import io
         results = validate_directory(batch_dir)
         js = io.StringIO()
         write_report_json(results, js)
