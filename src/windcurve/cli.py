@@ -24,7 +24,7 @@ from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import TurbineSpec, complete_spec, flat_record, load_spec
+from .turbine import TurbineSpec, complete_spec, flat_record, load_json, load_spec
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
@@ -103,7 +103,7 @@ def _given(values: dict) -> dict:
 
 
 def _load_config_file(path: str | None) -> dict:
-    data = {} if path is None else flat_record(json.loads(Path(path).read_text()))
+    data = {} if path is None else flat_record(load_json(path))
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -246,7 +246,7 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
         fh.write("param_value,wind_speed_ms,power_kw\n")
         for v, curve in zip(sweep_values, curves):
             label = v if param == "cp_parameterisation" else f"{v:.6g}"
-            for w, p in zip(curve.wind_grid, curve.power):
+            for w, p in zip(curve.wind_grid.tolist(), curve.power.tolist()):
                 fh.write(f"{label},{w:.6g},{p:.6g}\n")
     click.echo(f"wrote {out_path} ({len(sweep_values)} curves)")
 

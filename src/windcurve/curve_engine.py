@@ -40,11 +40,20 @@ DEFAULT_DV = 0.05
 #: Air density in kg/m^3 when the caller gives none: the ISA sea-level value.
 DEFAULT_RHO = 1.225
 
+#: Most points a wind grid may hold, 8 MB per float64 array: dv 4e-5 m/s over
+#: the default 40 m/s, far finer than a power curve needs.
+MAX_GRID_POINTS = 1_000_001
+
 
 def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.ndarray:
-    """Uniform wind-speed grid [0, v_max] with step dv."""
+    """Uniform wind-speed grid [0, v_max] with step dv, of at most
+    MAX_GRID_POINTS points."""
     if not (0 < v_max < math.inf and 0 < dv < math.inf):
         raise ValueError("v_max and dv must be positive and finite")
+    points = v_max / dv + 1.0
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"wind grid of {points:.6g} points (v_max {v_max} / dv {dv} + 1) "
+                         f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     n = int(round(v_max / dv))
     if abs(n * dv - v_max) > 1e-9:
         raise ValueError(f"v_max={v_max} is not a multiple of dv={dv}")
@@ -53,7 +62,11 @@ def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.n
 
 @dataclass
 class PowerCurve:
-    """Sampled power curve on a uniform wind-speed grid."""
+    """Sampled power curve on a uniform wind-speed grid.
+
+    The grid is finite and increasing, and every step lies within
+    1e-8 + 1e-9 * dv of the first one, dv.
+    """
 
     wind_grid: np.ndarray
     power: np.ndarray
@@ -65,9 +78,14 @@ class PowerCurve:
             raise ValueError("wind_grid and power must be 1-d arrays of equal length")
         if len(self.wind_grid) < 2:
             raise ValueError("a power curve needs at least two grid points")
+        # Every step within 1e-8 + 1e-9 * steps[0] of the first, the test
+        # np.allclose(steps, steps[0], rtol=1e-9) makes, without its cost.
+        # A grid holding inf or NaN has an inf or NaN step: max < inf rejects
+        # the one, and NaN, which min and max propagate, fails both tests.
         steps = np.diff(self.wind_grid)
-        if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ValueError("wind_grid must be uniformly spaced and increasing")
+        if not (0.0 < steps.min() and steps.max() < math.inf
+                and np.abs(steps - steps[0]).max() <= 1e-8 + 1e-9 * steps[0]):
+            raise ValueError("wind_grid must be finite, increasing and uniformly spaced")
 
     @property
     def dv(self) -> float:
@@ -84,7 +102,7 @@ class PowerCurve:
 
 def _write_curve(fh: IO[str], ws: np.ndarray, power: np.ndarray) -> None:
     fh.write(POWER_CURVE_CSV_HEADER + "\n")
-    for v, p in zip(ws, power):
+    for v, p in zip(ws.tolist(), power.tolist()):
         fh.write(f"{v:.6g},{p:.6g}\n")
 
 
@@ -113,7 +131,7 @@ def rotor_speed(v: float | np.ndarray, spec: TurbineSpec, lambda_opt: float):
 
 def tsr(v: float | np.ndarray, omega: float | np.ndarray, rotor_diameter: float):
     """Tip-speed ratio from rotor speed (rpm) and wind speed (m/s)."""
-    if np.any(np.equal(v, 0.0)):
+    if np.equal(v, 0.0).any():
         raise ZeroDivisionError("tip-speed ratio undefined at zero wind speed")
     return omega * RPM_TO_RAD_S * (rotor_diameter / 2.0) / v
 

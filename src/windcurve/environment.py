@@ -85,7 +85,7 @@ def band_areas(rotor_diameter: float,
     anti = edges * np.sqrt(np.maximum(radius * radius - edges * edges, 0.0)) \
         + radius ** 2 * np.arcsin(ratio)
     areas = np.diff(anti)
-    if not np.all(areas > 0.0):  # they underflow to 0 below a diameter of ~1e-160 m
+    if not (areas > 0.0).all():  # they underflow to 0 below a diameter of ~1e-160 m
         raise ValueError("band areas must be positive")
     centres = 0.5 * (edges[:-1] + edges[1:])
     return centres, areas
@@ -103,7 +103,7 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
     past which cos(dphi) < 0 reverses the band speeds; the typical range,
     0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
     """
-    if np.any(np.less(u_hub, 0)):
+    if np.less(u_hub, 0).any():
         raise ValueError(f"u_hub must be >= 0, got {u_hub}")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
@@ -127,7 +127,7 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[np.ndarray, fl
     plateau value is returned as well for extension past the grid end.
     """
     inside = curve.wind_grid <= cut_out + GRID_EPS
-    if not np.any(inside):
+    if not inside.any():
         return curve.power.copy(), 0.0
     plateau = float(curve.power[inside][-1])
     extended = np.where(inside, curve.power, plateau)

@@ -54,6 +54,6 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
                                          env.veer_rate, n_bands)
         else:
             curve = apply_turbulence(curve, env.ti, cut_out=completed.cut_out)
-    if not np.all(np.isfinite(curve.power)):
+    if not np.isfinite(curve.power).all():
         raise NonFiniteResult(f"{completed.name}: synthesized power is not finite")
     return curve, report

@@ -180,7 +180,21 @@ def spec_from_json(record: dict) -> TurbineSpec:
     return TurbineSpec(**{k: v for k, v in record.items() if k in known and v is not None})
 
 
+def _json_int(digits: str) -> int | float:
+    """A JSON integer as an int, or, past the digit limit of int(), as the
+    float of its digits: an infinity, which check_value rejects naming the
+    field, as it does the same number written 1e5000."""
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
+def load_json(path: str | Path):
+    """Parse a JSON file, integers of any length included."""
+    return json.loads(Path(path).read_text(), parse_int=_json_int)
+
+
 def load_spec(path: str | Path) -> TurbineSpec:
     """Load a single spec from a JSON record file."""
-    with Path(path).open() as fh:
-        return spec_from_json(json.load(fh))
+    return spec_from_json(load_json(path))

@@ -50,13 +50,13 @@ class MeasuredCurve:
             raise ValueError("wind and power must be 1-d arrays of equal length")
         if len(self.wind) < 4:
             raise ValueError("need at least 4 samples to score a curve")
-        if not (np.all(np.isfinite(self.wind)) and np.all(self.wind >= 0)):
+        if not (np.isfinite(self.wind).all() and (self.wind >= 0).all()):
             raise ValueError("wind speeds must be finite and >= 0")
-        if not np.all(np.diff(self.wind) > 0):
+        if not (np.diff(self.wind) > 0).all():
             raise ValueError("wind speeds must be strictly increasing")
-        if not np.all(np.isfinite(self.power)):
+        if not np.isfinite(self.power).all():
             raise ValueError("powers must be finite")
-        if np.any(self.power < 0):
+        if (self.power < 0).any():
             raise ValueError("powers must be >= 0")
 
     @classmethod
@@ -147,7 +147,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     spec, report = complete_spec(m.turbine)
     lo, hi = spec.cut_in, 0.95 * spec.cut_out
     mask = (m.wind >= lo) & (m.wind <= hi)
-    if not np.any(mask):
+    if not mask.any():
         raise ValueError(
             f"{m.turbine.name}: no samples inside the comparison range [{lo}, {hi}]")
 

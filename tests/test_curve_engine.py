@@ -162,6 +162,13 @@ class TestPowerCurveType:
         with pytest.raises(ValueError):
             PowerCurve(np.array([0.0, 1.0, 3.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("grid", [[0.0, math.inf], [-math.inf, 0.0],
+                                      [0.0, 1.0, math.inf], [0.0, 1.0, math.nan],
+                                      [math.nan, 1.0, 2.0]])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            PowerCurve(np.array(grid), np.zeros(len(grid)))
+
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
             PowerCurve(np.linspace(0, 1, 5), np.zeros(4))

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +14,7 @@ from click.testing import CliRunner
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, make_wind_grid,
                        rews, spec_from_json, synthesize)
 from windcurve.cli import main
+from windcurve.curve_engine import MAX_GRID_POINTS
 
 from conftest import REFERENCE_KWARGS
 
@@ -38,6 +44,43 @@ def test_environment_rejects_non_finite(name, value):
 def test_wind_grid_rejects_non_finite(v_max, dv):
     with pytest.raises(ValueError):
         make_wind_grid(v_max, dv)
+
+
+@pytest.mark.parametrize("v_max,dv", [(40.0, 1e-300), (1e300, 1e-300), (1.0, 0.99e-6)])
+def test_wind_grid_points_capped(v_max, dv):
+    # each is rejected before allocating, at the cap or, without it, by the
+    # multiple check, int(inf) or numpy's array size limit
+    with pytest.raises(ValueError, match=f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+        make_wind_grid(v_max, dv)
+
+
+def test_wind_grid_at_the_cap_is_accepted():
+    assert len(make_wind_grid(40.0, 4e-5)) == MAX_GRID_POINTS
+
+
+def _address_space_limit() -> None:
+    # 2 GiB: the 2.98 GiB grid that --dv 1e-7 asks for cannot be allocated, so
+    # a missing cap ends in MemoryError instead of taking the memory
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2 ** 31 if hard == resource.RLIM_INFINITY else min(hard, 2 ** 31)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.parametrize("dv", ["1e-7", "1e-300"])
+def test_cli_grid_past_the_cap_exits_2(dv, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "windcurve.cli", "generate", "--diameter", "80",
+         "--rated-power", "2000", "--dv", dv, "--out", "c.csv"],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+        preexec_fn=_address_space_limit, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("error: ValueError: wind grid of ")
+    assert f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}" in result.stderr
+    assert not (tmp_path / "c.csv").exists()
 
 
 class TestVeerBound:
@@ -132,6 +175,19 @@ def test_cli_oversize_json_integer_exits_2(option, tmp_path):
     assert result.stderr.startswith("error: ValueError:")
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert "rotor_diameter" in result.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("option", ["--config", "--spec"])
+def test_cli_json_integer_past_the_digit_limit_exits_2(option, tmp_path):
+    # 5001 digits: more than int() converts from a string by default (4300)
+    path = tmp_path / "in.json"
+    path.write_text('{"rotor_diameter": 1' + "0" * 5000 + ', "rated_power": 2000}')
+    result = CliRunner().invoke(main, ["generate", option, str(path),
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == (
+        "error: ValueError: turbine: rotor_diameter must be finite, got inf")
     assert not (tmp_path / "c.csv").exists()
 
 

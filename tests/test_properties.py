@@ -236,3 +236,40 @@ def test_synthesized_power_is_finite_and_bounded(spec_kwargs, env_kwargs, name):
     assert np.all(curve.power >= 0.0)
     assert np.all(curve.power <= spec.rated_power * (1.0 + 1e-12))
     assert np.all(curve.power[curve.wind_grid > spec.cut_out + GRID_EPS] == 0.0)
+
+
+def _allclose_accepts(grid: np.ndarray) -> bool:
+    """The uniform-grid test PowerCurve made with np.allclose (atol 1e-8)."""
+    steps = np.diff(grid)
+    return bool(np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-9))
+
+
+@st.composite
+def jittered_grids(draw):
+    """Uniform grids with up to three points moved off the grid by about the
+    tolerance PowerCurve allows, 1e-8 + 1e-9 * step, then by a few ulps, so
+    their steps fall either side of it.  Steps below 1e-8 from 0 keep the
+    grid in the binade of the tolerance, where a step can differ from the
+    first by exactly the tolerance."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    step = draw(st.one_of(st.floats(min_value=1e-3, max_value=10.0),
+                          st.floats(min_value=1e-10, max_value=1e-8)))
+    start = draw(st.one_of(st.just(0.0), st.floats(min_value=-50.0, max_value=50.0)))
+    grid = start + step * np.arange(n)
+    tol = 1e-8 + 1e-9 * step
+    for k in draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=3)):
+        moved = grid[k - 1] + step + draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])) * tol
+        grid[k] = moved + draw(st.integers(min_value=-4, max_value=4)) * np.spacing(moved)
+    return grid
+
+
+@given(jittered_grids())
+@example(np.array([0.0, 5.1670340845325424e-09, 2.0334068174232117e-08]))  # exactly at it
+@settings(max_examples=300)
+def test_power_curve_accepts_the_grids_allclose_accepts(grid):
+    try:
+        PowerCurve(grid, np.zeros_like(grid))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _allclose_accepts(grid)
