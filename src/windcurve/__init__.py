@@ -16,7 +16,7 @@ from .cp_models import (BETZ_LIMIT, DEFAULT_PARAMETERISATION, LAMBDA_DOMAIN,
 from .curve_engine import (PowerCurve, ideal_curve, make_wind_grid, raw_power,
                            rotor_speed, tsr)
 from .environment import (EnvironmentConditions, apply_shear_veer,
-                          apply_turbulence, band_areas, rews)
+                          apply_turbulence, band_areas, rews, turbulent_power)
 from .errors import (MissingMandatoryField, NonFiniteResult, NoPositiveCp,
                      UnknownParameterisation, WindcurveError)
 from .synthesis import synthesize
@@ -34,7 +34,7 @@ __all__ = [
     "PowerCurve", "ideal_curve", "make_wind_grid",
     "raw_power", "rotor_speed", "tsr",
     "EnvironmentConditions", "apply_shear_veer", "apply_turbulence",
-    "band_areas", "rews",
+    "band_areas", "rews", "turbulent_power",
     "MissingMandatoryField", "NonFiniteResult", "NoPositiveCp",
     "UnknownParameterisation", "WindcurveError",
     "synthesize",

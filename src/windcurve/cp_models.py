@@ -40,6 +40,10 @@ BETZ_LIMIT = 16.0 / 27.0
 #: fits grows without bound).
 LAMBDA_DOMAIN = (0.5, 25.0)
 
+#: Most points a tip-speed-ratio grid may hold: step 1.95e-4 over the default
+#: 0.5-20 cp-table range, whose text holds one row per point, model and pitch.
+MAX_LAMBDA_POINTS = 100_001
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -107,11 +111,15 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Tip-speed ratios from lo to hi inclusive, evenly spaced about step apart."""
+    """Tip-speed ratios from lo to hi inclusive, evenly spaced about step
+    apart, at most MAX_LAMBDA_POINTS of them."""
     count = (hi - lo) / step if step > 0 else math.nan
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and math.isfinite(count)):
         raise ValueError(f"tip-speed-ratio grid needs finite bounds lo < hi and a step > 0 "
                          f"giving a finite point count, got {lo}, {hi}, step {step}")
+    if not count + 1.0 <= MAX_LAMBDA_POINTS:
+        raise ValueError(f"tip-speed-ratio grid of {count + 1.0:.6g} points ({lo} to {hi}, "
+                         f"step {step}) exceeds MAX_LAMBDA_POINTS = {MAX_LAMBDA_POINTS}")
     return np.linspace(lo, hi, int(round(count)) + 1)
 
 

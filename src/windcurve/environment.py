@@ -30,6 +30,10 @@ from .turbine import TurbineSpec, check_value
 #: convergence-tested well below 1e-4 relative at this count.
 DEFAULT_N_BANDS = 100
 
+#: Most rotor bands band_areas slices, 8 MB per float64 array: far past
+#: the 1e-4 convergence that DEFAULT_N_BANDS already reaches.
+MAX_BANDS = 1_000_000
+
 #: Kernel support truncated at this many standard deviations, then
 #: renormalized; the discarded mass is below 1e-6.
 KERNEL_REACH = 5.0
@@ -69,7 +73,8 @@ class EnvironmentConditions:
 
 def band_areas(rotor_diameter: float,
                n: int = DEFAULT_N_BANDS) -> tuple[np.ndarray, np.ndarray]:
-    """Slice the rotor disc into n equal-height horizontal bands.
+    """Slice the rotor disc into n equal-height horizontal bands, at most
+    MAX_BANDS.
 
     Returns (heights, areas): the band centres relative to the hub (m), which
     serve as the representative heights, and the slice areas (m^2), computed
@@ -78,6 +83,8 @@ def band_areas(rotor_diameter: float,
     """
     if n < 1:
         raise ValueError(f"need at least one band, got {n}")
+    if n > MAX_BANDS:
+        raise ValueError(f"n_bands {n} exceeds MAX_BANDS = {MAX_BANDS}")
     radius = rotor_diameter / 2.0
     edges = np.linspace(-radius, radius, n + 1)
     # Antiderivative of the chord length; clip guards asin against round-off.
@@ -162,15 +169,17 @@ class _RowPlan(NamedTuple):
 
 
 def _row_plan(grid: np.ndarray, sigma: np.ndarray, dv: float, cut_out: float,
-              ext_power: np.ndarray) -> _RowPlan:
-    """Plan the turbulence rows: those inside the window with sigma >= dv/2.
+              ext_power: np.ndarray, candidates: np.ndarray | bool) -> _RowPlan:
+    """Plan the turbulence rows: the candidates inside the window with
+    sigma >= dv/2.
 
-    Two points of padding absorb the floor and grid round-off, so each window
+    candidates is a boolean mask over the grid, or True for every row.  Two
+    points of padding absorb the floor and grid round-off, so each window
     holds every tap of the inclusive +-KERNEL_REACH*sigma mask.  A row whose
     padded window lies inside one run of equal values in ext_power averages
     that value; it is split off to take ext_power[lo], with no taps.
     """
-    rows = np.flatnonzero((grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0))
+    rows = np.flatnonzero(candidates & (grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0))
     half = np.floor(KERNEL_REACH * sigma[rows] / dv).astype(np.intp) + 2
     lo = np.maximum(rows - half, 0)
     hi = np.minimum(rows + half + 1, len(ext_power))
@@ -178,6 +187,49 @@ def _row_plan(grid: np.ndarray, sigma: np.ndarray, dv: float, cut_out: float,
     flat = run[lo] == run[hi - 1]
     keep = ~flat
     return _RowPlan(rows[keep], lo[keep], hi[keep], rows[flat], ext_power[lo[flat]])
+
+
+def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
+              candidates: np.ndarray | bool) -> np.ndarray:
+    """The turbulence kernel: the curve's values with the candidate rows
+    smoothed (see :func:`apply_turbulence`) and zero past cut_out.
+
+    candidates is a boolean mask over the grid, or True for every row; the
+    other rows hold their plateau-extended input.
+    """
+    if ti < 0:
+        raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
+    grid, dv = curve.wind_grid, curve.dv
+    smoothed, plateau = _plateau_extended(curve, cut_out)
+
+    # Extend the grid far enough to cover the widest kernel reach.
+    reach = KERNEL_REACH * ti * grid[-1]
+    n_extra = int(math.ceil(reach / dv)) + 1
+    ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
+    ext_power = np.concatenate([smoothed, np.full(n_extra, plateau)])
+
+    # Rows outside the plan keep their input: past the window, or sigma below dv/2.
+    sigma = ti * grid
+    plan = _row_plan(grid, sigma, dv, cut_out, ext_power, candidates)
+    smoothed[plan.constant_rows] = plan.constant_values
+    rows, lo, widths = plan.rows, plan.lo, plan.widths
+    ends = np.cumsum(widths)
+    first = 0
+    while first < len(rows):
+        # The next rows holding at most BLOCK_TAPS taps together, or one wider row.
+        last = max(int(np.searchsorted(ends, ends[first] - widths[first] + BLOCK_TAPS,
+                                       side="right")), first + 1)
+        r, counts = rows[first:last], widths[first:last]
+        starts = np.cumsum(counts) - counts
+        taps = np.repeat(lo[first:last] - starts, counts) + np.arange(int(counts.sum()))
+        offsets = ext_grid[taps] - np.repeat(grid[r], counts)
+        s = np.repeat(sigma[r], counts)
+        w = np.where(np.abs(offsets) <= KERNEL_REACH * s,
+                     np.exp(-0.5 * (offsets / s) ** 2), 0.0)
+        smoothed[r] = np.add.reduceat(w * ext_power[taps], starts) / np.add.reduceat(w, starts)
+        first = last
+    smoothed[grid > cut_out + GRID_EPS] = 0.0
+    return smoothed
 
 
 def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCurve:
@@ -198,42 +250,30 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     the taps of those remaining rows, at most rows x window, which grows as
     N^2 * ti for N grid points; the temporaries stay bounded.
     """
-    if ti < 0:
-        raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
     if ti == 0.0:
         return _windowed(curve, curve.power.copy(), cut_out)
+    return PowerCurve(curve.wind_grid, _smoothed(curve, ti, cut_out, True))
 
-    grid, dv = curve.wind_grid, curve.dv
-    base, plateau = _plateau_extended(curve, cut_out)
 
-    # Extend the grid far enough to cover the widest kernel reach.
-    reach = KERNEL_REACH * ti * grid[-1]
-    n_extra = int(math.ceil(reach / dv)) + 1
-    ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
-    ext_power = np.concatenate([base, np.full(n_extra, plateau)])
+def turbulent_power(curve: PowerCurve, ti: float, wind: np.ndarray, *,
+                    cut_out: float) -> np.ndarray:
+    """The turbulent curve interpolated linearly at the speeds wind, a
+    non-empty array.
 
-    # Rows outside the plan keep base: past the window, or sigma below dv/2.
-    sigma = ti * grid
-    smoothed = base.copy()
-    plan = _row_plan(grid, sigma, dv, cut_out, ext_power)
-    smoothed[plan.constant_rows] = plan.constant_values
-    rows, lo, widths = plan.rows, plan.lo, plan.widths
-    ends = np.cumsum(widths)
-    first = 0
-    while first < len(rows):
-        # The next rows holding at most BLOCK_TAPS taps together, or one wider row.
-        last = max(int(np.searchsorted(ends, ends[first] - widths[first] + BLOCK_TAPS,
-                                       side="right")), first + 1)
-        r, counts = rows[first:last], widths[first:last]
-        starts = np.cumsum(counts) - counts
-        taps = np.repeat(lo[first:last] - starts, counts) + np.arange(int(counts.sum()))
-        offsets = ext_grid[taps] - np.repeat(grid[r], counts)
-        s = np.repeat(sigma[r], counts)
-        w = np.where(np.abs(offsets) <= KERNEL_REACH * s,
-                     np.exp(-0.5 * (offsets / s) ** 2), 0.0)
-        smoothed[r] = np.add.reduceat(w * ext_power[taps], starts) / np.add.reduceat(w, starts)
-        first = last
-    return _windowed(curve, smoothed, cut_out)
+    Exactly ``np.interp(wind, grid, apply_turbulence(curve, ti,
+    cut_out=cut_out).power)``, but only the grid rows that bracket a speed,
+    j and j + 1 with j = clip(searchsorted(grid, wind, "right") - 1, 0,
+    n - 2), are smoothed: each row's value does not depend on which other
+    rows are computed, and the interpolation on those rows picks the same
+    bracket and slope.  Its cost is the taps of at most 2 * len(wind) rows.
+    """
+    grid = curve.wind_grid
+    j = np.clip(np.searchsorted(grid, wind, "right") - 1, 0, len(grid) - 2)
+    marked = np.zeros(len(grid), dtype=bool)
+    marked[j] = True
+    marked[j + 1] = True
+    rows = np.flatnonzero(marked)
+    return np.interp(wind, grid[rows], _smoothed(curve, ti, cut_out, marked)[rows])
 
 
 def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,

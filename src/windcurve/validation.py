@@ -21,7 +21,7 @@ import numpy as np
 
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
 from .curve_engine import DEFAULT_RHO, read_curve_csv
-from .environment import EnvironmentConditions
+from .environment import EnvironmentConditions, turbulent_power
 from .errors import MissingMandatoryField, NonFiniteResult
 from .synthesis import synthesize
 from .turbine import TurbineSpec, complete_spec, load_spec
@@ -120,15 +120,15 @@ class CurveValidation:
         }
 
 
-def _ti_sites(ti_grid: Sequence[float], rho: float) -> list[EnvironmentConditions]:
-    """The site of each distinct TI candidate, smallest TI first, so a
-    repeated TI is scored once.  Every caller builds them on this one line,
-    so an unusual air density warns only once."""
-    sites = sorted((EnvironmentConditions(ti=t, rho=rho) for t in ti_grid),
-                   key=lambda e: e.ti)
+def _ti_sites(ti_grid: Sequence[float],
+              rho: float) -> tuple[EnvironmentConditions, list[EnvironmentConditions]]:
+    """The laminar (TI 0) site, and the site of each distinct TI candidate,
+    smallest TI first, so a repeated TI is scored once.  Every caller builds
+    them all on this one line, so an unusual air density warns only once."""
+    laminar, *sites = (EnvironmentConditions(ti=t, rho=rho) for t in (0.0, *ti_grid))
     if not sites:
         raise ValueError("ti_grid must not be empty")
-    return list(dict.fromkeys(sites))
+    return laminar, list(dict.fromkeys(sorted(sites, key=lambda e: e.ti)))
 
 
 def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, *,
@@ -139,10 +139,12 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     Missing spec fields are completed with the statistical defaults.  Each
     candidate is synthesized on the default wind grid and interpolated
     linearly at the sample speeds; the comparison runs on the measured
-    samples inside [cut_in, 0.95 * cut_out].  Ties in the error map resolve
-    to the smallest TI.
+    samples inside [cut_in, 0.95 * cut_out].  The curve is synthesized once,
+    laminar, and each candidate TI smooths only the grid rows that bracket
+    those samples (see :func:`turbulent_power`).  Ties in the error map
+    resolve to the smallest TI.
     """
-    sites = _ti_sites(ti_grid, rho)
+    laminar_site, sites = _ti_sites(ti_grid, rho)
     _, cp_max = invert_cp(m, rho)
     spec, report = complete_spec(m.turbine)
     lo, hi = spec.cut_in, 0.95 * spec.cut_out
@@ -151,13 +153,14 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
         raise ValueError(
             f"{m.turbine.name}: no samples inside the comparison range [{lo}, {hi}]")
 
+    laminar, _ = synthesize(spec, laminar_site, cp_model=cp_model)
+    wind, measured = m.wind[mask], m.power[mask]
     rmse_by_ti: dict[float, float] = {}
     best_ti, best_rmse = None, math.inf
     for env in sites:
         ti = float(env.ti)
-        curve, _ = synthesize(spec, env, cp_model=cp_model)
-        model_p = np.interp(m.wind[mask], curve.wind_grid, curve.power)
-        rmse = float(np.sqrt(np.mean((model_p - m.power[mask]) ** 2)) / spec.rated_power)
+        model_p = turbulent_power(laminar, ti, wind, cut_out=spec.cut_out)
+        rmse = float(np.sqrt(np.mean((model_p - measured) ** 2)) / spec.rated_power)
         if not math.isfinite(rmse):
             raise NonFiniteResult(f"{m.turbine.name}: RMSE at TI {ti:g} is not finite")
         rmse_by_ti[ti] = rmse

@@ -4,7 +4,7 @@ import pytest
 from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec,
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
-from windcurve.environment import _row_plan
+from windcurve.environment import _row_plan, turbulent_power
 
 from conftest import rated_knee
 from oracles import convolve_reference, rews_banded
@@ -135,14 +135,32 @@ class TestApplyTurbulence:
     def test_constant_windows_cost_no_taps(self, reference_curve):
         grid, dv = reference_curve.wind_grid, reference_curve.dv
         ext_power = np.concatenate([reference_curve.power, np.full(200, 2000.0)])
-        plan = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power)
+        plan = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power, True)
         assert plan.taps > 0
         # every row of the window with sigma >= dv/2 is computed or constant
         assert len(plan.rows) + len(plan.constant_rows) == np.sum(
             (grid <= 25.0) & (0.05 * grid >= dv / 2))
         assert np.all(plan.constant_values[plan.constant_rows > 300] == 2000.0)
-        flat = _row_plan(grid, 0.05 * grid, dv, 25.0, np.full(len(ext_power), 7.5))
+        flat = _row_plan(grid, 0.05 * grid, dv, 25.0, np.full(len(ext_power), 7.5), True)
         assert flat.taps == 0 and len(flat.rows) == 0
+
+    def test_row_plan_keeps_to_its_candidates(self, reference_curve):
+        grid, dv = reference_curve.wind_grid, reference_curve.dv
+        ext_power = np.concatenate([reference_curve.power, np.full(200, 2000.0)])
+        every = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power, True)
+        candidates = np.zeros(len(grid), dtype=bool)
+        candidates[[100, 101, 200, 450, 700]] = True
+        some = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power, candidates)
+        # 700 lies past cut-out; the others keep the window each has in the full plan
+        assert sorted([*some.rows, *some.constant_rows]) == [100, 101, 200, 450]
+        at = np.searchsorted(every.rows, some.rows)
+        assert np.array_equal(every.rows[at], some.rows)
+        assert np.array_equal(every.lo[at], some.lo) and np.array_equal(every.hi[at], some.hi)
+        assert some.taps < every.taps
+
+    def test_turbulent_power_rejects_negative_ti(self, reference_curve):
+        with pytest.raises(ValueError, match="turbulence intensity"):
+            turbulent_power(reference_curve, -0.01, np.array([5.0]), cut_out=25.0)
 
     def test_knee_drops_below_rated(self, reference_curve):
         knee = rated_knee(reference_curve, 2000.0)

@@ -14,7 +14,9 @@ from click.testing import CliRunner
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, make_wind_grid,
                        rews, spec_from_json, synthesize)
 from windcurve.cli import main
+from windcurve.cp_models import MAX_LAMBDA_POINTS, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
+from windcurve.environment import MAX_BANDS, band_areas
 
 from conftest import REFERENCE_KWARGS
 
@@ -66,20 +68,65 @@ def _address_space_limit() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-@pytest.mark.parametrize("dv", ["1e-7", "1e-300"])
-def test_cli_grid_past_the_cap_exits_2(dv, tmp_path):
+def _run_limited(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run the CLI from the source tree under _address_space_limit."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "windcurve.cli", "generate", "--diameter", "80",
-         "--rated-power", "2000", "--dv", dv, "--out", "c.csv"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-        preexec_fn=_address_space_limit, timeout=120)
+    return subprocess.run([sys.executable, "-m", "windcurve.cli", *args],
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          preexec_fn=_address_space_limit, timeout=120)
+
+
+@pytest.mark.parametrize("dv", ["1e-7", "1e-300"])
+def test_cli_grid_past_the_cap_exits_2(dv, tmp_path):
+    result = _run_limited(["generate", "--diameter", "80", "--rated-power", "2000",
+                           "--dv", dv, "--out", "c.csv"], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith("error: ValueError: wind grid of ")
     assert f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}" in result.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_band_count_capped():
+    with pytest.raises(ValueError,
+                       match=f"n_bands {MAX_BANDS + 1} exceeds MAX_BANDS = {MAX_BANDS}"):
+        band_areas(80.0, MAX_BANDS + 1)
+    assert len(band_areas(80.0, MAX_BANDS)[1]) == MAX_BANDS
+
+
+def test_lambda_grid_points_capped():
+    with pytest.raises(ValueError, match=f"exceeds MAX_LAMBDA_POINTS = {MAX_LAMBDA_POINTS}"):
+        lambda_grid(0.5, 20.0, 1.9e-4)
+    assert len(lambda_grid(0.5, 20.0, 1.95e-4)) == MAX_LAMBDA_POINTS
+
+
+@pytest.mark.parametrize("args, message", [
+    (["generate", "--diameter", "80", "--rated-power", "2000", "--hub-height", "90",
+      "--shear-alpha", "0.1", "--n-bands", "1000000000", "--out", "c.csv"],
+     f"error: ValueError: n_bands 1000000000 exceeds MAX_BANDS = {MAX_BANDS}"),
+    (["cp-table", "--step", "1e-9", "--out", "c.csv"],
+     "error: ValueError: tip-speed-ratio grid of 1.95e+10 points"),
+])
+def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
+    # without the caps, 7.45 GiB of bands or a 145 GiB tip-speed-ratio grid
+    result = _run_limited(args, tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith(message), result.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_config_band_count_past_the_cap_exits_2(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"rotor_diameter": 80, "rated_power": 2000, "hub_height": 90, '
+                      '"shear_alpha": 0.1, "n_bands": 10000000000000000000000}')
+    result = CliRunner().invoke(main, ["generate", "--config", str(config),
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == (
+        f"error: ValueError: n_bands 10000000000000000000000 exceeds MAX_BANDS = {MAX_BANDS}")
     assert not (tmp_path / "c.csv").exists()
 
 

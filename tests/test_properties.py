@@ -1,6 +1,7 @@
 """Property-based checks of the package invariants."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
                        TurbineSpec, apply_turbulence, band_areas, complete_spec,
                        cp_general_array, get_parameterisation, ideal_curve,
-                       make_wind_grid, rews, scale_cp, synthesize)
+                       make_wind_grid, rews, scale_cp, synthesize,
+                       turbulent_power)
 from windcurve.cp_models import BETZ_LIMIT, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS
 
@@ -194,6 +196,31 @@ def test_constant_windows_return_their_value_exactly(ti, dv, cut_out):
             constant += 1
     assert constant > 0
 
+
+
+@given(st.floats(min_value=0.0, max_value=0.3),
+       st.sampled_from((0.05, 0.01, 0.037)),
+       st.lists(st.floats(min_value=0.0, max_value=45.0), max_size=30),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=10),
+       st.randoms(use_true_random=False))
+@example(0.0, 0.05, [], [], random.Random(0))
+@example(0.3, 0.01, [39.995, 40.0, 40.005], [0, 4000], random.Random(1))
+@settings(max_examples=25, deadline=None)
+def test_turbulent_power_is_the_interpolated_curve(ti, dv, speeds, points, order):
+    spec = TurbineSpec(**REFERENCE_KWARGS)
+    model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
+    ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
+    grid = ideal.wind_grid
+    # free speeds, grid points, 0, cut-out, v_max and past the grid end,
+    # shuffled with some repeated
+    wind = [*speeds, *grid[[p % len(grid) for p in points]], 0.0, spec.cut_out,
+            grid[-1], grid[-1] + 2.5, *speeds[:3], *speeds[:1]]
+    order.shuffle(wind)
+    wind = np.array(wind)
+    full = apply_turbulence(ideal, ti, cut_out=spec.cut_out).power
+    np.testing.assert_array_equal(
+        turbulent_power(ideal, ti, wind, cut_out=spec.cut_out),
+        np.interp(wind, grid, full))
 
 def _magnitude(lo_exp: float, hi_exp: float):
     """Log-uniform positive floats between 10**lo_exp and 10**hi_exp."""

@@ -8,8 +8,9 @@ import pytest
 from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
                        MissingMandatoryField, TurbineSpec, betz_screen,
                        complete_spec, invert_cp, match_over_ti, synthesize,
-                       validate_directory)
+                       turbulent_power, validate_directory)
 from windcurve import validation
+from windcurve.cp_models import REGISTRY
 from windcurve.validation import (SUMMARY_CSV_HEADER, write_report_json,
                                   write_summary_csv)
 
@@ -146,20 +147,61 @@ class TestMatchOverTi:
         assert result.rmse_by_ti[1e-6] == result.rmse_by_ti[0.0]
         assert result.best_ti == 0.0
 
-    def test_each_distinct_ti_synthesized_once(self, synthetic_measured, monkeypatch):
-        tis = []
+    def test_synthesized_once_and_each_distinct_ti_smoothed_once(self, synthetic_measured,
+                                                                 monkeypatch):
+        synthesized, smoothed = [], []
 
-        def counting(spec, env, **kwargs):
-            tis.append(env.ti)
+        def counting_synthesize(spec, env, **kwargs):
+            synthesized.append(env.ti)
             return synthesize(spec, env, **kwargs)
 
-        monkeypatch.setattr(validation, "synthesize", counting)
+        def counting_power(curve, ti, wind, **kwargs):
+            smoothed.append(ti)
+            return turbulent_power(curve, ti, wind, **kwargs)
+
+        monkeypatch.setattr(validation, "synthesize", counting_synthesize)
+        monkeypatch.setattr(validation, "turbulent_power", counting_power)
         result = match_over_ti(synthetic_measured, ti_grid=[0.05, 0.05, 0.05])
-        assert tis == [0.05]
+        assert synthesized == [0.0]
+        assert smoothed == [0.05]
         assert list(result.rmse_by_ti) == [0.05]
-        tis.clear()
+        synthesized.clear()
+        smoothed.clear()
         match_over_ti(synthetic_measured, ti_grid=[0.1, 0.0, 0.1, 0, 0.05])
-        assert tis == [0.0, 0.05, 0.1]
+        assert synthesized == [0.0]
+        assert smoothed == [0.0, 0.05, 0.1]
+
+    @pytest.mark.parametrize("ti_grid", [validation.DEFAULT_TI_GRID, (0.1, 0, 0.05, 0.1, 0.13)])
+    @pytest.mark.parametrize("cp_model", sorted(REGISTRY))
+    def test_scores_match_one_synthesis_per_ti(self, cp_model, ti_grid):
+        rho = 1.1
+        spec = TurbineSpec(name="oracle", rotor_diameter=90.0, rated_power=2500.0)
+        truth, _ = synthesize(spec, EnvironmentConditions(ti=0.06, rho=rho), cp_model=cp_model)
+        wind = np.arange(0.0, 30.0, 0.37)
+        power = np.interp(wind, truth.wind_grid, truth.power) * (1.0 + 0.02 * np.sin(wind))
+        m = MeasuredCurve(spec, wind, power)
+
+        # the scores as every TI's own synthesis, sampled by np.interp, gives them
+        completed, report = complete_spec(spec)
+        _, cp_max = invert_cp(m, rho)
+        mask = (wind >= completed.cut_in) & (wind <= 0.95 * completed.cut_out)
+        rmse = {}
+        for ti in sorted({float(t) for t in ti_grid}):
+            curve, _ = synthesize(completed, EnvironmentConditions(ti=ti, rho=rho),
+                                  cp_model=cp_model)
+            model_p = np.interp(wind[mask], curve.wind_grid, curve.power)
+            rmse[ti] = float(np.sqrt(np.mean((model_p - power[mask]) ** 2))
+                             / completed.rated_power)
+        best = min(rmse, key=rmse.get)
+        expected = {
+            "name": "oracle", "cp_max_extracted": cp_max,
+            "betz_violation": cp_max > BETZ_LIMIT, "best_ti": best,
+            "rmse_by_ti": {f"{ti:g}": r for ti, r in rmse.items()}, "rmse_best": rmse[best],
+            "shape_anomaly": rmse[best] > validation.SHAPE_ANOMALY_NRMSE,
+            "filled_defaults": report,
+        }
+        result = match_over_ti(m, ti_grid, rho=rho, cp_model=cp_model)
+        assert result.to_dict() == expected
 
     def test_comparison_range_excludes_cut_out_vicinity(self, defaults_spec):
         # corrupt the measured data above 0.95*cut_out only; the score must
