@@ -73,6 +73,9 @@ SWEEP_INTERVALS: dict[str, tuple[float, float]] = {
 }
 SWEEPABLE = tuple(SWEEP_INTERVALS) + ("cp_parameterisation",)
 
+#: Most values one sweep runs; it holds every curve until the CSV is written.
+MAX_SWEEP_VALUES = 1000
+
 
 def _fail(code: int, reason: str) -> None:
     click.echo(f"error: {reason}", err=True)
@@ -203,6 +206,9 @@ def _parse_sweep_values(param: str, values: str | None,
                         vrange: tuple[float, float, int] | None) -> list:
     if (values is None) == (vrange is None):
         raise ValueError("give exactly one of --values or --range")
+    count = values.count(",") + 1 if vrange is None else vrange[2]
+    if count > MAX_SWEEP_VALUES:
+        raise ValueError(f"sweep of {count} values exceeds MAX_SWEEP_VALUES = {MAX_SWEEP_VALUES}")
     if param == "cp_parameterisation":
         if values is None:
             raise ValueError("cp_parameterisation sweeps need --values with model names")

@@ -43,6 +43,12 @@ KERNEL_REACH = 5.0
 BLOCK_TAPS = 8192
 
 
+def _check_ti(ti: float) -> None:
+    """Raise ValueError unless 0 <= ti < 1, before any work depends on ti."""
+    if not 0.0 <= ti < 1.0:
+        raise ValueError(f"turbulence intensity must lie in [0, 1), got {ti}")
+
+
 @dataclass(frozen=True)
 class EnvironmentConditions:
     """Site conditions entering the power-curve synthesis.
@@ -61,8 +67,7 @@ class EnvironmentConditions:
     def __post_init__(self) -> None:
         for f in fields(self):
             check_value(f.name, getattr(self, f.name))
-        if not 0.0 <= self.ti < 1.0:
-            raise ValueError(f"turbulence intensity must lie in [0, 1), got {self.ti}")
+        _check_ti(self.ti)
         if not self.rho > 0.0:
             raise ValueError(f"air density must be positive, got {self.rho}")
         if not 0.9 <= self.rho <= 1.5:
@@ -126,37 +131,25 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
     return u_hub * float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
 
 
-def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[np.ndarray, float]:
-    """Curve values with the cut-out zeroing removed.
-
-    Grid points beyond cut-out take the value at the cut-out point itself,
-    i.e. the region-III plateau continues as if no shutdown occurred.  The
-    plateau value is returned as well for extension past the grid end.
-    """
-    inside = curve.wind_grid <= cut_out + GRID_EPS
-    if not inside.any():
-        return curve.power.copy(), 0.0
-    plateau = float(curve.power[inside][-1])
-    extended = np.where(inside, curve.power, plateau)
-    return extended, plateau
-
-
-def _windowed(curve: PowerCurve, values: np.ndarray, cut_out: float) -> PowerCurve:
-    """Zero values past the hub-height cut-out."""
-    values[curve.wind_grid > cut_out + GRID_EPS] = 0.0
-    return PowerCurve(curve.wind_grid, values)
+def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarray, float]:
+    """(k, extended, plateau): the production window is the grid prefix [0, k)
+    up to cut_out (within GRID_EPS), which the callers zero past.  Past it the
+    extended values take plateau, the value at the cut-out point (0 if k = 0),
+    as if no shutdown occurred; so does the grid's extension past its end."""
+    k = int(np.searchsorted(curve.wind_grid, cut_out + GRID_EPS, side="right"))
+    plateau = float(curve.power[k - 1]) if k else 0.0
+    extended = curve.power.copy()
+    extended[k:] = plateau
+    return k, extended, plateau
 
 
 class _RowPlan(NamedTuple):
     """The turbulence rows that take the kernel, with their padded windows
-    [lo, hi) on the extended grid, and the rows whose window holds one
-    value, with that value."""
+    [lo, hi) on the extended grid."""
 
     rows: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    constant_rows: np.ndarray
-    constant_values: np.ndarray
 
     @property
     def widths(self) -> np.ndarray:
@@ -168,25 +161,24 @@ class _RowPlan(NamedTuple):
         return int(self.widths.sum())
 
 
-def _row_plan(grid: np.ndarray, sigma: np.ndarray, dv: float, cut_out: float,
-              ext_power: np.ndarray, candidates: np.ndarray | bool) -> _RowPlan:
-    """Plan the turbulence rows: the candidates inside the window with
-    sigma >= dv/2.
+def _row_plan(k: int, sigma: np.ndarray, dv: float, ext_power: np.ndarray,
+              candidates: np.ndarray | bool) -> _RowPlan:
+    """Plan the turbulence rows: the candidates in the window [0, k) with
+    sigma >= dv/2 whose padded window holds more than one value.
 
     candidates is a boolean mask over the grid, or True for every row.  Two
     points of padding absorb the floor and grid round-off, so each window
     holds every tap of the inclusive +-KERNEL_REACH*sigma mask.  A row whose
     padded window lies inside one run of equal values in ext_power averages
-    that value; it is split off to take ext_power[lo], with no taps.
+    that value, which it already holds, so it is left out with no taps.
     """
-    rows = np.flatnonzero(candidates & (grid <= cut_out + GRID_EPS) & (sigma >= dv / 2.0))
+    rows = np.flatnonzero((candidates & (sigma >= dv / 2.0))[:k])
     half = np.floor(KERNEL_REACH * sigma[rows] / dv).astype(np.intp) + 2
     lo = np.maximum(rows - half, 0)
     hi = np.minimum(rows + half + 1, len(ext_power))
     run = np.concatenate([[0], np.cumsum(ext_power[1:] != ext_power[:-1])])
-    flat = run[lo] == run[hi - 1]
-    keep = ~flat
-    return _RowPlan(rows[keep], lo[keep], hi[keep], rows[flat], ext_power[lo[flat]])
+    keep = run[lo] != run[hi - 1]
+    return _RowPlan(rows[keep], lo[keep], hi[keep])
 
 
 def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
@@ -197,21 +189,23 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
     candidates is a boolean mask over the grid, or True for every row; the
     other rows hold their plateau-extended input.
     """
-    if ti < 0:
-        raise ValueError(f"turbulence intensity must be >= 0, got {ti}")
+    _check_ti(ti)
+    check_value("cut_out", cut_out)
     grid, dv = curve.wind_grid, curve.dv
-    smoothed, plateau = _plateau_extended(curve, cut_out)
+    k, smoothed, plateau = _plateau_extended(curve, cut_out)
+    smoothed[k:] = 0.0
+    if ti == 0.0:
+        return smoothed
 
     # Extend the grid far enough to cover the widest kernel reach.
     reach = KERNEL_REACH * ti * grid[-1]
     n_extra = int(math.ceil(reach / dv)) + 1
     ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
-    ext_power = np.concatenate([smoothed, np.full(n_extra, plateau)])
+    ext_power = np.concatenate([smoothed[:k], np.full(len(grid) - k + n_extra, plateau)])
 
-    # Rows outside the plan keep their input: past the window, or sigma below dv/2.
+    # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
     sigma = ti * grid
-    plan = _row_plan(grid, sigma, dv, cut_out, ext_power, candidates)
-    smoothed[plan.constant_rows] = plan.constant_values
+    plan = _row_plan(k, sigma, dv, ext_power, candidates)
     rows, lo, widths = plan.rows, plan.lo, plan.widths
     ends = np.cumsum(widths)
     first = 0
@@ -228,7 +222,6 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
                      np.exp(-0.5 * (offsets / s) ** 2), 0.0)
         smoothed[r] = np.add.reduceat(w * ext_power[taps], starts) / np.add.reduceat(w, starts)
         first = last
-    smoothed[grid > cut_out + GRID_EPS] = 0.0
     return smoothed
 
 
@@ -248,10 +241,9 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     evaluate only their window, gathered in blocks of at most BLOCK_TAPS
     (8192) kernel taps, a wider row being a block of its own.  The cost is
     the taps of those remaining rows, at most rows x window, which grows as
-    N^2 * ti for N grid points; the temporaries stay bounded.
+    N^2 * ti for N grid points; the temporaries stay bounded.  It raises
+    ValueError unless 0 <= ti < 1 and cut_out is finite.
     """
-    if ti == 0.0:
-        return _windowed(curve, curve.power.copy(), cut_out)
     return PowerCurve(curve.wind_grid, _smoothed(curve, ti, cut_out, True))
 
 
@@ -287,5 +279,7 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
     if spec.cut_out is None:
         raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
     u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, n_bands)
-    base, _ = _plateau_extended(curve, spec.cut_out)
-    return _windowed(curve, np.interp(u_eq, curve.wind_grid, base), spec.cut_out)
+    k, base, _ = _plateau_extended(curve, spec.cut_out)
+    power = np.interp(u_eq, curve.wind_grid, base)
+    power[k:] = 0.0
+    return PowerCurve(curve.wind_grid, power)

@@ -132,31 +132,48 @@ class TestApplyTurbulence:
         assert np.all(out.power[past_rated] == 2000.0)
         assert np.all(out.power[below_cut_in] == 0.0)
 
+    @staticmethod
+    def _plan_inputs(curve):
+        """The window k for cut-out 25, the sigma of TI 0.05 and an extended
+        power that is constant at rated past the grid end."""
+        grid = curve.wind_grid
+        ext_power = np.concatenate([curve.power, np.full(200, 2000.0)])
+        return int(np.sum(grid <= 25.0)), 0.05 * grid, ext_power
+
     def test_constant_windows_cost_no_taps(self, reference_curve):
         grid, dv = reference_curve.wind_grid, reference_curve.dv
-        ext_power = np.concatenate([reference_curve.power, np.full(200, 2000.0)])
-        plan = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power, True)
-        assert plan.taps > 0
-        # every row of the window with sigma >= dv/2 is computed or constant
-        assert len(plan.rows) + len(plan.constant_rows) == np.sum(
-            (grid <= 25.0) & (0.05 * grid >= dv / 2))
-        assert np.all(plan.constant_values[plan.constant_rows > 300] == 2000.0)
-        flat = _row_plan(grid, 0.05 * grid, dv, 25.0, np.full(len(ext_power), 7.5), True)
+        k, sigma, ext_power = self._plan_inputs(reference_curve)
+        plan = _row_plan(k, sigma, dv, ext_power, True)
+        assert plan.taps == np.sum(plan.hi - plan.lo) > 0
+        # of the window's rows with sigma >= dv/2, exactly those whose padded
+        # window holds more than one value are planned
+        eligible = np.flatnonzero((grid <= 25.0) & (sigma >= dv / 2))
+        half = np.floor(5.0 * sigma[eligible] / dv).astype(int) + 2
+        windows = [ext_power[max(i - h, 0):i + h + 1] for i, h in zip(eligible, half)]
+        constant = np.array([np.all(w == w[0]) for w in windows])
+        assert np.array_equal(plan.rows, eligible[~constant])
+        # both kinds of constant row occur: wholly below cut-in and past rated
+        assert set(ext_power[eligible[constant]]) == {0.0, 2000.0}
+        flat = _row_plan(k, sigma, dv, np.full(len(ext_power), 7.5), True)
         assert flat.taps == 0 and len(flat.rows) == 0
 
     def test_row_plan_keeps_to_its_candidates(self, reference_curve):
         grid, dv = reference_curve.wind_grid, reference_curve.dv
-        ext_power = np.concatenate([reference_curve.power, np.full(200, 2000.0)])
-        every = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power, True)
+        k, sigma, ext_power = self._plan_inputs(reference_curve)
+        every = _row_plan(k, sigma, dv, ext_power, True)
         candidates = np.zeros(len(grid), dtype=bool)
-        candidates[[100, 101, 200, 450, 700]] = True
-        some = _row_plan(grid, 0.05 * grid, dv, 25.0, ext_power, candidates)
-        # 700 lies past cut-out; the others keep the window each has in the full plan
-        assert sorted([*some.rows, *some.constant_rows]) == [100, 101, 200, 450]
+        candidates[[100, 101, 200, 350, 450, 700]] = True
+        some = _row_plan(k, sigma, dv, ext_power, candidates)
+        # 350 has a constant window and 700 lies past cut-out; the others keep
+        # the window each has in the full plan
+        assert list(some.rows) == [100, 101, 200, 450]
         at = np.searchsorted(every.rows, some.rows)
         assert np.array_equal(every.rows[at], some.rows)
         assert np.array_equal(every.lo[at], some.lo) and np.array_equal(every.hi[at], some.hi)
         assert some.taps < every.taps
+        # rows past cut-out are never planned, whatever the candidates
+        assert every.rows.max() < k
+        assert len(_row_plan(k, sigma, dv, ext_power, grid > 25.0).rows) == 0
 
     def test_turbulent_power_rejects_negative_ti(self, reference_curve):
         with pytest.raises(ValueError, match="turbulence intensity"):

@@ -8,12 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, make_wind_grid,
-                       rews, spec_from_json, synthesize)
-from windcurve.cli import main
+from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_turbulence,
+                       make_wind_grid, rews, spec_from_json, synthesize, turbulent_power)
+from windcurve.cli import MAX_SWEEP_VALUES, main
 from windcurve.cp_models import MAX_LAMBDA_POINTS, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
 from windcurve.environment import MAX_BANDS, band_areas
@@ -68,19 +69,22 @@ def _address_space_limit() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
+_CLI = ["-m", "windcurve.cli"]
+
+
 def _run_limited(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    """Run the CLI from the source tree under _address_space_limit."""
+    """Run python with args from the source tree under _address_space_limit."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "windcurve.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env,
                           preexec_fn=_address_space_limit, timeout=120)
 
 
 @pytest.mark.parametrize("dv", ["1e-7", "1e-300"])
 def test_cli_grid_past_the_cap_exits_2(dv, tmp_path):
-    result = _run_limited(["generate", "--diameter", "80", "--rated-power", "2000",
+    result = _run_limited([*_CLI, "generate", "--diameter", "80", "--rated-power", "2000",
                            "--dv", dv, "--out", "c.csv"], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
@@ -108,14 +112,53 @@ def test_lambda_grid_points_capped():
      f"error: ValueError: n_bands 1000000000 exceeds MAX_BANDS = {MAX_BANDS}"),
     (["cp-table", "--step", "1e-9", "--out", "c.csv"],
      "error: ValueError: tip-speed-ratio grid of 1.95e+10 points"),
+    (["sweep", "--param", "cut_in", "--range", "1", "2", "1000000000", "--out", "c.csv"],
+     f"error: ValueError: sweep of 1000000000 values exceeds "
+     f"MAX_SWEEP_VALUES = {MAX_SWEEP_VALUES}"),
+    (["sweep", "--param", "rotor_diameter", "--values",
+      ",".join(["80"] * (MAX_SWEEP_VALUES + 1)), "--out", "c.csv"],
+     f"error: ValueError: sweep of {MAX_SWEEP_VALUES + 1} values exceeds"),
 ])
 def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
-    # without the caps, 7.45 GiB of bands or a 145 GiB tip-speed-ratio grid
-    result = _run_limited(args, tmp_path)
+    # without the caps, 7.45 GiB of bands or of sweep values, or a 145 GiB
+    # tip-speed-ratio grid
+    result = _run_limited([*_CLI, *args], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith(message), result.stderr
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_turbulence_ti_checked_before_allocating(tmp_path):
+    # without the check, TI 1e6 asks for a 29.8 GiB extended grid
+    code = ("from windcurve import TurbineSpec, apply_turbulence, synthesize\n"
+            "curve, _ = synthesize(TurbineSpec(rotor_diameter=80, rated_power=2000))\n"
+            "apply_turbulence(curve, 1e6, cut_out=25.0)")
+    result = _run_limited(["-c", code], tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        "ValueError: turbulence intensity must lie in [0, 1), got 1000000.0")
+
+
+@pytest.mark.parametrize("ti", [math.nan, math.inf, 1.0])
+def test_turbulence_stages_share_the_ti_domain(ti, reference_curve):
+    message = r"turbulence intensity must lie in \[0, 1\)"
+    with pytest.raises(ValueError, match=message):
+        apply_turbulence(reference_curve, ti, cut_out=25.0)
+    with pytest.raises(ValueError, match=message):
+        turbulent_power(reference_curve, ti, np.array([5.0]), cut_out=25.0)
+    with pytest.raises(ValueError, match="^ti must be finite" if ti != 1.0 else message):
+        EnvironmentConditions(ti=ti)
+
+
+@pytest.mark.parametrize("ti", [0.0, 0.05])
+@pytest.mark.parametrize("cut_out", NON_FINITE)
+def test_turbulence_stages_reject_a_non_finite_cut_out(cut_out, ti, reference_curve):
+    # as TurbineSpec does; a nan window would otherwise hold every grid point
+    with pytest.raises(ValueError, match="^cut_out must be finite"):
+        apply_turbulence(reference_curve, ti, cut_out=cut_out)
+    with pytest.raises(ValueError, match="^cut_out must be finite"):
+        turbulent_power(reference_curve, ti, np.array([5.0]), cut_out=cut_out)
 
 
 def test_cli_config_band_count_past_the_cap_exits_2(tmp_path):

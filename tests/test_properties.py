@@ -15,6 +15,7 @@ from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
                        turbulent_power)
 from windcurve.cp_models import BETZ_LIMIT, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS
+from windcurve.environment import _plateau_extended
 
 from conftest import REFERENCE_KWARGS
 from oracles import convolve_reference, cp_direct
@@ -221,6 +222,26 @@ def test_turbulent_power_is_the_interpolated_curve(ti, dv, speeds, points, order
     np.testing.assert_array_equal(
         turbulent_power(ideal, ti, wind, cut_out=spec.cut_out),
         np.interp(wind, grid, full))
+
+
+@given(st.sampled_from((0.05, 0.01, 0.037)),
+       st.integers(min_value=-3, max_value=5000),
+       st.sampled_from((0.0, 0.5)),
+       st.sampled_from((0.0, GRID_EPS / 2, -GRID_EPS / 2)))
+@example(0.01, 4000, 0.0, GRID_EPS / 2)   # v_max itself
+@example(0.037, -1, 0.5, 0.0)             # below the grid, between -dv and 0
+@settings(max_examples=60, deadline=None)
+def test_production_window_is_a_grid_prefix(dv, i, between, eps):
+    # a cut-out on grid point i, halfway to the next, or GRID_EPS/2 off
+    # either; i below 0 or past the end puts it outside the grid
+    grid = make_wind_grid(dv * round(40.0 / dv), dv)
+    cut_out = (grid[i] if 0 <= i < len(grid) else i * dv) + between * dv + eps
+    power = np.arange(len(grid), dtype=float)
+    k, extended, plateau = _plateau_extended(PowerCurve(grid, power), cut_out)
+    assert k == (grid <= cut_out + GRID_EPS).sum()
+    assert np.array_equal(extended[:k], power[:k])
+    assert plateau == (power[k - 1] if k else 0.0) and np.all(extended[k:] == plateau)
+
 
 def _magnitude(lo_exp: float, hi_exp: float):
     """Log-uniform positive floats between 10**lo_exp and 10**hi_exp."""
