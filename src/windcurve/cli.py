@@ -20,11 +20,12 @@ import numpy as np
 from . import __version__
 from .cp_models import (DEFAULT_PARAMETERISATION, REGISTRY, cp_general_array,
                         get_parameterisation, lambda_grid, registry_to_json)
-from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve
+from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve, grid_points
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
-from .turbine import TurbineSpec, complete_spec, flat_record, load_json, load_spec
+from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load_json,
+                      load_spec)
 from .validation import (DEFAULT_TI_GRID, validate_directory,
                          write_report_json, write_summary_csv)
 
@@ -75,6 +76,10 @@ SWEEPABLE = tuple(SWEEP_INTERVALS) + ("cp_parameterisation",)
 
 #: Most values one sweep runs; it holds every curve until the CSV is written.
 MAX_SWEEP_VALUES = 1000
+
+#: Most grid points one sweep holds over all its curves, 160 MB of grid and
+#: power: 1000 values on a dv 0.01 grid hold 4e6.
+MAX_SWEEP_POINTS = 10_000_000
 
 
 def _fail(code: int, reason: str) -> None:
@@ -239,6 +244,13 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
     sweep_values = _parse_sweep_values(param, values, vrange)
     base = {**REFERENCE_CONFIG, **_load_config_file(config_path), **_given(flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
+    run = {**_DEFAULT_RECORD, **base}
+    for name in ("v_max", "dv"):
+        check_value(name, run[name])
+    points = len(sweep_values) * grid_points(run["v_max"], run["dv"])
+    if not points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep of {len(sweep_values)} curves holds {points:.6g} grid "
+                         f"points, more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
 
     # Synthesize every curve first: a failing value prints only its error, writes nothing.
     curves = [_synthesize({**base, key: v})[0] for v in sweep_values]

@@ -45,12 +45,18 @@ DEFAULT_RHO = 1.225
 MAX_GRID_POINTS = 1_000_001
 
 
+def grid_points(v_max: float, dv: float) -> float:
+    """The points of the wind grid [0, v_max] with step dv, v_max / dv + 1, as
+    a float that may be far past any array size."""
+    if not (0 < v_max < math.inf and 0 < dv < math.inf):
+        raise ValueError("v_max and dv must be positive and finite")
+    return v_max / dv + 1.0
+
+
 def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.ndarray:
     """Uniform wind-speed grid [0, v_max] with step dv, of at most
     MAX_GRID_POINTS points."""
-    if not (0 < v_max < math.inf and 0 < dv < math.inf):
-        raise ValueError("v_max and dv must be positive and finite")
-    points = v_max / dv + 1.0
+    points = grid_points(v_max, dv)
     if not points <= MAX_GRID_POINTS:
         raise ValueError(f"wind grid of {points:.6g} points (v_max {v_max} / dv {dv} + 1) "
                          f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec,
+from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environment,
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
-from windcurve.environment import _row_plan, turbulent_power
+from windcurve.environment import (BLOCK_TAPS, _BLOCK_ROWS, _blocks, _row_plan, _smoothed,
+                                   turbulent_power)
 
-from conftest import rated_knee
+from conftest import REFERENCE_KWARGS, rated_knee
 from oracles import convolve_reference, rews_banded
 
 # Frozen oracle values: 1e4-band midpoint discretization, D=80, hub 60 m.
@@ -143,7 +144,7 @@ class TestApplyTurbulence:
     def test_constant_windows_cost_no_taps(self, reference_curve):
         grid, dv = reference_curve.wind_grid, reference_curve.dv
         k, sigma, ext_power = self._plan_inputs(reference_curve)
-        plan = _row_plan(k, sigma, dv, ext_power, True)
+        plan = _row_plan(k, sigma, dv, ext_power)
         assert plan.taps == np.sum(plan.hi - plan.lo) > 0
         # of the window's rows with sigma >= dv/2, exactly those whose padded
         # window holds more than one value are planned
@@ -154,26 +155,59 @@ class TestApplyTurbulence:
         assert np.array_equal(plan.rows, eligible[~constant])
         # both kinds of constant row occur: wholly below cut-in and past rated
         assert set(ext_power[eligible[constant]]) == {0.0, 2000.0}
-        flat = _row_plan(k, sigma, dv, np.full(len(ext_power), 7.5), True)
+        flat = _row_plan(k, sigma, dv, np.full(len(ext_power), 7.5))
         assert flat.taps == 0 and len(flat.rows) == 0
 
     def test_row_plan_keeps_to_its_candidates(self, reference_curve):
-        grid, dv = reference_curve.wind_grid, reference_curve.dv
-        k, sigma, ext_power = self._plan_inputs(reference_curve)
-        every = _row_plan(k, sigma, dv, ext_power, True)
+        # the kernel plans every row and smooths only the candidates, each to
+        # the value the full run gives it
+        grid, power = reference_curve.wind_grid, reference_curve.power
+        every = _smoothed(reference_curve, 0.05, 25.0, True)
         candidates = np.zeros(len(grid), dtype=bool)
         candidates[[100, 101, 200, 350, 450, 700]] = True
-        some = _row_plan(k, sigma, dv, ext_power, candidates)
-        # 350 has a constant window and 700 lies past cut-out; the others keep
-        # the window each has in the full plan
-        assert list(some.rows) == [100, 101, 200, 450]
-        at = np.searchsorted(every.rows, some.rows)
-        assert np.array_equal(every.rows[at], some.rows)
-        assert np.array_equal(every.lo[at], some.lo) and np.array_equal(every.hi[at], some.hi)
-        assert some.taps < every.taps
-        # rows past cut-out are never planned, whatever the candidates
-        assert every.rows.max() < k
-        assert len(_row_plan(k, sigma, dv, ext_power, grid > 25.0).rows) == 0
+        some = _smoothed(reference_curve, 0.05, 25.0, candidates)
+        assert np.array_equal(some[candidates], every[candidates])
+        # 100, 101 and 200 move; 350 has a constant window, 700 lies past cut-out
+        moved = some != np.where(grid <= 25.0, power, 0.0)
+        assert np.flatnonzero(moved).tolist() == [100, 101, 200]
+        # rows past cut-out are never planned
+        k, sigma, ext_power = self._plan_inputs(reference_curve)
+        assert _row_plan(k, sigma, reference_curve.dv, ext_power).rows.max() < k
+
+    @pytest.mark.parametrize("ti, dv, cut_out, edge", [
+        (0.05, 0.01, 25.0, None),
+        (0.021, 0.05, 25.0, "rows"),    # narrow windows
+        (0.119, 0.05, 25.0, "exact"),   # a rectangle of exactly BLOCK_TAPS
+        (0.3, 0.005, 35.0, "wide"),     # rows wider than BLOCK_TAPS
+    ])
+    def test_blocks_are_the_longest_runs_within_the_bounds(self, ti, dv, cut_out, edge,
+                                                           reference_model, monkeypatch):
+        plans = []
+        monkeypatch.setattr(environment, "_row_plan",
+                            lambda *args: plans.append(_row_plan(*args)) or plans[-1])
+        spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
+        curve = ideal_curve(spec, reference_model, v_max=dv * round(40.0 / dv), dv=dv)
+        _smoothed(curve, ti, cut_out, True)
+        (plan,) = plans
+        blocks = list(_blocks(plan.lo, plan.hi))
+        assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
+        assert blocks[-1][1] == len(plan.rows)
+        areas = []
+        for first, last, c0, c1 in blocks:
+            assert (c0, c1) == (plan.lo[first:last].min(), plan.hi[first:last].max())
+            rows, area = last - first, (last - first) * (c1 - c0)
+            assert rows <= _BLOCK_ROWS and (area <= BLOCK_TAPS or rows == 1)
+            if last < len(plan.rows) and rows < _BLOCK_ROWS:
+                # one more row would pass the bound
+                wider = min(c0, plan.lo[last]), plan.hi[last]
+                assert (rows + 1) * (wider[1] - wider[0]) > BLOCK_TAPS
+            areas.append((rows, area))
+        if edge == "rows":
+            assert all(rows == _BLOCK_ROWS for rows, _ in areas[:-1])
+        if edge == "exact":
+            assert (32, BLOCK_TAPS) in areas
+        if edge == "wide":
+            assert any(area > BLOCK_TAPS for _, area in areas)
 
     def test_turbulent_power_rejects_negative_ti(self, reference_curve):
         with pytest.raises(ValueError, match="turbulence intensity"):

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_turbulence,
                        make_wind_grid, rews, spec_from_json, synthesize, turbulent_power)
-from windcurve.cli import MAX_SWEEP_VALUES, main
+from windcurve import environment
+from windcurve.cli import MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
 from windcurve.cp_models import MAX_LAMBDA_POINTS, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
-from windcurve.environment import MAX_BANDS, band_areas
+from windcurve.environment import MAX_BANDS, MAX_TURBULENCE_TAPS, band_areas
 
 from conftest import REFERENCE_KWARGS
 
@@ -118,15 +119,43 @@ def test_lambda_grid_points_capped():
     (["sweep", "--param", "rotor_diameter", "--values",
       ",".join(["80"] * (MAX_SWEEP_VALUES + 1)), "--out", "c.csv"],
      f"error: ValueError: sweep of {MAX_SWEEP_VALUES + 1} values exceeds"),
+    (["sweep", "--param", "cut_in", "--range", "1", "2", "200", "--dv", "4e-5",
+      "--out", "c.csv"],
+     f"error: ValueError: sweep of 200 curves holds 2e+08 grid points, "
+     f"more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"),
+    (["generate", "--diameter", "80", "--rated-power", "2000", "--dv", "4e-5", "--ti", "0.5",
+      "--out", "c.csv"],
+     f"error: ValueError: turbulence kernel of 682792974378 taps at TI 0.5 exceeds "
+     f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}"),
 ])
 def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
-    # without the caps, 7.45 GiB of bands or of sweep values, or a 145 GiB
-    # tip-speed-ratio grid
+    # without the caps, 7.45 GiB of bands or of sweep values, a 145 GiB
+    # tip-speed-ratio grid, 200 curves of a million points held at once, or
+    # hours of turbulence taps (past the timeout)
     result = _run_limited([*_CLI, *args], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith(message), result.stderr
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_turbulence_taps_capped_per_curve(reference_curve, monkeypatch):
+    plans = []
+    plan_rows = environment._row_plan
+    monkeypatch.setattr(environment, "_row_plan",
+                        lambda *args: plans.append(plan_rows(*args)) or plans[-1])
+    apply_turbulence(reference_curve, 0.1, cut_out=25.0)
+    taps = plans[0].taps
+    monkeypatch.setattr(environment, "MAX_TURBULENCE_TAPS", taps)
+    apply_turbulence(reference_curve, 0.1, cut_out=25.0)
+    # past it, both entry points refuse the curve, however few rows are sampled
+    monkeypatch.setattr(environment, "MAX_TURBULENCE_TAPS", taps - 1)
+    message = (f"turbulence kernel of {taps} taps at TI 0.1 exceeds "
+               f"MAX_TURBULENCE_TAPS = {taps - 1}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_turbulence(reference_curve, 0.1, cut_out=25.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        turbulent_power(reference_curve, 0.1, np.array([5.0]), cut_out=25.0)
 
 
 def test_turbulence_ti_checked_before_allocating(tmp_path):

@@ -15,7 +15,7 @@ from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
                        turbulent_power)
 from windcurve.cp_models import BETZ_LIMIT, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS
-from windcurve.environment import _plateau_extended
+from windcurve.environment import _plateau_extended, _smoothed
 
 from conftest import REFERENCE_KWARGS
 from oracles import convolve_reference, cp_direct
@@ -162,8 +162,8 @@ def test_turbulence_matches_reference_convolution(diameter, power, cut_out, ti, 
        st.sampled_from((0.05, 0.01, 0.037)),
        st.floats(min_value=15.0, max_value=35.0))
 @example(0.1, 0.05, 25.0)    # 5 sigma at 10 m/s lands exactly on the grid point 5 m/s away
-@example(0.021, 0.05, 25.0)  # the first block of rows holds exactly BLOCK_TAPS taps
-@example(0.3, 0.01, 35.0)    # each row past about 32.8 m/s is wider than BLOCK_TAPS
+@example(0.021, 0.05, 25.0)  # narrow windows: every block stops at _BLOCK_ROWS rows
+@example(0.3, 0.01, 35.0)    # 5 TI > 1: every window, so every rectangle, starts at 0 m/s
 @settings(max_examples=20, deadline=None)
 def test_windowed_turbulence_matches_reference(ti, dv, cut_out):
     spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
@@ -222,6 +222,25 @@ def test_turbulent_power_is_the_interpolated_curve(ti, dv, speeds, points, order
     np.testing.assert_array_equal(
         turbulent_power(ideal, ti, wind, cut_out=spec.cut_out),
         np.interp(wind, grid, full))
+
+
+@given(st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
+       st.sampled_from((0.05, 0.01, 0.037)),
+       st.floats(min_value=15.0, max_value=35.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(0.119, 0.05, 25.0, 0.3, 0)   # a block of 32 rows x 512 columns, BLOCK_TAPS
+@example(0.3, 0.005, 35.0, 0.05, 1)   # each row past about 32.8 m/s is wider than BLOCK_TAPS
+@example(0.1, 0.01, 25.0, 1e-3, 2)    # blocks holding one candidate or none
+@settings(max_examples=20, deadline=None)
+def test_smoothed_rows_do_not_depend_on_the_other_candidates(ti, dv, cut_out, share, seed):
+    spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
+    model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
+    ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
+    candidates = np.random.default_rng(seed).random(len(ideal.wind_grid)) < share
+    rows = np.flatnonzero(candidates)
+    np.testing.assert_array_equal(_smoothed(ideal, ti, cut_out, candidates)[rows],
+                                  _smoothed(ideal, ti, cut_out, True)[rows])
 
 
 @given(st.sampled_from((0.05, 0.01, 0.037)),
