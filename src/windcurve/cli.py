@@ -195,12 +195,14 @@ def main() -> None:
 def generate(config_path: str | None, spec_path: str | None, out_path: str,
              **flags) -> None:
     """Generate one power curve and its JSON sidecar."""
+    out = Path(out_path)
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise ValueError(f"--out {out} is also the path of its .json sidecar")
     given = _resolve_config(config_path, spec_path, flags)
     curve, report = _synthesize(given)
     resolved = {**_DEFAULT_RECORD, **given, **{f["field"]: f["value"] for f in report}}
-    out = Path(out_path)
     curve.write_csv(out)
-    sidecar = out.with_suffix(".json")
     sidecar.write_text(json.dumps({"config": resolved,
                                    "defaults_report": report,
                                    "model_version": __version__}, indent=2) + "\n")
@@ -242,7 +244,7 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
           out_path: str, **flags) -> None:
     """Vary one parameter around the reference configuration."""
     sweep_values = _parse_sweep_values(param, values, vrange)
-    base = {**REFERENCE_CONFIG, **_load_config_file(config_path), **_given(flags)}
+    base = {**REFERENCE_CONFIG, **_resolve_config(config_path, None, flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
     run = {**_DEFAULT_RECORD, **base}
     for name in ("v_max", "dv"):
@@ -338,10 +340,12 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
 def validate(input_dir: str, ti_grid: str, rho: float, cp_model: str,
              out_json: str | None, out_csv: str | None) -> None:
     """Score measured curves against synthesized ones over a TI grid."""
-    grid = [float(t) for t in ti_grid.split(",")]
-    results = validate_directory(input_dir, grid, rho=rho, cp_model=cp_model)
     json_path = Path(out_json) if out_json else Path(input_dir) / "report.json"
     csv_path = Path(out_csv) if out_csv else Path(input_dir) / "summary.csv"
+    if json_path == csv_path:
+        raise ValueError(f"--out-json and --out-csv are both {json_path}")
+    grid = [float(t) for t in ti_grid.split(",")]
+    results = validate_directory(input_dir, grid, rho=rho, cp_model=cp_model)
     with json_path.open("w") as fh:
         write_report_json(results, fh)
     with csv_path.open("w", newline="") as fh:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,27 +155,11 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarra
     return k, extended, plateau
 
 
-class _RowPlan(NamedTuple):
-    """The turbulence rows that take the kernel, with their padded windows
-    [lo, hi) on the extended grid."""
-
-    rows: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    @property
-    def taps(self) -> int:
-        """Kernel taps the stage evaluates: its cost."""
-        return int(self.widths.sum())
-
-
-def _row_plan(k: int, sigma: np.ndarray, dv: float, ext_power: np.ndarray) -> _RowPlan:
-    """Plan the turbulence rows: the rows in the window [0, k) with
-    sigma >= dv/2 whose padded window holds more than one value.
+def _row_plan(k: int, sigma: np.ndarray, dv: float,
+              ext_power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plan the turbulence rows: (rows, lo, hi), the rows in the window [0, k)
+    with sigma >= dv/2 whose padded window [lo, hi) on the extended grid holds
+    more than one value.
 
     Two points of padding absorb the floor and grid round-off, so each window
     holds every tap of the inclusive +-KERNEL_REACH*sigma mask.  A row whose
@@ -189,7 +172,7 @@ def _row_plan(k: int, sigma: np.ndarray, dv: float, ext_power: np.ndarray) -> _R
     hi = np.minimum(rows + half + 1, len(ext_power))
     run = np.concatenate([[0], np.cumsum(ext_power[1:] != ext_power[:-1])])
     keep = run[lo] != run[hi - 1]
-    return _RowPlan(rows[keep], lo[keep], hi[keep])
+    return rows[keep], lo[keep], hi[keep]
 
 
 def _blocks(lo: np.ndarray, hi: np.ndarray):
@@ -207,12 +190,10 @@ def _blocks(lo: np.ndarray, hi: np.ndarray):
 
 
 def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
-              candidates: np.ndarray | bool) -> np.ndarray:
-    """The turbulence kernel: the curve's values with the candidate rows
-    smoothed (see :func:`apply_turbulence`) and zero past cut_out.
-
-    candidates is a boolean mask over the grid, or True for every row; the
-    other rows hold their plateau-extended input.
+              candidates: np.ndarray) -> np.ndarray:
+    """The turbulence kernel: the curve's values with the candidate rows, a
+    boolean mask over the grid, smoothed (see :func:`apply_turbulence`) and
+    zero past cut_out; the other rows hold their plateau-extended input.
     """
     _check_ti(ti)
     check_value("cut_out", cut_out)
@@ -230,19 +211,20 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
 
     # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
     sigma = ti * grid
-    plan = _row_plan(k, sigma, dv, ext_power)
-    if plan.taps > MAX_TURBULENCE_TAPS:
-        raise ValueError(f"turbulence kernel of {plan.taps} taps at TI {ti} exceeds "
+    rows, lo, hi = _row_plan(k, sigma, dv, ext_power)
+    taps = int((hi - lo).sum())
+    if taps > MAX_TURBULENCE_TAPS:
+        raise ValueError(f"turbulence kernel of {taps} taps at TI {ti} exceeds "
                          f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
     # The plan's candidate rows, with their centres, sigmas and reaches as
     # columns; the candidates among the plan's first i rows are r[:at[i]].
-    take = np.ones(len(plan.rows), dtype=bool) if candidates is True else candidates[plan.rows]
-    r = plan.rows[take]
+    take = candidates[rows]
+    r = rows[take]
     at = [0, *np.cumsum(take).tolist()]
     u, s = grid[r, None], sigma[r, None]
     reach = KERNEL_REACH * s
     num, den = np.empty(len(r)), np.empty(len(r))
-    for first, last, c0, c1 in _blocks(plan.lo, plan.hi):
+    for first, last, c0, c1 in _blocks(lo, hi):
         i, j = at[first], at[last]
         if i == j:
             continue
@@ -287,28 +269,27 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     block, unless 0 <= ti < 1, cut_out is finite and the planned rows hold at
     most MAX_TURBULENCE_TAPS taps.
     """
-    return PowerCurve(curve.wind_grid, _smoothed(curve, ti, cut_out, True))
+    grid = curve.wind_grid
+    return PowerCurve(grid, _smoothed(curve, ti, cut_out, np.ones(len(grid), dtype=bool)))
 
 
 def turbulent_power(curve: PowerCurve, ti: float, wind: np.ndarray, *,
                     cut_out: float) -> np.ndarray:
-    """The turbulent curve interpolated linearly at the speeds wind, a
-    non-empty array.
+    """The turbulent curve interpolated linearly at the speeds wind.
 
     Exactly ``np.interp(wind, grid, apply_turbulence(curve, ti,
-    cut_out=cut_out).power)``, but only the grid rows that bracket a speed,
-    j and j + 1 with j = clip(searchsorted(grid, wind, "right") - 1, 0,
-    n - 2), are smoothed: each row's value does not depend on which other
-    rows are computed, and the interpolation on those rows picks the same
-    bracket and slope.  Its cost is the taps of at most 2 * len(wind) rows.
+    cut_out=cut_out).power)``, but only the grid rows j and j + 1 with
+    j = clip(searchsorted(grid, wind, "right") - 1, 0, n - 2) are smoothed:
+    np.interp reads only those two rows for each speed, and each row's value
+    does not depend on which other rows are computed.  Its cost is the taps
+    of at most 2 * len(wind) rows.
     """
     grid = curve.wind_grid
     j = np.clip(np.searchsorted(grid, wind, "right") - 1, 0, len(grid) - 2)
     marked = np.zeros(len(grid), dtype=bool)
     marked[j] = True
     marked[j + 1] = True
-    rows = np.flatnonzero(marked)
-    return np.interp(wind, grid[rows], _smoothed(curve, ti, cut_out, marked)[rows])
+    return np.interp(wind, grid, _smoothed(curve, ti, cut_out, marked))
 
 
 def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,

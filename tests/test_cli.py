@@ -136,6 +136,15 @@ class TestGenerate:
             "slootweg2003, thongam2009\n")
 
 
+    def test_out_that_is_its_own_sidecar_exits_2(self, runner, tmp_path):
+        out = tmp_path / "curve.json"
+        result = runner.invoke(main, ["generate", "--diameter", "80", "--rated-power",
+                                      "2000", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: ValueError: --out {out} is also the path "
+                                 "of its .json sidecar\n")
+        assert list(tmp_path.iterdir()) == []
+
 class TestSweep:
     def test_single_value_matches_generate(self, runner, tmp_path):
         out_sweep = tmp_path / "sweep.csv"
@@ -339,6 +348,20 @@ class TestValidateCmd:
         assert result.stderr == ("error: MissingMandatoryField: bare: missing mandatory "
                                  "field(s): rotor_diameter\n")
 
+
+    def test_equal_output_paths_exit_2(self, runner, tmp_path):
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        result = runner.invoke(main, ["generate", "--name", "unit1", "--diameter", "80",
+                                      "--rated-power", "2000", "--out", str(fleet / "unit1.csv")])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out.txt"
+        result = runner.invoke(main, ["validate", "--input-dir", str(fleet),
+                                      "--out-json", str(out), "--out-csv", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: ValueError: --out-json and --out-csv are both {out}\n"
+        assert not out.exists()
+        assert sorted(f.name for f in fleet.iterdir()) == ["unit1.csv", "unit1.json"]
 
 class TestStderr:
     """Run as a subprocess: pytest records warnings before CliRunner sees them."""

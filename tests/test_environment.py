@@ -144,25 +144,25 @@ class TestApplyTurbulence:
     def test_constant_windows_cost_no_taps(self, reference_curve):
         grid, dv = reference_curve.wind_grid, reference_curve.dv
         k, sigma, ext_power = self._plan_inputs(reference_curve)
-        plan = _row_plan(k, sigma, dv, ext_power)
-        assert plan.taps == np.sum(plan.hi - plan.lo) > 0
+        rows, lo, hi = _row_plan(k, sigma, dv, ext_power)
+        assert int((hi - lo).sum()) > 0
         # of the window's rows with sigma >= dv/2, exactly those whose padded
         # window holds more than one value are planned
         eligible = np.flatnonzero((grid <= 25.0) & (sigma >= dv / 2))
         half = np.floor(5.0 * sigma[eligible] / dv).astype(int) + 2
         windows = [ext_power[max(i - h, 0):i + h + 1] for i, h in zip(eligible, half)]
         constant = np.array([np.all(w == w[0]) for w in windows])
-        assert np.array_equal(plan.rows, eligible[~constant])
+        assert np.array_equal(rows, eligible[~constant])
         # both kinds of constant row occur: wholly below cut-in and past rated
         assert set(ext_power[eligible[constant]]) == {0.0, 2000.0}
-        flat = _row_plan(k, sigma, dv, np.full(len(ext_power), 7.5))
-        assert flat.taps == 0 and len(flat.rows) == 0
+        rows, lo, hi = _row_plan(k, sigma, dv, np.full(len(ext_power), 7.5))
+        assert int((hi - lo).sum()) == 0 and len(rows) == 0
 
     def test_row_plan_keeps_to_its_candidates(self, reference_curve):
         # the kernel plans every row and smooths only the candidates, each to
         # the value the full run gives it
         grid, power = reference_curve.wind_grid, reference_curve.power
-        every = _smoothed(reference_curve, 0.05, 25.0, True)
+        every = _smoothed(reference_curve, 0.05, 25.0, np.ones(len(grid), dtype=bool))
         candidates = np.zeros(len(grid), dtype=bool)
         candidates[[100, 101, 200, 350, 450, 700]] = True
         some = _smoothed(reference_curve, 0.05, 25.0, candidates)
@@ -172,7 +172,8 @@ class TestApplyTurbulence:
         assert np.flatnonzero(moved).tolist() == [100, 101, 200]
         # rows past cut-out are never planned
         k, sigma, ext_power = self._plan_inputs(reference_curve)
-        assert _row_plan(k, sigma, reference_curve.dv, ext_power).rows.max() < k
+        rows, _, _ = _row_plan(k, sigma, reference_curve.dv, ext_power)
+        assert rows.max() < k
 
     @pytest.mark.parametrize("ti, dv, cut_out, edge", [
         (0.05, 0.01, 25.0, None),
@@ -187,27 +188,42 @@ class TestApplyTurbulence:
                             lambda *args: plans.append(_row_plan(*args)) or plans[-1])
         spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
         curve = ideal_curve(spec, reference_model, v_max=dv * round(40.0 / dv), dv=dv)
-        _smoothed(curve, ti, cut_out, True)
-        (plan,) = plans
-        blocks = list(_blocks(plan.lo, plan.hi))
+        _smoothed(curve, ti, cut_out, np.ones(len(curve.wind_grid), dtype=bool))
+        ((rows, lo, hi),) = plans
+        blocks = list(_blocks(lo, hi))
         assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
-        assert blocks[-1][1] == len(plan.rows)
+        assert blocks[-1][1] == len(rows)
         areas = []
         for first, last, c0, c1 in blocks:
-            assert (c0, c1) == (plan.lo[first:last].min(), plan.hi[first:last].max())
-            rows, area = last - first, (last - first) * (c1 - c0)
-            assert rows <= _BLOCK_ROWS and (area <= BLOCK_TAPS or rows == 1)
-            if last < len(plan.rows) and rows < _BLOCK_ROWS:
+            assert (c0, c1) == (lo[first:last].min(), hi[first:last].max())
+            count, area = last - first, (last - first) * (c1 - c0)
+            assert count <= _BLOCK_ROWS and (area <= BLOCK_TAPS or count == 1)
+            if last < len(rows) and count < _BLOCK_ROWS:
                 # one more row would pass the bound
-                wider = min(c0, plan.lo[last]), plan.hi[last]
-                assert (rows + 1) * (wider[1] - wider[0]) > BLOCK_TAPS
-            areas.append((rows, area))
+                wider = min(c0, lo[last]), hi[last]
+                assert (count + 1) * (wider[1] - wider[0]) > BLOCK_TAPS
+            areas.append((count, area))
         if edge == "rows":
-            assert all(rows == _BLOCK_ROWS for rows, _ in areas[:-1])
+            assert all(count == _BLOCK_ROWS for count, _ in areas[:-1])
         if edge == "exact":
             assert (32, BLOCK_TAPS) in areas
         if edge == "wide":
             assert any(area > BLOCK_TAPS for _, area in areas)
+
+    @pytest.mark.parametrize("ti", [0.0, 0.05, 0.3])
+    def test_turbulent_power_is_np_interp_of_the_full_curve(self, reference_curve, ti):
+        grid = reference_curve.wind_grid
+        full = apply_turbulence(reference_curve, ti, cut_out=25.0).power
+        for wind in (np.array([]),
+                     np.array([-np.inf, np.inf, np.nan, 0.0]),
+                     grid[::37],
+                     np.array([25.0 - 1e-9, 25.0, 25.0 + 1e-9]),
+                     np.array([grid[-1], grid[-1] + 1e-9, 41.0, 45.0]),
+                     np.linspace(3.0, 30.0, 24).reshape(4, 6),
+                     np.linspace(-1.0, 45.0, 3 * len(grid))):  # numpy's precomputed slopes
+            np.testing.assert_array_equal(
+                turbulent_power(reference_curve, ti, wind, cut_out=25.0),
+                np.interp(wind, grid, full))
 
     def test_turbulent_power_rejects_negative_ti(self, reference_curve):
         with pytest.raises(ValueError, match="turbulence intensity"):

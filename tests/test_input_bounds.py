@@ -145,7 +145,8 @@ def test_turbulence_taps_capped_per_curve(reference_curve, monkeypatch):
     monkeypatch.setattr(environment, "_row_plan",
                         lambda *args: plans.append(plan_rows(*args)) or plans[-1])
     apply_turbulence(reference_curve, 0.1, cut_out=25.0)
-    taps = plans[0].taps
+    _, lo, hi = plans[0]
+    taps = int((hi - lo).sum())
     monkeypatch.setattr(environment, "MAX_TURBULENCE_TAPS", taps)
     apply_turbulence(reference_curve, 0.1, cut_out=25.0)
     # past it, both entry points refuse the curve, however few rows are sampled

@@ -240,7 +240,7 @@ def test_smoothed_rows_do_not_depend_on_the_other_candidates(ti, dv, cut_out, sh
     candidates = np.random.default_rng(seed).random(len(ideal.wind_grid)) < share
     rows = np.flatnonzero(candidates)
     np.testing.assert_array_equal(_smoothed(ideal, ti, cut_out, candidates)[rows],
-                                  _smoothed(ideal, ti, cut_out, True)[rows])
+                                  _smoothed(ideal, ti, cut_out, np.ones_like(candidates))[rows])
 
 
 @given(st.sampled_from((0.05, 0.01, 0.037)),
