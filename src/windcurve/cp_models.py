@@ -103,8 +103,9 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
     ok &= inv_li > 0.0
     inv_li = np.where(ok, inv_li, 1.0)
     li = 1.0 / inv_li
+    # lams is masked too: an infinite lambda times a c8 of 0 is nan, with a warning
     cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
-          * np.exp(-p.c7 * inv_li) + p.c8 * lams)
+          * np.exp(-p.c7 * inv_li) + p.c8 * np.where(ok, lams, 0.0))
     return np.where(ok, np.maximum(cp, 0.0), 0.0)
 
 

@@ -278,17 +278,19 @@ def turbulent_power(curve: PowerCurve, ti: float, wind: np.ndarray, *,
     """The turbulent curve interpolated linearly at the speeds wind.
 
     Exactly ``np.interp(wind, grid, apply_turbulence(curve, ti,
-    cut_out=cut_out).power)``, but only the grid rows j and j + 1 with
-    j = clip(searchsorted(grid, wind, "right") - 1, 0, n - 2) are smoothed:
-    np.interp reads only those two rows for each speed, and each row's value
-    does not depend on which other rows are computed.  Its cost is the taps
-    of at most 2 * len(wind) rows.
+    cut_out=cut_out).power)``, but only the grid rows that np.interp reads are
+    smoothed, and each row's value does not depend on which other rows are
+    computed.  For j = clip(searchsorted(grid, wind, "right") - 1, 0, n - 2)
+    those are row j, and row j + 1 unless the speed is grid[j] itself: there
+    np.interp returns fp[j] without reading fp[j + 1].  So the cost is the
+    taps of one row for each speed on a grid point, as a manufacturer curve
+    tabulated every 0.25 m/s is on the default grid, and two otherwise.
     """
     grid = curve.wind_grid
     j = np.clip(np.searchsorted(grid, wind, "right") - 1, 0, len(grid) - 2)
     marked = np.zeros(len(grid), dtype=bool)
     marked[j] = True
-    marked[j + 1] = True
+    marked[(j + 1)[grid[j] != wind]] = True
     return np.interp(wind, grid, _smoothed(curve, ti, cut_out, marked))
 
 

@@ -140,9 +140,10 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     candidate is synthesized on the default wind grid and interpolated
     linearly at the sample speeds; the comparison runs on the measured
     samples inside [cut_in, 0.95 * cut_out].  The curve is synthesized once,
-    laminar, and each candidate TI smooths only the grid rows that bracket
-    those samples (see :func:`turbulent_power`).  Ties in the error map
-    resolve to the smallest TI.
+    laminar, and each candidate TI smooths only the grid rows that the
+    interpolation at those samples reads: one row for a sample on a grid
+    point, the two that bracket it otherwise (see :func:`turbulent_power`).
+    Ties in the error map resolve to the smallest TI.
     """
     laminar_site, sites = _ti_sites(ti_grid, rho)
     _, cp_max = invert_cp(m, rho)

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,14 @@ def test_cp_scalar_equals_array_bitwise(name):
 def test_cp_scalar_raises_where_array_masks(lam):
     p = REGISTRY["heier2014"]
     assert cp_general_array(np.array([lam]), 0.0, p)[0] == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_infinite_lambda_is_zero_without_a_warning(name):
+    # c8 * inf is nan, with a RuntimeWarning, in the sets whose c8 is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(cp_general_array([np.inf], 0, REGISTRY[name]), [0.0])
 
 
 def test_chain_arrays_match_scalars(reference_spec, reference_model):

@@ -225,6 +225,26 @@ class TestApplyTurbulence:
                 turbulent_power(reference_curve, ti, wind, cut_out=25.0),
                 np.interp(wind, grid, full))
 
+    def test_on_grid_samples_smooth_one_row_each(self, reference_curve, monkeypatch):
+        masks = []
+
+        def recording(curve, ti, cut_out, candidates):
+            masks.append(candidates.copy())
+            return _smoothed(curve, ti, cut_out, candidates)
+
+        monkeypatch.setattr(environment, "_smoothed", recording)
+        grid = reference_curve.wind_grid
+        # a manufacturer curve every 0.25 m/s after its %.6g round trip, then
+        # the same speeds off the grid
+        on = np.array([float(f"{0.25 * i:.6g}") for i in range(121)])
+        for wind in (on, on + 0.01):
+            turbulent_power(reference_curve, 0.1, wind, cut_out=25.0)
+        on_rows, off_rows = masks
+        # one row per sample, 121 in all, where bracketing each would take 242
+        np.testing.assert_array_equal(np.flatnonzero(on_rows), np.searchsorted(grid, on))
+        j = np.searchsorted(grid, on + 0.01, "right") - 1
+        assert off_rows[j].all() and off_rows[j + 1].all()
+
     def test_turbulent_power_rejects_negative_ti(self, reference_curve):
         with pytest.raises(ValueError, match="turbulence intensity"):
             turbulent_power(reference_curve, -0.01, np.array([5.0]), cut_out=25.0)
@@ -341,3 +361,14 @@ class TestApplyShearVeer:
         spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
         with pytest.raises(ValueError, match="spec incomplete"):
             apply_shear_veer(reference_curve, spec, 0.2, 0.0)
+
+
+@pytest.mark.parametrize("repeat", [1, 3])
+def test_np_interp_returns_fp_on_a_grid_point_unread_neighbours(repeat):
+    # turbulent_power leaves row j + 1 unsmoothed for a speed on grid[j], which
+    # holds only while np.interp returns fp[j] there without reading fp[j + 1].
+    # repeat 1 takes numpy's direct path (len(x) <= len(xp)), repeat 3 the one
+    # with precomputed slopes (len(x) > len(xp)); the inf poisons any slope.
+    x = np.tile([0.0, 1.0, 2.0], repeat)
+    np.testing.assert_array_equal(np.interp(x, [0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
+                                  np.tile([1.0, np.inf, 3.0], repeat))

@@ -224,6 +224,32 @@ def test_turbulent_power_is_the_interpolated_curve(ti, dv, speeds, points, order
         np.interp(wind, grid, full))
 
 
+@given(st.floats(min_value=0.0, max_value=0.3),
+       st.sampled_from((0.05, 0.01)),
+       st.lists(st.integers(min_value=0, max_value=800), max_size=40),
+       st.lists(st.integers(min_value=0, max_value=160), max_size=40),
+       st.lists(st.floats(min_value=0.0, max_value=45.0), max_size=10),
+       st.randoms(use_true_random=False))
+@example(0.1, 0.05, [], list(range(121)), [], random.Random(0))
+@example(0.3, 0.01, [1, 799, 800], [0, 100, 160], [24.999], random.Random(1))
+@settings(max_examples=25, deadline=None)
+def test_tabulated_samples_give_the_interpolated_curve(ti, dv, fine, coarse, free, order):
+    # manufacturer-style speeds, multiples of 0.05 and 0.25 m/s after a %.6g
+    # round trip (every 0.25 m/s one and some 0.05 m/s ones land on a grid
+    # point), mixed with off-grid floats
+    spec = TurbineSpec(**REFERENCE_KWARGS)
+    model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
+    ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
+    wind = [*(float(f"{0.05 * i:.6g}") for i in fine),
+            *(float(f"{0.25 * i:.6g}") for i in coarse), *free]
+    order.shuffle(wind)
+    wind = np.array(wind)
+    full = apply_turbulence(ideal, ti, cut_out=spec.cut_out).power
+    np.testing.assert_array_equal(
+        turbulent_power(ideal, ti, wind, cut_out=spec.cut_out),
+        np.interp(wind, ideal.wind_grid, full))
+
+
 @given(st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
        st.sampled_from((0.05, 0.01, 0.037)),
        st.floats(min_value=15.0, max_value=35.0),
