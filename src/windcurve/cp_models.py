@@ -81,11 +81,11 @@ class CpParameterisation:
 def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np.ndarray:
     """Evaluate the cp family on an array of tip-speed ratios at pitch beta (deg).
 
-    cp is clamped to >= 0.  Points where lambda <= 0, lambda + c9*b <= 0 or
-    1/li <= 0 lie outside the range where the parameterisation is meaningful
-    and evaluate to 0, the treatment the curve engine needs.  A pitch at
-    which the family is not real and finite raises ValueError: a non-finite
-    beta, a shifted pitch b = -1 (where b**3 + 1 = 0), b < 0 with a
+    cp is clamped to >= 0, nan to 0.  Points where lambda <= 0, lambda + c9*b
+    <= 0 or 1/li <= 0 lie outside the range where the parameterisation is
+    meaningful and evaluate to 0, the treatment the curve engine needs.  A
+    pitch at which the family is not real and finite raises ValueError: a
+    non-finite beta, a shifted pitch b = -1 (where b**3 + 1 = 0), b < 0 with a
     non-integer exponent x (where b**x is complex), or b = 0 with x < 0.
     """
     if not math.isfinite(beta):
@@ -98,15 +98,13 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
         raise ValueError(f"{p.name}: cp is not real and finite at pitch beta = {beta} deg "
                          f"(shifted pitch {b}, exponent x = {p.x})")
     shifted = lams + p.c9 * b
-    ok = (lams > 0.0) & (shifted > 0.0)
-    inv_li = np.where(ok, 1.0 / np.where(ok, shifted, 1.0), 0.0) - p.c10 / pitch_term
-    ok &= inv_li > 0.0
-    inv_li = np.where(ok, inv_li, 1.0)
-    li = 1.0 / inv_li
-    # lams is masked too: an infinite lambda times a c8 of 0 is nan, with a warning
-    cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
-          * np.exp(-p.c7 * inv_li) + p.c8 * np.where(ok, lams, 0.0))
-    return np.where(ok, np.maximum(cp, 0.0), 0.0)
+    # Evaluated everywhere, masked once: outside the domain it may be inf or nan.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_li = 1.0 / shifted - p.c10 / pitch_term
+        li = 1.0 / inv_li
+        cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
+              * np.exp(-p.c7 * inv_li) + p.c8 * lams)
+    return np.where((lams > 0.0) & (shifted > 0.0) & (inv_li > 0.0) & (cp > 0.0), cp, 0.0)
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:

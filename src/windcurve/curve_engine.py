@@ -113,19 +113,25 @@ def _write_curve(fh: IO[str], ws: np.ndarray, power: np.ndarray) -> None:
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `wind_speed_ms,power_kw` CSV into two arrays."""
+    """Read a `wind_speed_ms,power_kw` CSV into two arrays.  A row that is not
+    two numbers raises ValueError naming the file and the line."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
         if header != POWER_CURVE_CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 2) if line.strip()]
+    ws, power = [], []
     for n, r in rows:
         if len(r) != 2:
             raise ValueError(f"{path}: line {n} has {len(r)} fields, expected 2")
-    ws = np.array([float(r[0]) for _, r in rows])
-    power = np.array([float(r[1]) for _, r in rows])
-    return ws, power
+        try:
+            ws.append(float(r[0]))
+            power.append(float(r[1]))
+        except ValueError:
+            raise ValueError(f"{path}: line {n} holds a field that is not a number: "
+                             f"{','.join(r)!r}") from None
+    return np.array(ws), np.array(power)
 
 
 def rotor_speed(v: float | np.ndarray, spec: TurbineSpec, lambda_opt: float):
@@ -142,11 +148,24 @@ def tsr(v: float | np.ndarray, omega: float | np.ndarray, rotor_diameter: float)
     return omega * RPM_TO_RAD_S * (rotor_diameter / 2.0) / v
 
 
+def wind_power(v: float | np.ndarray, rho: float, rotor_diameter: float):
+    """Power in W of the wind through the rotor disc of area A, rho * A * v^3 / 2:
+    the one power equation, which raw_power and validation.invert_cp both use."""
+    area = math.pi * rotor_diameter ** 2 / 4.0
+    return 0.5 * rho * area * v ** 3
+
+
 def raw_power(v: float | np.ndarray, cp: float | np.ndarray, rho: float,
               rotor_diameter: float):
-    """Aerodynamic power in kW: 0.5 * rho * A * v^3 * cp."""
-    area = math.pi * rotor_diameter ** 2 / 4.0
-    return 0.5 * rho * area * v ** 3 * cp / 1000.0
+    """Aerodynamic power in kW: :func:`wind_power` * cp / 1000."""
+    return wind_power(v, rho, rotor_diameter) * cp / 1000.0
+
+
+def window_end(grid: np.ndarray, cut_out: float) -> int:
+    """The end k of the production window on an increasing grid: grid[:k] are
+    the speeds at or below cut_out, within GRID_EPS.  The one place the cut-out
+    edge is decided; the ideal curve and every environment stage zero grid[k:]."""
+    return int(np.searchsorted(grid, cut_out + GRID_EPS, side="right"))
 
 
 def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RHO,
@@ -163,13 +182,13 @@ def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RH
     grid = make_wind_grid(v_max, dv)
     power = np.zeros_like(grid)
 
-    producing = ((grid >= spec.cut_in - GRID_EPS)
-                 & (grid <= spec.cut_out + GRID_EPS)
-                 & (grid > 0.0))
-    vs = grid[producing]
+    # The window is the slice [i, k): i the first speed at or above cut_in,
+    # within GRID_EPS, but never grid[0] = 0 m/s, where tsr is undefined.
+    i = max(int(np.searchsorted(grid, spec.cut_in - GRID_EPS)), 1)
+    k = window_end(grid, spec.cut_out)
+    vs = grid[i:k]
     lam = tsr(vs, rotor_speed(vs, spec, model.lambda_opt), spec.rotor_diameter)
     cp = model.cp_array(lam)
     cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
-    power[producing] = np.minimum(spec.rated_power,
-                                  raw_power(vs, cp, rho, spec.rotor_diameter))
+    power[i:k] = np.minimum(spec.rated_power, raw_power(vs, cp, rho, spec.rotor_diameter))
     return PowerCurve(grid, power)

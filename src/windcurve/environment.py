@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve
+from .curve_engine import DEFAULT_RHO, PowerCurve, window_end
 from .turbine import TurbineSpec, check_value
 
 #: Number of horizontal rotor bands used by default; band refinement is
@@ -145,10 +145,10 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
 
 def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarray, float]:
     """(k, extended, plateau): the production window is the grid prefix [0, k)
-    up to cut_out (within GRID_EPS), which the callers zero past.  Past it the
+    up to cut_out (see window_end), which the callers zero past.  Past it the
     extended values take plateau, the value at the cut-out point (0 if k = 0),
     as if no shutdown occurred; so does the grid's extension past its end."""
-    k = int(np.searchsorted(curve.wind_grid, cut_out + GRID_EPS, side="right"))
+    k = window_end(curve.wind_grid, cut_out)
     plateau = float(curve.power[k - 1]) if k else 0.0
     extended = curve.power.copy()
     extended[k:] = plateau

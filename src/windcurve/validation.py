@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
-from .curve_engine import DEFAULT_RHO, read_curve_csv
+from .curve_engine import DEFAULT_RHO, read_curve_csv, wind_power
 from .environment import EnvironmentConditions, turbulent_power
 from .errors import MissingMandatoryField, NonFiniteResult
 from .synthesis import synthesize
@@ -61,8 +61,14 @@ class MeasuredCurve:
 
     @classmethod
     def from_files(cls, curve_csv: str | Path, spec_json: str | Path) -> "MeasuredCurve":
+        """The curve of a measured CSV and the turbine of its spec JSON; a
+        curve that breaks a rule of the class raises ValueError naming the CSV."""
         wind, power = read_curve_csv(curve_csv)
-        return cls(turbine=load_spec(spec_json), wind=wind, power=power)
+        turbine = load_spec(spec_json)
+        try:
+            return cls(turbine=turbine, wind=wind, power=power)
+        except ValueError as exc:
+            raise ValueError(f"{curve_csv}: {exc}") from None
 
 
 def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, float]:
@@ -74,10 +80,9 @@ def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, f
     if m.turbine.rotor_diameter is None:
         raise MissingMandatoryField(
             f"{m.turbine.name}: missing mandatory field(s): rotor_diameter")
-    area = math.pi * m.turbine.rotor_diameter ** 2 / 4.0
     with np.errstate(divide="ignore", invalid="ignore"):
         cp = np.where(m.wind > 0,
-                      m.power * 1000.0 / (0.5 * rho * area * m.wind ** 3),
+                      m.power * 1000.0 / wind_power(m.wind, rho, m.turbine.rotor_diameter),
                       np.nan)
     finite = cp[np.isfinite(cp)]
     cp_max = float(finite.max()) if finite.size else 0.0

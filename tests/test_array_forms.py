@@ -37,10 +37,23 @@ def test_cp_scalar_raises_where_array_masks(lam):
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_infinite_lambda_is_zero_without_a_warning(name):
-    # c8 * inf is nan, with a RuntimeWarning, in the sets whose c8 is 0
+    # c8 * inf is nan, with a RuntimeWarning, in the sets whose c8 is 0; the
+    # other points outside the family's domain divide by zero or overflow
+    p = REGISTRY[name]
+    outside = [np.inf, 0.0, -1.0, np.nan, -np.inf, 1e300]
+    # a positive lambda at a pitch b where lambda + c9 * b < 0 (c9 = 0: none)
+    b = -0.5 if p.c9 > 0 else 5.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        np.testing.assert_array_equal(cp_general_array([np.inf], 0, REGISTRY[name]), [0.0])
+        cp = cp_general_array(outside, 0, p)
+        shifted = cp_general_array([0.5 * abs(p.c9 * b)], b - p.beta_offset, p)
+        tiny = cp_general_array([1e-300, 5e-324], 0, p)
+    # exactly +0.0, not -0.0
+    assert cp.tobytes() == np.zeros(len(outside)).tobytes()
+    assert shifted.tobytes() == np.zeros(1).tobytes()
+    # inside the domain, where 1/lambda may overflow: 0 where c8 is 0 and the
+    # pitch is not shifted, about c8 * lambda or the family at 2.5 deg otherwise
+    assert np.isfinite(tiny).all() and (tiny >= 0.0).all()
 
 
 def test_chain_arrays_match_scalars(reference_spec, reference_model):

@@ -472,7 +472,17 @@ def test_validate_non_finite_power_exits_2(bad, tmp_path):
     power[12] = bad
     result = _validate(_measured_dir(tmp_path, _rows(power)))
     assert result.exit_code == 2, result.output
-    assert _one_error_line(result) == "error: ValueError: powers must be finite"
+    assert _one_error_line(result) == (f"error: ValueError: {tmp_path / 't.csv'}: "
+                                       "powers must be finite")
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["0.2,abc", "x,5", ","])
+def test_validate_non_number_field_names_the_file_and_line(row, tmp_path):
+    result = _validate(_measured_dir(tmp_path, _rows([0.0] * 10) + row + "\n"))
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == (f"error: ValueError: {tmp_path / 't.csv'}: line 12 "
+                                       f"holds a field that is not a number: {row!r}")
     assert not (tmp_path / "summary.csv").exists()
 
 

@@ -13,8 +13,8 @@ from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
                        cp_general_array, get_parameterisation, ideal_curve,
                        make_wind_grid, rews, scale_cp, synthesize,
                        turbulent_power)
-from windcurve.cp_models import BETZ_LIMIT, REGISTRY, CpParameterisation
-from windcurve.curve_engine import GRID_EPS
+from windcurve.cp_models import BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation
+from windcurve.curve_engine import GRID_EPS, raw_power, rotor_speed, tsr, window_end
 from windcurve.environment import _plateau_extended, _smoothed
 
 from conftest import REFERENCE_KWARGS
@@ -283,9 +283,43 @@ def test_production_window_is_a_grid_prefix(dv, i, between, eps):
     cut_out = (grid[i] if 0 <= i < len(grid) else i * dv) + between * dv + eps
     power = np.arange(len(grid), dtype=float)
     k, extended, plateau = _plateau_extended(PowerCurve(grid, power), cut_out)
-    assert k == (grid <= cut_out + GRID_EPS).sum()
+    assert k == window_end(grid, cut_out) == (grid <= cut_out + GRID_EPS).sum()
     assert np.array_equal(extended[:k], power[:k])
     assert plateau == (power[k - 1] if k else 0.0) and np.all(extended[k:] == plateau)
+
+
+def _edge(grid, speed, snap):
+    """speed itself if snap is None, else the grid point nearest it plus snap."""
+    return speed if snap is None else float(grid[np.abs(grid - speed).argmin()]) + snap
+
+
+_SNAPS = st.sampled_from((None, 0.0, GRID_EPS / 2, -GRID_EPS / 2))
+
+
+@given(st.sampled_from((0.1, 0.05, 0.04, 0.01)),
+       st.floats(min_value=0.0, max_value=6.0), _SNAPS,
+       st.floats(min_value=10.0, max_value=45.0), _SNAPS, registry_names)
+@example(0.05, 0.0, None, 25.0, None, "dai2016")           # cut_in 0: 0 m/s stays 0
+@example(0.05, 5.0, GRID_EPS / 2, 25.0, 0.0, "dai2016")     # cut_in just past a point
+@example(0.05, 5.0, -GRID_EPS / 2, 25.0, 0.0, "dai2016")    # and just before it
+@example(0.01, 3.5, 0.0, 40.0, 0.0, "thongam2009")          # cut_out = v_max
+@settings(max_examples=60, deadline=None)
+def test_ideal_curve_is_the_chain_on_the_window_mask(dv, cut_in, in_snap, cut_out,
+                                                     out_snap, name):
+    # zero, +0.0, where the inclusive [cut_in, cut_out] mask with GRID_EPS
+    # slack and without 0 m/s is False; the capped chain on its speeds elsewhere
+    grid = make_wind_grid(40.0, dv)
+    cut_in, cut_out = max(_edge(grid, cut_in, in_snap), 0.0), _edge(grid, cut_out, out_snap)
+    spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_in=cut_in, cut_out=cut_out))
+    model = scale_cp(REGISTRY[name], spec.cp_max)
+    power = ideal_curve(spec, model, dv=dv).power
+    window = (grid >= cut_in - GRID_EPS) & (grid <= cut_out + GRID_EPS) & (grid > 0.0)
+    assert power[~window].tobytes() == np.zeros((~window).sum()).tobytes()
+    vs = grid[window]
+    lam = tsr(vs, rotor_speed(vs, spec, model.lambda_opt), spec.rotor_diameter)
+    cp = np.where((lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1]), 0.0, model.cp_array(lam))
+    np.testing.assert_array_equal(
+        power[window], np.minimum(spec.rated_power, raw_power(vs, cp, 1.225, spec.rotor_diameter)))
 
 
 def _magnitude(lo_exp: float, hi_exp: float):

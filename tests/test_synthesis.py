@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from windcurve import (EnvironmentConditions, TurbineSpec, get_parameterisation,
-                       ideal_curve, scale_cp, synthesize)
+from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec,
+                       get_parameterisation, ideal_curve, match_over_ti, scale_cp,
+                       synthesize)
+from windcurve import cp_models, synthesis, validation
 
 
 class TestSynthesize:
@@ -72,3 +74,44 @@ class TestSynthesize:
         assert len(curve.wind_grid) == 301
         assert curve.dv == 0.1
         assert curve.wind_grid[-1] == 30.0
+
+
+# The module globals through which the pipeline calls its stages.  The
+# benchmark's tracer (perfbench/wcbench/tracing.py) rebinds them at run time,
+# so a stage captured at import time or called under another name would run
+# untraced.
+STAGE_GLOBALS = (
+    (synthesis, "complete_spec"), (synthesis, "scale_cp"), (synthesis, "ideal_curve"),
+    (synthesis, "apply_shear_veer"), (synthesis, "apply_turbulence"),
+    (cp_models, "lambda_opt"),
+    (validation, "synthesize"), (validation, "complete_spec"),
+    (validation, "turbulent_power"),
+)
+
+
+def test_stages_are_called_through_their_module_globals(reference_spec, monkeypatch):
+    env = EnvironmentConditions(ti=0.08, shear_alpha=0.15, veer_rate=0.1)
+    curve, _ = synthesize(reference_spec, env)
+    wind = np.arange(0.0, 30.5, 0.5)
+    measured = MeasuredCurve(reference_spec, wind, np.interp(wind, curve.wind_grid, curve.power))
+    called = set()
+
+    def counted(name, stage):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for module, attr in STAGE_GLOBALS:
+        name = f"{module.__name__.rpartition('.')[2]}.{attr}"
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    synthesis_stages = {"synthesis.complete_spec", "synthesis.scale_cp",
+                        "synthesis.ideal_curve", "synthesis.apply_turbulence",
+                        "cp_models.lambda_opt"}
+
+    synthesize(reference_spec, env)
+    assert called == synthesis_stages | {"synthesis.apply_shear_veer"}
+    called.clear()
+    match_over_ti(measured)
+    assert called == synthesis_stages | {"validation.synthesize", "validation.complete_spec",
+                                         "validation.turbulent_power"}
