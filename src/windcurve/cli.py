@@ -118,6 +118,16 @@ def _load_config_file(path: str | None) -> dict:
     return _given(data)
 
 
+def _refuse_inputs(outputs, inputs: dict) -> None:
+    """Raise ValueError naming the first output that is one of the files in
+    inputs, a dict from each file (or None) to the option that reads it."""
+    read = {Path(p).resolve(): option for p, option in inputs.items() if p is not None}
+    for path in outputs:
+        option = read.get(Path(path).resolve())
+        if option is not None:
+            raise ValueError(f"output {path} is an input of {option}")
+
+
 def _resolve_config(config_path: str | None, spec_path: str | None,
                     flag_values: dict) -> dict:
     """The given keys of a run, by precedence: flags > config file > spec file."""
@@ -199,6 +209,7 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
     sidecar = out.with_suffix(".json")
     if sidecar == out:
         raise ValueError(f"--out {out} is also the path of its .json sidecar")
+    _refuse_inputs((out, sidecar), {config_path: "--config", spec_path: "--spec"})
     given = _resolve_config(config_path, spec_path, flags)
     curve, report = _synthesize(given)
     resolved = {**_DEFAULT_RECORD, **given, **{f["field"]: f["value"] for f in report}}
@@ -243,6 +254,7 @@ def _parse_sweep_values(param: str, values: str | None,
 def sweep(param: str, values: str | None, vrange, config_path: str | None,
           out_path: str, **flags) -> None:
     """Vary one parameter around the reference configuration."""
+    _refuse_inputs((out_path,), {config_path: "--config"})
     sweep_values = _parse_sweep_values(param, values, vrange)
     base = {**REFERENCE_CONFIG, **_resolve_config(config_path, None, flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
@@ -345,10 +357,8 @@ def validate(input_dir: str, ti_grid: str, rho: float, cp_model: str,
     csv_path = Path(out_csv) if out_csv else Path(input_dir) / "summary.csv"
     if json_path == csv_path:
         raise ValueError(f"--out-json and --out-csv are both {json_path}")
-    inputs = {p.resolve() for pair in _curve_pairs(input_dir) for p in pair}
-    for path in (json_path, csv_path):
-        if path.resolve() in inputs:
-            raise ValueError(f"output {path} is an input of --input-dir {input_dir}")
+    _refuse_inputs((json_path, csv_path), dict.fromkeys(
+        (p for pair in _curve_pairs(input_dir) for p in pair), f"--input-dir {input_dir}"))
     grid = [float(t) for t in ti_grid.split(",")]
     results = validate_directory(input_dir, grid, rho=rho, cp_model=cp_model)
     with json_path.open("w") as fh:

@@ -34,10 +34,10 @@ from .errors import NoPositiveCp, UnknownParameterisation
 #: Betz limit, the hard physical ceiling for any power coefficient.
 BETZ_LIMIT = 16.0 / 27.0
 
-#: Tip-speed-ratio interval on which the analytic family is trusted.  The
-#: argmax search runs on it and the curve engine treats cp as zero outside,
-#: which suppresses spurious positive tails (the ``c8*lambda`` term of some
-#: fits grows without bound).
+#: Tip-speed-ratio interval, inclusive, on which the analytic family is
+#: trusted.  The argmax search runs on it and ScaledCpModel.cp_array is zero
+#: outside it, which suppresses spurious positive tails (the ``c8*lambda``
+#: term of some fits grows without bound).
 LAMBDA_DOMAIN = (0.5, 25.0)
 
 #: Most points a tip-speed-ratio grid may hold: step 1.95e-4 over the default
@@ -183,8 +183,11 @@ class ScaledCpModel:
         return self.cp_max / self.raw_cp_at_opt
 
     def cp_array(self, lams: np.ndarray) -> np.ndarray:
-        """Scaled cp on an array at beta = 0, degenerate points mapped to 0."""
-        return cp_general_array(lams, 0.0, self.base) * self.scale
+        """Scaled cp at beta = 0 on an array of tip-speed ratios: +0.0 outside
+        the inclusive ``LAMBDA_DOMAIN`` and at the family's degenerate points."""
+        lams = np.asarray(lams, dtype=float)
+        cp = cp_general_array(lams, 0.0, self.base) * self.scale
+        return np.where((lams < LAMBDA_DOMAIN[0]) | (lams > LAMBDA_DOMAIN[1]), 0.0, cp)
 
 
 def scale_cp(p: CpParameterisation, cp_max: float) -> ScaledCpModel:

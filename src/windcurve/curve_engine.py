@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .cp_models import LAMBDA_DOMAIN, ScaledCpModel
+from .cp_models import ScaledCpModel
 from .turbine import TurbineSpec
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
@@ -188,7 +188,6 @@ def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RH
     k = window_end(grid, spec.cut_out)
     vs = grid[i:k]
     lam = tsr(vs, rotor_speed(vs, spec, model.lambda_opt), spec.rotor_diameter)
-    cp = model.cp_array(lam)
-    cp[(lam < LAMBDA_DOMAIN[0]) | (lam > LAMBDA_DOMAIN[1])] = 0.0
-    power[i:k] = np.minimum(spec.rated_power, raw_power(vs, cp, rho, spec.rotor_diameter))
+    power[i:k] = np.minimum(spec.rated_power,
+                            raw_power(vs, model.cp_array(lam), rho, spec.rotor_diameter))
     return PowerCurve(grid, power)

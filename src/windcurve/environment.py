@@ -216,29 +216,21 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
     if taps > MAX_TURBULENCE_TAPS:
         raise ValueError(f"turbulence kernel of {taps} taps at TI {ti} exceeds "
                          f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
-    # The plan's candidate rows, with their centres, sigmas and reaches as
-    # columns; the candidates among the plan's first i rows are r[:at[i]].
-    take = candidates[rows]
-    r = rows[take]
-    at = [0, *np.cumsum(take).tolist()]
-    u, s = grid[r, None], sigma[r, None]
-    reach = KERNEL_REACH * s
-    num, den = np.empty(len(r)), np.empty(len(r))
     for first, last, c0, c1 in _blocks(lo, hi):
-        i, j = at[first], at[last]
-        if i == j:
+        r = rows[first:last][candidates[rows[first:last]]]
+        if len(r) == 0:
             continue
-        off = ext_grid[c0:c1] - u[i:j]
-        outside = np.abs(off) > reach[i:j]
-        off /= s[i:j]
+        u, s = grid[r, None], sigma[r, None]
+        off = ext_grid[c0:c1] - u
+        outside = np.abs(off) > KERNEL_REACH * s
+        off /= s
         off *= off
         off *= -0.5
         w = np.exp(off, out=off)
         np.copyto(w, 0.0, where=outside)
-        w.sum(axis=1, out=den[i:j])
+        den = w.sum(axis=1)
         w *= ext_power[c0:c1]
-        w.sum(axis=1, out=num[i:j])
-    smoothed[r] = num / den
+        smoothed[r] = w.sum(axis=1) / den
     return smoothed
 
 

@@ -61,10 +61,14 @@ class MeasuredCurve:
 
     @classmethod
     def from_files(cls, curve_csv: str | Path, spec_json: str | Path) -> "MeasuredCurve":
-        """The curve of a measured CSV and the turbine of its spec JSON; a
-        curve that breaks a rule of the class raises ValueError naming the CSV."""
+        """The curve of a measured CSV and the turbine of its spec JSON; a spec
+        that does not parse or load, or a curve that breaks a rule of the
+        class, raises ValueError naming its file."""
         wind, power = read_curve_csv(curve_csv)
-        turbine = load_spec(spec_json)
+        try:
+            turbine = load_spec(spec_json)
+        except ValueError as exc:
+            raise ValueError(f"{spec_json}: {exc}") from None
         try:
             return cls(turbine=turbine, wind=wind, power=power)
         except ValueError as exc:

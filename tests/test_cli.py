@@ -145,6 +145,26 @@ class TestGenerate:
                                  "of its .json sidecar\n")
         assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("command, option, name, out_name", [
+    (["generate"], "--spec", "s.json", "s.csv"),    # the sidecar s.json is the spec
+    (["generate"], "--config", "c.json", "c.csv"),  # the sidecar c.json is the config
+    (["generate"], "--spec", "s.txt", "s.txt"),     # the CSV is the spec
+    (["sweep", "--param", "rho", "--values", "1.2"], "--config", "c.json", "c.json"),
+])
+def test_output_that_is_an_input_exits_2(runner, tmp_path, command, option, name, out_name):
+    source = tmp_path / name
+    source.write_text('{"rotor_diameter": 80, "rated_power": 2000}\n')
+    before = source.read_bytes()
+    out = tmp_path / ".." / tmp_path.name / out_name
+    clash = out if out_name == name else out.with_suffix(".json")
+    result = runner.invoke(main, [*command, option, str(source), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: ValueError: output {clash} is an input of {option}\n"
+    assert list(tmp_path.iterdir()) == [source]
+    assert source.read_bytes() == before
+
+
 class TestSweep:
     def test_single_value_matches_generate(self, runner, tmp_path):
         out_sweep = tmp_path / "sweep.csv"

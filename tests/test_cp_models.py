@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from windcurve import (BETZ_LIMIT, REGISTRY, CpParameterisation, NoPositiveCp,
-                       ScaledCpModel, UnknownParameterisation, cp_general_array,
-                       get_parameterisation, lambda_opt, registry_to_json,
-                       scale_cp)
+from windcurve import (BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation,
+                       NoPositiveCp, ScaledCpModel, UnknownParameterisation,
+                       cp_general_array, get_parameterisation, lambda_opt,
+                       registry_to_json, scale_cp)
 
 from oracles import brute_lambda_opt, cp_direct, cp_mp
 
@@ -170,6 +170,19 @@ class TestScaleCp:
         model = scale_cp(p, 0.3)
         grid = np.linspace(0.5, 25.0, 24501)
         assert grid[np.argmax(model.cp_array(grid))] == pytest.approx(lam_base, abs=2e-3)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_cp_array_is_zero_outside_the_lambda_domain(self, name):
+        # +0.0 one step outside either edge of the inclusive domain; on it and
+        # inside, the family times the scale, for a plain list too
+        p = REGISTRY[name]
+        model = scale_cp(p, 0.4)
+        lo, hi = LAMBDA_DOMAIN
+        outside = model.cp_array([np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
+        assert outside.tolist() == [0.0, 0.0] and not np.signbit(outside).any()
+        lams = [lo, hi, *np.linspace(lo, hi, 97)]
+        np.testing.assert_array_equal(model.cp_array(lams),
+                                      cp_general_array(np.array(lams), 0.0, p) * model.scale)
 
     def test_betz_guard(self):
         p = get_parameterisation("dai2016")

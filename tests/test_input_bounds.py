@@ -486,6 +486,22 @@ def test_validate_non_number_field_names_the_file_and_line(row, tmp_path):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"rotor_diameter": -5, "rated_power": 2000}', "turbine: rotor_diameter must be > 0, got -5"),
+    ('{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes"),
+])
+def test_validate_bad_spec_json_names_the_file(spec, message, tmp_path):
+    # a spec that breaks a rule of TurbineSpec, and one cut short, beside a good pair
+    fleet = _measured_dir(tmp_path, _rows([0.0] * 26))
+    (fleet / "bad.csv").write_bytes((fleet / "t.csv").read_bytes())
+    (fleet / "bad.json").write_text(spec)
+    result = _validate(fleet)
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith(
+        f"error: ValueError: {fleet / 'bad.json'}: {message}")
+    assert not (fleet / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("wind", [[-1.0, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, math.inf]])
 def test_measured_wind_must_be_finite_and_non_negative(wind):
     with pytest.raises(ValueError, match="wind speeds must be finite and >= 0"):

@@ -1,6 +1,7 @@
 """Property-based checks of the package invariants."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -15,7 +16,8 @@ from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
                        turbulent_power)
 from windcurve.cp_models import BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS, raw_power, rotor_speed, tsr, window_end
-from windcurve.environment import _plateau_extended, _smoothed
+from windcurve.environment import (KERNEL_REACH, _blocks, _plateau_extended, _row_plan,
+                                   _smoothed)
 
 from conftest import REFERENCE_KWARGS
 from oracles import convolve_reference, cp_direct
@@ -250,6 +252,16 @@ def test_tabulated_samples_give_the_interpolated_curve(ti, dv, fine, coarse, fre
         np.interp(wind, ideal.wind_grid, full))
 
 
+def _block_ends(curve, ti, cut_out):
+    """The last planned row of each block of the turbulence stage, from the
+    plan _smoothed makes on its extended grid."""
+    grid, dv = curve.wind_grid, curve.dv
+    k, extended, plateau = _plateau_extended(curve, cut_out)
+    n_extra = int(math.ceil(KERNEL_REACH * ti * grid[-1] / dv)) + 1
+    rows, lo, hi = _row_plan(k, ti * grid, dv, np.concatenate([extended, [plateau] * n_extra]))
+    return [rows[last - 1] for _, last, _, _ in _blocks(lo, hi)]
+
+
 @given(st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
        st.sampled_from((0.05, 0.01, 0.037)),
        st.floats(min_value=15.0, max_value=35.0),
@@ -258,12 +270,21 @@ def test_tabulated_samples_give_the_interpolated_curve(ti, dv, fine, coarse, fre
 @example(0.119, 0.05, 25.0, 0.3, 0)   # a block of 32 rows x 512 columns, BLOCK_TAPS
 @example(0.3, 0.005, 35.0, 0.05, 1)   # each row past about 32.8 m/s is wider than BLOCK_TAPS
 @example(0.1, 0.01, 25.0, 1e-3, 2)    # blocks holding one candidate or none
+@example(0.1, 0.05, 25.0, 0.0, 0)     # no candidate at all
+@example(0.15, 0.01, 25.0, None, 0)   # only the last planned row of each block
+@example(0.1, 0.05, 40.0, 0.3, 3)     # cut_out = v_max: the window is the whole grid
+@example(0.3, 0.05, 40.0, 0.3, 4)     # and the last row's window cut at the extended grid's end
 @settings(max_examples=20, deadline=None)
 def test_smoothed_rows_do_not_depend_on_the_other_candidates(ti, dv, cut_out, share, seed):
+    # share None marks the last planned row of each block, else a random share
     spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
     model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
     ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
-    candidates = np.random.default_rng(seed).random(len(ideal.wind_grid)) < share
+    if share is None:
+        candidates = np.zeros(len(ideal.wind_grid), dtype=bool)
+        candidates[_block_ends(ideal, ti, cut_out)] = True
+    else:
+        candidates = np.random.default_rng(seed).random(len(ideal.wind_grid)) < share
     rows = np.flatnonzero(candidates)
     np.testing.assert_array_equal(_smoothed(ideal, ti, cut_out, candidates)[rows],
                                   _smoothed(ideal, ti, cut_out, np.ones_like(candidates))[rows])
