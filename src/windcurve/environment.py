@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curve_engine import DEFAULT_RHO, PowerCurve, window_end
+from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve, window_end
 from .turbine import TurbineSpec, check_value
 
 #: Number of horizontal rotor bands used by default; band refinement is
@@ -38,9 +38,8 @@ MAX_BANDS = 1_000_000
 KERNEL_REACH = 5.0
 
 #: Most elements in one block of the turbulence stage: its rows times the
-#: columns of the extended grid they span together.  Bounds the stage's
-#: temporaries to a few hundred kB whatever the grid and TI; a row wider than
-#: it is a block of its own.
+#: columns they span together.  Bounds the stage's temporaries to a few
+#: hundred kB whatever the grid and TI; a row wider than it is a block of its own.
 BLOCK_TAPS = 2 ** 14
 
 #: Most rows in one block.  m consecutive rows span about m more columns than
@@ -156,22 +155,23 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarra
 
 
 def _row_plan(k: int, sigma: np.ndarray, dv: float,
-              ext_power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plan the turbulence rows: (rows, lo, hi), the rows in the window [0, k)
-    with sigma >= dv/2 whose padded window [lo, hi) on the extended grid holds
-    more than one value.
+              power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plan the turbulence rows: (rows, lo, hi), the rows r in the window
+    [0, k) with sigma >= dv/2 whose window [lo, hi) holds more than one value
+    of the plateau-extended input (power[:k], then power[k - 1]).
 
-    Two points of padding absorb the floor and grid round-off, so each window
-    holds every tap of the inclusive +-KERNEL_REACH*sigma mask.  A row whose
-    padded window lies inside one run of equal values in ext_power averages
-    that value, which it already holds, so it is left out with no taps.
+    The window is [max(r - h, 0), r + h + 1), h = floor((KERNEL_REACH *
+    sigma + GRID_EPS) / dv) grid steps: both tests take the slack GRID_EPS,
+    so an edge meant to lie on a grid point is inside, as <= says.  A row
+    whose window lies inside one run of equal values averages that value,
+    which it already holds, so it is left out with no taps.
     """
-    rows = np.flatnonzero(sigma[:k] >= dv / 2.0)
-    half = np.floor(KERNEL_REACH * sigma[rows] / dv).astype(np.intp) + 2
+    rows = np.flatnonzero(sigma[:k] + GRID_EPS >= dv / 2.0)
+    half = ((KERNEL_REACH * sigma[rows] + GRID_EPS) // dv).astype(np.intp)
     lo = np.maximum(rows - half, 0)
-    hi = np.minimum(rows + half + 1, len(ext_power))
-    run = np.concatenate([[0], np.cumsum(ext_power[1:] != ext_power[:-1])])
-    keep = run[lo] != run[hi - 1]
+    hi = rows + half + 1
+    run = np.concatenate([[0], np.cumsum(power[1:k] != power[:k - 1])])
+    keep = run[lo] != run[np.minimum(hi, k) - 1]
     return rows[keep], lo[keep], hi[keep]
 
 
@@ -203,30 +203,28 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
     if ti == 0.0:
         return smoothed
 
-    # Extend the grid far enough to cover the widest kernel reach.
-    reach = KERNEL_REACH * ti * grid[-1]
-    n_extra = int(math.ceil(reach / dv)) + 1
-    ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
-    ext_power = np.concatenate([smoothed[:k], np.full(len(grid) - k + n_extra, plateau)])
-
     # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
     sigma = ti * grid
-    rows, lo, hi = _row_plan(k, sigma, dv, ext_power)
+    rows, lo, hi = _row_plan(k, sigma, dv, smoothed)
     taps = int((hi - lo).sum())
     if taps > MAX_TURBULENCE_TAPS:
         raise ValueError(f"turbulence kernel of {taps} taps at TI {ti} exceeds "
                          f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
+    ext_power = np.concatenate([smoothed[:k], np.full(hi.max(initial=k) - k, plateau)])
+    # Offsets m = c - r and the window |m| < hi - r in grid steps, float64 for speed.
+    index = np.arange(len(ext_power), dtype=np.float64)
+    reach = (hi - rows).astype(np.float64)
     for first, last, c0, c1 in _blocks(lo, hi):
-        r = rows[first:last][candidates[rows[first:last]]]
+        pick = candidates[rows[first:last]]
+        r = rows[first:last][pick]
         if len(r) == 0:
             continue
-        u, s = grid[r, None], sigma[r, None]
-        off = ext_grid[c0:c1] - u
-        outside = np.abs(off) > KERNEL_REACH * s
-        off /= s
-        off *= off
-        off *= -0.5
-        w = np.exp(off, out=off)
+        m = index[c0:c1] - index[r, None]
+        outside = np.abs(m) >= reach[first:last][pick, None]
+        m /= sigma[r, None] / dv
+        m *= m
+        m *= -0.5
+        w = np.exp(m, out=m)
         np.copyto(w, 0.0, where=outside)
         den = w.sum(axis=1)
         w *= ext_power[c0:c1]
@@ -244,12 +242,14 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     output is zero, so the shutdown edge stays one grid step wide.  ti = 0
     returns the input values unchanged inside the window.
 
-    A row whose +-KERNEL_REACH sigma window (padded by two grid points) holds
-    one constant value, such as the rows well past rated speed or wholly
-    below cut-in, takes that value exactly at O(1) cost.  The other rows are
-    cut into blocks of consecutive rows, each evaluated as one dense
-    rectangle: its rows times the columns of the extended grid their windows
-    span, each row weighted zero outside its own +-KERNEL_REACH sigma.  A
+    Each row's window is the grid columns within +-KERNEL_REACH sigma,
+    decided once in whole grid steps by :func:`_row_plan`, so an edge on a
+    grid point is inside whatever the grid's round-off.  A row whose window
+    holds one constant value, such as the rows well past rated speed or
+    wholly below cut-in, takes that value exactly at O(1) cost.  The other
+    rows are cut into blocks of consecutive rows, each evaluated as one
+    dense rectangle: its rows times the columns their windows span, each
+    row weighted zero outside its own window.  A
     block is the longest run of at most _BLOCK_ROWS (64) rows whose rectangle
     holds at most BLOCK_TAPS (16384) elements, a wider row being a block of
     its own, so the temporaries stay a few hundred kB.  The blocks are cut

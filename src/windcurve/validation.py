@@ -62,11 +62,15 @@ class MeasuredCurve:
     @classmethod
     def from_files(cls, curve_csv: str | Path, spec_json: str | Path) -> "MeasuredCurve":
         """The curve of a measured CSV and the turbine of its spec JSON; a spec
-        that does not parse or load, or a curve that breaks a rule of the
-        class, raises ValueError naming its file."""
+        that does not parse, load or complete (see :func:`complete_spec`), or
+        a curve that breaks a rule of the class, raises naming its file:
+        MissingMandatoryField as itself, the rest as ValueError."""
         wind, power = read_curve_csv(curve_csv)
         try:
             turbine = load_spec(spec_json)
+            complete_spec(turbine)
+        except MissingMandatoryField as exc:
+            raise MissingMandatoryField(f"{spec_json}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{spec_json}: {exc}") from None
         try:

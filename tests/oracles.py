@@ -8,6 +8,7 @@ vectorised engine can be checked against a second, simple-minded path.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -181,23 +182,36 @@ def naive_power_curve(spec, ti: float, rho: float, shear_alpha: float,
         ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
         ext_power = np.concatenate([extended, np.full(n_extra, plateau)])
         smoothed = np.zeros(len(grid))
-        for i, u in enumerate(grid):
-            if u > spec.cut_out + eps:
-                continue
-            sigma = ti * u
-            if sigma < dv / 2.0:
+        # the rows past cut-out stay 0
+        for i, half in enumerate(kernel_half_widths(ti, grid[inside], dv, eps)):
+            u = grid[i]
+            if half is None:
                 smoothed[i] = extended[i]
                 continue
+            sigma = ti * u
             ws, vals = [], []
-            for k, vk in enumerate(ext_grid):
-                if abs(vk - u) <= 5.0 * sigma:
-                    ws.append(math.exp(-0.5 * ((vk - u) / sigma) ** 2))
-                    vals.append(float(ext_power[k]))
+            for k in range(max(i - half, 0), i + half + 1):
+                ws.append(math.exp(-0.5 * ((ext_grid[k] - u) / sigma) ** 2))
+                vals.append(float(ext_power[k]))
             total = sum(ws)
             smoothed[i] = sum(w * val for w, val in zip(ws, vals)) / total
         current = smoothed
 
     return current
+
+
+def kernel_half_widths(ti: float, grid: np.ndarray, dv: float, eps: float) -> list:
+    """The smoothing window of each row of grid, decided in exact arithmetic
+    on the float inputs: the most whole grid steps m with m * dv <=
+    5 * ti * u + eps for the row at speed u, or None when ti * u + eps <
+    dv / 2 and the row keeps its value.  The slack eps puts an edge meant to
+    lie on a grid point inside."""
+    ti, dv, eps = Fraction(ti), Fraction(dv), Fraction(eps)
+    halves = []
+    for u in grid.tolist():
+        sigma = ti * Fraction(u)
+        halves.append(None if 2 * (sigma + eps) < dv else math.floor((5 * sigma + eps) / dv))
+    return halves
 
 
 def convolve_reference(grid: np.ndarray, power: np.ndarray, ti: float,
@@ -212,14 +226,14 @@ def convolve_reference(grid: np.ndarray, power: np.ndarray, ti: float,
     ext_grid = np.concatenate([grid, grid[-1] + dv * np.arange(1, n_extra + 1)])
     ext_power = np.concatenate([extended, np.full(n_extra, plateau)])
     out = np.zeros(len(grid))
-    for i, u in enumerate(grid):
-        if u > cut_out + eps:
-            continue
-        sigma = ti * u
-        if sigma < dv / 2.0:
+    # the rows past cut-out stay 0
+    for i, half in enumerate(kernel_half_widths(ti, grid[inside], dv, eps)):
+        u = grid[i]
+        if half is None:
             out[i] = extended[i]
             continue
-        mask = np.abs(ext_grid - u) <= 5.0 * sigma
-        w = np.exp(-0.5 * ((ext_grid[mask] - u) / sigma) ** 2)
-        out[i] = float(np.sum(w * ext_power[mask]) / np.sum(w))
+        sigma = ti * u
+        window = slice(max(i - half, 0), i + half + 1)
+        w = np.exp(-0.5 * ((ext_grid[window] - u) / sigma) ** 2)
+        out[i] = float(np.sum(w * ext_power[window]) / np.sum(w))
     return out

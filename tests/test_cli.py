@@ -359,14 +359,18 @@ class TestValidateCmd:
         assert list(tmp_path.iterdir()) == []
 
     def test_spec_without_diameter_exits_2(self, runner, tmp_path):
+        # the error names the spec JSON, also when the spec has no name of its
+        # own and completion calls it "turbine"
         result, out = generate(runner, tmp_path, "--name", "bare")
         assert result.exit_code == 0, result.output
-        out.with_suffix(".json").write_text(json.dumps({"name": "bare",
-                                                        "rated_power": 2000}))
-        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
-        assert result.exit_code == 2
-        assert result.stderr == ("error: MissingMandatoryField: bare: missing mandatory "
-                                 "field(s): rotor_diameter\n")
+        spec = out.with_suffix(".json")
+        for record, name in (({"name": "bare", "rated_power": 2000}, "bare"),
+                             ({"rated_power": 2000}, "turbine")):
+            spec.write_text(json.dumps(record))
+            result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
+            assert result.exit_code == 2
+            assert result.stderr == (f"error: MissingMandatoryField: {spec}: {name}: missing "
+                                     "mandatory field(s): rotor_diameter\n")
 
 
     def test_equal_output_paths_exit_2(self, runner, tmp_path):

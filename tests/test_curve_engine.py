@@ -180,6 +180,12 @@ class TestPowerCurveType:
         assert len(grid) == 801
         assert grid[0] == 0.0 and grid[-1] == 40.0
 
+    @pytest.mark.parametrize("dv", [0.05, 0.01, 0.04, 0.1, 0.25])
+    def test_wind_grid_points_are_their_printed_decimals(self, dv):
+        # so a curve written with %.6g reads back onto the grid it was made on
+        grid = make_wind_grid(40.0, dv).tolist()
+        assert grid == [float(f"{v:.6g}") for v in grid]
+
     def test_csv_round_trip(self, reference_curve, tmp_path):
         path = tmp_path / "curve.csv"
         reference_curve.write_csv(path)

@@ -4,11 +4,12 @@ import pytest
 from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environment,
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
+from windcurve.curve_engine import GRID_EPS
 from windcurve.environment import (BLOCK_TAPS, _BLOCK_ROWS, _blocks, _row_plan, _smoothed,
                                    turbulent_power)
 
 from conftest import REFERENCE_KWARGS, rated_knee
-from oracles import convolve_reference, rews_banded
+from oracles import convolve_reference, kernel_half_widths, rews_banded
 
 # Frozen oracle values: 1e4-band midpoint discretization, D=80, hub 60 m.
 REWS_SHEAR_02 = 9.952081132   # u=10, alpha=0.2, veer=0
@@ -122,8 +123,8 @@ class TestApplyTurbulence:
 
     @pytest.mark.parametrize("ti", [0.02, 0.05, 0.1, 0.15])
     def test_constant_windows_are_exact(self, reference_curve, ti):
-        # a window padded by two grid points that sees only rated power, or
-        # only the zeros below cut-in, returns that value exactly
+        # a window that sees only rated power, or only the zeros below
+        # cut-in, with two grid points to spare, returns that value exactly
         grid, dv = reference_curve.wind_grid, reference_curve.dv
         out = apply_turbulence(reference_curve, ti, cut_out=25.0)
         v_rated = grid[rated_knee(reference_curve, 2000.0)]
@@ -135,28 +136,52 @@ class TestApplyTurbulence:
 
     @staticmethod
     def _plan_inputs(curve):
-        """The window k for cut-out 25, the sigma of TI 0.05 and an extended
-        power that is constant at rated past the grid end."""
-        grid = curve.wind_grid
-        ext_power = np.concatenate([curve.power, np.full(200, 2000.0)])
-        return int(np.sum(grid <= 25.0)), 0.05 * grid, ext_power
+        """The window k for cut-out 25 and the sigma of TI 0.05."""
+        return int(np.sum(curve.wind_grid <= 25.0)), 0.05 * curve.wind_grid
 
     def test_constant_windows_cost_no_taps(self, reference_curve):
-        grid, dv = reference_curve.wind_grid, reference_curve.dv
-        k, sigma, ext_power = self._plan_inputs(reference_curve)
-        rows, lo, hi = _row_plan(k, sigma, dv, ext_power)
+        grid, dv, power = reference_curve.wind_grid, reference_curve.dv, reference_curve.power
+        k, sigma = self._plan_inputs(reference_curve)
+        rows, lo, hi = _row_plan(k, sigma, dv, power)
         assert int((hi - lo).sum()) > 0
-        # of the window's rows with sigma >= dv/2, exactly those whose padded
-        # window holds more than one value are planned
-        eligible = np.flatnonzero((grid <= 25.0) & (sigma >= dv / 2))
-        half = np.floor(5.0 * sigma[eligible] / dv).astype(int) + 2
-        windows = [ext_power[max(i - h, 0):i + h + 1] for i, h in zip(eligible, half)]
+        # of the window's rows with sigma >= dv/2, exactly those whose window,
+        # decided exactly, holds more than one value of the plateau-extended
+        # input are planned, each with that window
+        extended = np.concatenate([power[:k], np.full(len(grid), power[k - 1])])
+        half = kernel_half_widths(0.05, grid[:k], dv, GRID_EPS)
+        eligible = np.array([i for i, h in enumerate(half) if h is not None])
+        windows = [extended[max(i - half[i], 0):i + half[i] + 1] for i in eligible]
         constant = np.array([np.all(w == w[0]) for w in windows])
         assert np.array_equal(rows, eligible[~constant])
+        assert hi.tolist() == [i + half[i] + 1 for i in rows]
+        assert lo.tolist() == [max(i - half[i], 0) for i in rows]
         # both kinds of constant row occur: wholly below cut-in and past rated
-        assert set(ext_power[eligible[constant]]) == {0.0, 2000.0}
-        rows, lo, hi = _row_plan(k, sigma, dv, np.full(len(ext_power), 7.5))
+        assert set(extended[eligible[constant]]) == {0.0, 2000.0}
+        rows, lo, hi = _row_plan(k, sigma, dv, np.full(len(grid), 7.5))
         assert int((hi - lo).sum()) == 0 and len(rows) == 0
+
+    def test_an_edge_on_a_grid_point_is_inside_the_window(self, reference_curve):
+        # at TI 0.1, 5 sigma at 10 m/s is 5 m/s, 100 grid steps exactly
+        k, _ = self._plan_inputs(reference_curve)
+        rows, lo, hi = _row_plan(k, 0.1 * reference_curve.wind_grid, 0.05,
+                                 reference_curve.power)
+        (at,) = np.flatnonzero(rows == 200)
+        assert (lo[at], hi[at]) == (100, 301)
+
+    @pytest.mark.parametrize("dv", [0.05, 0.01])
+    def test_a_grid_moved_by_round_off_gives_the_same_curve(self, reference_spec,
+                                                           reference_model, dv):
+        # the same powers on np.linspace's grid and on (i * 40) / n, which
+        # differ by at most 7.1e-15 m/s: each edge on a grid point stays inside
+        n = int(round(40.0 / dv))
+        power = ideal_curve(reference_spec, reference_model, dv=dv).power
+        spaced = PowerCurve(np.linspace(0.0, 40.0, n + 1), power)
+        scaled = PowerCurve(np.arange(n + 1) * 40.0 / n, power)
+        assert 0 < np.abs(spaced.wind_grid - scaled.wind_grid).max() <= 7.2e-15
+        for ti in (0.02, 0.1, 0.15):
+            np.testing.assert_allclose(apply_turbulence(spaced, ti, cut_out=25.0).power,
+                                       apply_turbulence(scaled, ti, cut_out=25.0).power,
+                                       rtol=0.0, atol=1e-11)
 
     def test_row_plan_keeps_to_its_candidates(self, reference_curve):
         # the kernel plans every row and smooths only the candidates, each to
@@ -171,14 +196,14 @@ class TestApplyTurbulence:
         moved = some != np.where(grid <= 25.0, power, 0.0)
         assert np.flatnonzero(moved).tolist() == [100, 101, 200]
         # rows past cut-out are never planned
-        k, sigma, ext_power = self._plan_inputs(reference_curve)
-        rows, _, _ = _row_plan(k, sigma, reference_curve.dv, ext_power)
+        k, sigma = self._plan_inputs(reference_curve)
+        rows, _, _ = _row_plan(k, sigma, reference_curve.dv, power)
         assert rows.max() < k
 
     @pytest.mark.parametrize("ti, dv, cut_out, edge", [
         (0.05, 0.01, 25.0, None),
         (0.021, 0.05, 25.0, "rows"),    # narrow windows
-        (0.119, 0.05, 25.0, "exact"),   # a rectangle of exactly BLOCK_TAPS
+        (0.1197, 0.05, 25.0, "exact"),  # a rectangle of exactly BLOCK_TAPS
         (0.3, 0.005, 35.0, "wide"),     # rows wider than BLOCK_TAPS
     ])
     def test_blocks_are_the_longest_runs_within_the_bounds(self, ti, dv, cut_out, edge,

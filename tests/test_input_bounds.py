@@ -125,7 +125,7 @@ def test_lambda_grid_points_capped():
      f"more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"),
     (["generate", "--diameter", "80", "--rated-power", "2000", "--dv", "4e-5", "--ti", "0.5",
       "--out", "c.csv"],
-     f"error: ValueError: turbulence kernel of 682792974378 taps at TI 0.5 exceeds "
+     f"error: ValueError: turbulence kernel of 682791730358 taps at TI 0.5 exceeds "
      f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}"),
 ])
 def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
