@@ -57,7 +57,7 @@ def _synthesize(flat: dict) -> tuple[PowerCurve, list[dict]]:
 # by sweeps.  Sweep values outside their interval draw a warning, not an error.
 REFERENCE_CONFIG = dict(
     name="reference", rotor_diameter=80.0, rated_power=2000.0, cut_in=3.5,
-    cut_out=25.0, omega_min=10.0, omega_max=30.0, cp_max=0.4615)
+    cut_out=25.0, omega_min=10.0, omega_max=30.0, cp_max=0.4615, hub_height=100.0)
 
 SWEEP_INTERVALS: dict[str, tuple[float, float]] = {
     "rotor_diameter": (40.0, 120.0),
@@ -118,14 +118,16 @@ def _load_config_file(path: str | None) -> dict:
     return _given(data)
 
 
-def _refuse_inputs(outputs, inputs: dict) -> None:
-    """Raise ValueError naming the first output that is one of the files in
-    inputs, a dict from each file (or None) to the option that reads it."""
-    read = {Path(p).resolve(): option for p, option in inputs.items() if p is not None}
-    for path in outputs:
-        option = read.get(Path(path).resolve())
-        if option is not None:
-            raise ValueError(f"output {path} is an input of {option}")
+def _refuse_clashes(outputs, inputs) -> None:
+    """Raise ValueError naming both options when an output, resolved, is one
+    file with another output or an input.  outputs and inputs are (option,
+    path) pairs; an input path may be None."""
+    owner = {Path(p).resolve(): option for option, p in inputs if p is not None}
+    for option, path in outputs:
+        real = Path(path).resolve()
+        if real in owner:
+            raise ValueError(f"{owner[real]} and {option} both name {real}")
+        owner[real] = option
 
 
 def _resolve_config(config_path: str | None, spec_path: str | None,
@@ -207,9 +209,8 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
     """Generate one power curve and its JSON sidecar."""
     out = Path(out_path)
     sidecar = out.with_suffix(".json")
-    if sidecar == out:
-        raise ValueError(f"--out {out} is also the path of its .json sidecar")
-    _refuse_inputs((out, sidecar), {config_path: "--config", spec_path: "--spec"})
+    _refuse_clashes([("--out", out), ("the sidecar of --out", sidecar)],
+                    [("--config", config_path), ("--spec", spec_path)])
     given = _resolve_config(config_path, spec_path, flags)
     curve, report = _synthesize(given)
     resolved = {**_DEFAULT_RECORD, **given, **{f["field"]: f["value"] for f in report}}
@@ -254,7 +255,7 @@ def _parse_sweep_values(param: str, values: str | None,
 def sweep(param: str, values: str | None, vrange, config_path: str | None,
           out_path: str, **flags) -> None:
     """Vary one parameter around the reference configuration."""
-    _refuse_inputs((out_path,), {config_path: "--config"})
+    _refuse_clashes([("--out", out_path)], [("--config", config_path)])
     sweep_values = _parse_sweep_values(param, values, vrange)
     base = {**REFERENCE_CONFIG, **_resolve_config(config_path, None, flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
@@ -273,8 +274,7 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
         fh.write("param_value,wind_speed_ms,power_kw\n")
         for v, curve in zip(sweep_values, curves):
             label = v if param == "cp_parameterisation" else f"{v:.6g}"
-            for w, p in zip(curve.wind_grid.tolist(), curve.power.tolist()):
-                fh.write(f"{label},{w:.6g},{p:.6g}\n")
+            fh.writelines(f"{label},{row}\n" for row in curve.csv_rows())
     interval = SWEEP_INTERVALS.get(param)
     if interval is not None:
         for v in sweep_values:
@@ -355,10 +355,8 @@ def validate(input_dir: str, ti_grid: str, rho: float, cp_model: str,
     """Score measured curves against synthesized ones over a TI grid."""
     json_path = Path(out_json) if out_json else Path(input_dir) / "report.json"
     csv_path = Path(out_csv) if out_csv else Path(input_dir) / "summary.csv"
-    if json_path == csv_path:
-        raise ValueError(f"--out-json and --out-csv are both {json_path}")
-    _refuse_inputs((json_path, csv_path), dict.fromkeys(
-        (p for pair in _curve_pairs(input_dir) for p in pair), f"--input-dir {input_dir}"))
+    _refuse_clashes([("--out-json", json_path), ("--out-csv", csv_path)],
+                    [("--input-dir", p) for pair in _curve_pairs(input_dir) for p in pair])
     grid = [float(t) for t in ti_grid.split(",")]
     results = validate_directory(input_dir, grid, rho=rho, cp_model=cp_model)
     with json_path.open("w") as fh:

@@ -14,9 +14,10 @@ where the tip-speed ratio needs them.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -99,26 +100,38 @@ class PowerCurve:
     def dv(self) -> float:
         return float(self.wind_grid[1] - self.wind_grid[0])
 
+    def csv_rows(self) -> list[str]:
+        """The curve's CSV rows without line ends, `wind_speed_ms,power_kw`
+        at 6 significant digits: the one format of a curve row."""
+        return [f"{v:.6g},{p:.6g}" for v, p in zip(self.wind_grid.tolist(), self.power.tolist())]
+
     def write_csv(self, target: str | Path | IO[str]) -> None:
-        """Write `wind_speed_ms,power_kw` rows, 6 significant digits."""
+        """Write the header `wind_speed_ms,power_kw` and the csv_rows."""
+        text = "".join(f"{row}\n" for row in [POWER_CURVE_CSV_HEADER, *self.csv_rows()])
         if hasattr(target, "write"):
-            _write_curve(target, self.wind_grid, self.power)
+            target.write(text)
         else:
             with Path(target).open("w", newline="") as fh:
-                _write_curve(fh, self.wind_grid, self.power)
+                fh.write(text)
 
 
-def _write_curve(fh: IO[str], ws: np.ndarray, power: np.ndarray) -> None:
-    fh.write(POWER_CURVE_CSV_HEADER + "\n")
-    for v, p in zip(ws.tolist(), power.tolist()):
-        fh.write(f"{v:.6g},{p:.6g}\n")
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open a file to read as UTF-8 text.  A byte that is not UTF-8, wherever
+    the reader meets it, raises ValueError naming the file."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a `wind_speed_ms,power_kw` CSV into two arrays.  A row that is not
-    two numbers raises ValueError naming the file and the line."""
+    two numbers raises ValueError naming the file and the line, and a byte
+    that is not UTF-8 one naming the file."""
     path = Path(path)
-    with path.open() as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if header != POWER_CURVE_CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")

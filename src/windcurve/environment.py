@@ -170,7 +170,8 @@ def _row_plan(k: int, sigma: np.ndarray, dv: float,
     half = ((KERNEL_REACH * sigma[rows] + GRID_EPS) // dv).astype(np.intp)
     lo = np.maximum(rows - half, 0)
     hi = rows + half + 1
-    run = np.concatenate([[0], np.cumsum(power[1:k] != power[:k - 1])])
+    inside = power[:k]
+    run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
     keep = run[lo] != run[np.minimum(hi, k) - 1]
     return rows[keep], lo[keep], hi[keep]
 

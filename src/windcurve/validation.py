@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
-from .curve_engine import DEFAULT_RHO, read_curve_csv, wind_power
+from .curve_engine import DEFAULT_RHO, open_text, read_curve_csv, wind_power
 from .environment import EnvironmentConditions, turbulent_power
 from .errors import MissingMandatoryField, NonFiniteResult
 from .synthesis import synthesize
@@ -195,7 +195,7 @@ def _curve_pairs(input_dir: str | Path) -> list[tuple[Path, Path]]:
     name; summary CSVs are skipped and a spec JSON may not exist."""
     pairs = []
     for csv_path in sorted(Path(input_dir).glob("*.csv")):
-        with csv_path.open() as fh:
+        with open_text(csv_path) as fh:
             if fh.readline().strip() != SUMMARY_CSV_HEADER:
                 pairs.append((csv_path, csv_path.with_suffix(".json")))
     return pairs

@@ -8,7 +8,6 @@ vectorised engine can be checked against a second, simple-minded path.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -205,12 +204,19 @@ def kernel_half_widths(ti: float, grid: np.ndarray, dv: float, eps: float) -> li
     on the float inputs: the most whole grid steps m with m * dv <=
     5 * ti * u + eps for the row at speed u, or None when ti * u + eps <
     dv / 2 and the row keeps its value.  The slack eps puts an edge meant to
-    lie on a grid point inside."""
-    ti, dv, eps = Fraction(ti), Fraction(dv), Fraction(eps)
+    lie on a grid point inside.
+
+    Each float is the exact ratio of two integers (float.as_integer_ratio),
+    ti = a/b, dv = c/d, eps = e/f and u = g/h, so both tests are taken on
+    integers, with every denominator multiplied out: sigma + eps =
+    (a g f + e b h) / (b h f)."""
+    (a, b), (c, d), (e, f) = (float(x).as_integer_ratio() for x in (ti, dv, eps))
     halves = []
     for u in grid.tolist():
-        sigma = ti * Fraction(u)
-        halves.append(None if 2 * (sigma + eps) < dv else math.floor((5 * sigma + eps) / dv))
+        g, h = u.as_integer_ratio()
+        sigma, slack, den = a * g * f, e * b * h, b * h * f
+        halves.append(None if 2 * d * (sigma + slack) < c * den
+                      else d * (5 * sigma + slack) // (c * den))
     return halves
 
 

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from windcurve import TurbineSpec, synthesize
-from windcurve.cli import main
+from windcurve.cli import SWEEP_INTERVALS, main
 from windcurve.curve_engine import read_curve_csv
 
 
@@ -141,8 +141,8 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--diameter", "80", "--rated-power",
                                       "2000", "--out", str(out)])
         assert result.exit_code == 2
-        assert result.stderr == (f"error: ValueError: --out {out} is also the path "
-                                 "of its .json sidecar\n")
+        assert result.stderr == (f"error: ValueError: --out and the sidecar of --out "
+                                 f"both name {out.resolve()}\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -157,10 +157,11 @@ def test_output_that_is_an_input_exits_2(runner, tmp_path, command, option, name
     source.write_text('{"rotor_diameter": 80, "rated_power": 2000}\n')
     before = source.read_bytes()
     out = tmp_path / ".." / tmp_path.name / out_name
-    clash = out if out_name == name else out.with_suffix(".json")
+    output = "--out" if out_name == name else "the sidecar of --out"
     result = runner.invoke(main, [*command, option, str(source), "--out", str(out)])
     assert result.exit_code == 2
-    assert result.stderr == f"error: ValueError: output {clash} is an input of {option}\n"
+    assert result.stderr == (f"error: ValueError: {option} and {output} both name "
+                             f"{source.resolve()}\n")
     assert list(tmp_path.iterdir()) == [source]
     assert source.read_bytes() == before
 
@@ -197,6 +198,14 @@ class TestSweep:
         err = result.stderr if hasattr(result, "stderr") else result.output
         assert "warning" in err
         assert out.exists()
+
+    @pytest.mark.parametrize("param", SWEEP_INTERVALS)
+    def test_every_variable_sweeps_both_ends_of_its_interval(self, runner, tmp_path, param):
+        # the reference turbine has a hub height, so shear and veer sweep too
+        lo, hi = SWEEP_INTERVALS[param]
+        result = runner.invoke(main, ["sweep", "--param", param, "--values", f"{lo},{hi}",
+                                      "--out", str(tmp_path / "sweep.csv")])
+        assert result.exit_code == 0, result.output
 
     def test_range_form(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -373,17 +382,23 @@ class TestValidateCmd:
                                      "mandatory field(s): rotor_diameter\n")
 
 
-    def test_equal_output_paths_exit_2(self, runner, tmp_path):
+    @pytest.mark.parametrize("name_csv", ["same", "relative", "symlink"])
+    def test_equal_output_paths_exit_2(self, runner, tmp_path, monkeypatch, name_csv):
         fleet = tmp_path / "fleet"
         fleet.mkdir()
         result = runner.invoke(main, ["generate", "--name", "unit1", "--diameter", "80",
                                       "--rated-power", "2000", "--out", str(fleet / "unit1.csv")])
         assert result.exit_code == 0, result.output
         out = tmp_path / "out.txt"
+        monkeypatch.chdir(tmp_path)
+        csv = {"same": str(out), "relative": "out.txt", "symlink": "link"}[name_csv]
+        if name_csv == "symlink":
+            (tmp_path / "link").symlink_to(out)
         result = runner.invoke(main, ["validate", "--input-dir", str(fleet),
-                                      "--out-json", str(out), "--out-csv", str(out)])
+                                      "--out-json", str(out), "--out-csv", csv])
         assert result.exit_code == 2
-        assert result.stderr == f"error: ValueError: --out-json and --out-csv are both {out}\n"
+        assert result.stderr == (f"error: ValueError: --out-json and --out-csv both name "
+                                 f"{out.resolve()}\n")
         assert not out.exists()
         assert sorted(f.name for f in fleet.iterdir()) == ["unit1.csv", "unit1.json"]
 
@@ -403,8 +418,8 @@ class TestValidateCmd:
         given = [option, str(out)] if option else []
         result = runner.invoke(main, ["validate", "--input-dir", str(fleet), *given])
         assert result.exit_code == 2
-        assert result.stderr == (f"error: ValueError: output {out} is an input of "
-                                 f"--input-dir {fleet}\n")
+        assert result.stderr == (f"error: ValueError: --input-dir and {option or '--out-json'} "
+                                 f"both name {out.resolve()}\n")
         assert {f.name: f.read_bytes() for f in fleet.iterdir()} == before
 
 class TestStderr:

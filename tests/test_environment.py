@@ -296,6 +296,11 @@ class TestApplyTurbulence:
             out = apply_turbulence(reference_curve, ti, cut_out=25.0)
             assert out.power[i] == pytest.approx(2000.0, abs=1e-6)
             assert out.power[i + 1] == 0.0
+        # a cut-out below the grid's first point leaves an empty window: all zero
+        grid = reference_curve.wind_grid
+        for ti in (0.0, 0.025, 0.05, 0.10, 0.5):
+            assert not apply_turbulence(reference_curve, ti, cut_out=-1.0).power.any()
+            assert not turbulent_power(reference_curve, ti, grid, cut_out=-1.0).any()
 
     def test_smooths_the_cut_in_toe(self, reference_curve):
         # turbulence produces some power slightly below cut-in: gusts above

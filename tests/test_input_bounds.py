@@ -486,6 +486,19 @@ def test_validate_non_number_field_names_the_file_and_line(row, tmp_path):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("rows", [1, 1200])
+def test_validate_curve_that_is_not_utf8_names_the_file(rows, tmp_path):
+    # byte 0xff in the last row: in the header's read buffer, or past it
+    fleet = _measured_dir(tmp_path, "")
+    text = "wind_speed_ms,power_kw\n" + "".join(f"{i},0\n" for i in range(rows))
+    (fleet / "t.csv").write_bytes(text.encode()[:-1] + b"\xff\n")
+    result = _validate(fleet)
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == (f"error: ValueError: {fleet / 't.csv'}: "
+                                       "not UTF-8 text: invalid start byte")
+    assert not (fleet / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("spec, message", [
     ('{"rotor_diameter": -5, "rated_power": 2000}', "turbine: rotor_diameter must be > 0, got -5"),
     ('{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes"),

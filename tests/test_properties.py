@@ -1,7 +1,9 @@
 """Property-based checks of the package invariants."""
 
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +201,21 @@ def test_constant_windows_return_their_value_exactly(ti, dv, cut_out):
             constant += 1
     assert constant > 0
 
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.floats(min_value=1e-4, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1000.0),
+       st.sampled_from([0.0, GRID_EPS]))
+@example(0.1, 0.05, 10.0, GRID_EPS)   # row 200's edge on a grid point
+@example(0.25, 0.25, 1.0, 0.0)        # 5 sigma exactly 5 steps
+@example(0.025, 0.05, 1.0, 0.0)       # sigma exactly dv / 2
+@settings(max_examples=300, deadline=None)
+def test_kernel_half_widths_match_fractions(ti, dv, u, eps):
+    # the oracle's integer rule against the same rule in Fraction arithmetic
+    sigma, eps_, dv_ = Fraction(ti) * Fraction(u), Fraction(eps), Fraction(dv)
+    half = None if 2 * (sigma + eps_) < dv_ else math.floor((5 * sigma + eps_) / dv_)
+    assert kernel_half_widths(ti, np.array([u]), dv, eps) == [half]
 
 
 @given(st.floats(min_value=0.0, max_value=0.3),
