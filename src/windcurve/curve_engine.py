@@ -14,15 +14,14 @@ where the tip-speed ratio needs them.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
 from .cp_models import ScaledCpModel
-from .turbine import TurbineSpec
+from .turbine import TurbineSpec, open_text
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 RAD_S_TO_RPM = 60.0 / (2.0 * math.pi)
@@ -113,17 +112,6 @@ class PowerCurve:
         else:
             with Path(target).open("w", newline="") as fh:
                 fh.write(text)
-
-
-@contextmanager
-def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Open a file to read as UTF-8 text.  A byte that is not UTF-8, wherever
-    the reader meets it, raises ValueError naming the file."""
-    try:
-        with Path(path).open(encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

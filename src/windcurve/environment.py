@@ -16,11 +16,11 @@ plateau before either transformation and the hard gate is re-applied after.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve, window_end
 from .turbine import TurbineSpec, check_value
@@ -38,18 +38,12 @@ MAX_BANDS = 1_000_000
 KERNEL_REACH = 5.0
 
 #: Most elements in one block of the turbulence stage: its rows times the
-#: columns they span together.  Bounds the stage's temporaries to a few
+#: widest half-window among them.  Bounds the stage's temporaries to a few
 #: hundred kB whatever the grid and TI; a row wider than it is a block of its own.
 BLOCK_TAPS = 2 ** 14
 
-#: Most rows in one block.  m consecutive rows span about m more columns than
-#: the widest of their windows, so about m * m elements of their rectangle lie
-#: outside every window; sqrt(BLOCK_TAPS) / 2 rows keep those to a quarter of it.
-_BLOCK_ROWS = math.isqrt(BLOCK_TAPS) // 2
-_ROW_COUNTS = np.arange(1, _BLOCK_ROWS + 1)
-
 #: Most kernel taps the turbulence stage evaluates for one curve, checked
-#: before the first: dv 0.001 m/s at TI 0.15 takes 4.7e8, 1.4 s on one core
+#: before the first: dv 0.001 m/s at TI 0.15 takes 4.7e8, 1.2 s on one core
 #: of a shared Xeon.
 MAX_TURBULENCE_TAPS = 500_000_000
 
@@ -176,17 +170,18 @@ def _row_plan(k: int, sigma: np.ndarray, dv: float,
     return rows[keep], lo[keep], hi[keep]
 
 
-def _blocks(lo: np.ndarray, hi: np.ndarray):
-    """Split planned rows with windows [lo, hi) into blocks (first, last, c0,
-    c1): from first, the longest run of at most _BLOCK_ROWS rows whose
-    rectangle, the rows times the columns [c0, c1) their windows span, holds
-    at most BLOCK_TAPS elements, or one wider row."""
+def _blocks(half: np.ndarray):
+    """Split planned rows with half-widths half into blocks (first, last, H):
+    from first, the longest run of rows whose count times H, the widest
+    half-width among them, is at most BLOCK_TAPS, or one wider row."""
     first = 0
-    while first < len(lo):
-        c0 = np.minimum.accumulate(lo[first:first + _BLOCK_ROWS])
-        area = _ROW_COUNTS[:len(c0)] * (hi[first:first + _BLOCK_ROWS] - c0)
+    while first < len(half):
+        # H >= half[first], so no run longer than BLOCK_TAPS // half[first]
+        # fits; the one row more keeps a wider first row in its own block.
+        widest = np.maximum.accumulate(half[first:first + 1 + BLOCK_TAPS // int(half[first])])
+        area = np.arange(1, len(widest) + 1) * widest
         last = first + max(int(area.searchsorted(BLOCK_TAPS, "right")), 1)
-        yield first, last, int(c0[last - first - 1]), int(hi[last - 1])
+        yield first, last, int(widest[last - first - 1])
         first = last
 
 
@@ -211,25 +206,39 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
     if taps > MAX_TURBULENCE_TAPS:
         raise ValueError(f"turbulence kernel of {taps} taps at TI {ti} exceeds "
                          f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
-    ext_power = np.concatenate([smoothed[:k], np.full(hi.max(initial=k) - k, plateau)])
-    # Offsets m = c - r and the window |m| < hi - r in grid steps, float64 for speed.
-    index = np.arange(len(ext_power), dtype=np.float64)
-    reach = (hi - rows).astype(np.float64)
-    for first, last, c0, c1 in _blocks(lo, hi):
+    half = hi - rows - 1
+    pad = int(half.max(initial=0))
+    # The power at the columns -pad .. k + pad - 1: zeros before the grid, the
+    # plateau past the window.  view[c + pad] holds the pad columns from c on,
+    # so row r reads p_{r+m} at after[r, m - 1] and p_{r-m} at before[r, H - m].
+    ext_power = np.concatenate([np.zeros(pad), smoothed[:k], np.full(pad, plateau)])
+    view = sliding_window_view(ext_power, pad)
+    centre, after = ext_power[pad:], view[pad + 1:]
+    # Offsets m = 1 .. pad and the half-widths h in grid steps, float64 for speed.
+    offsets = np.arange(1, pad + 1, dtype=np.float64)
+    reach = half.astype(np.float64)
+    for first, last, wide in _blocks(half):
         pick = candidates[rows[first:last]]
         r = rows[first:last][pick]
         if len(r) == 0:
             continue
-        m = index[c0:c1] - index[r, None]
-        outside = np.abs(m) >= reach[first:last][pick, None]
-        m /= sigma[r, None] / dv
-        m *= m
-        m *= -0.5
-        w = np.exp(m, out=m)
-        np.copyto(w, 0.0, where=outside)
-        den = w.sum(axis=1)
-        w *= ext_power[c0:c1]
-        smoothed[r] = w.sum(axis=1) / den
+        # Consecutive rows read the view through basic slices, with no copy.
+        at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r
+        m = offsets[:wide]
+        w = m / (sigma[at, None] / dv)
+        w *= w
+        w *= -0.5
+        np.exp(w, out=w)
+        np.copyto(w, 0.0, where=m > reach[first:last][pick, None])
+        right = w.sum(axis=1)
+        # A row whose window passes the grid's first column (h > r, TI > 0.2)
+        # counts only the weights of the columns it has on the left.
+        left = right if wide <= r[0] else np.where(m > r[:, None].astype(np.float64),
+                                                  0.0, w).sum(axis=1)
+        before = view[pad - wide:]
+        both = after[at, :wide] + before[at, wide - 1::-1]
+        both *= w
+        smoothed[at] = (centre[at] + both.sum(axis=1)) / (1.0 + right + left)
     return smoothed
 
 
@@ -248,19 +257,22 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     grid point is inside whatever the grid's round-off.  A row whose window
     holds one constant value, such as the rows well past rated speed or
     wholly below cut-in, takes that value exactly at O(1) cost.  The other
-    rows are cut into blocks of consecutive rows, each evaluated as one
-    dense rectangle: its rows times the columns their windows span, each
-    row weighted zero outside its own window.  A
-    block is the longest run of at most _BLOCK_ROWS (64) rows whose rectangle
-    holds at most BLOCK_TAPS (16384) elements, a wider row being a block of
-    its own, so the temporaries stay a few hundred kB.  The blocks are cut
-    from the plan of every row, whichever rows are computed, so a row always
-    sums over the same columns; that keeps :func:`turbulent_power` exact.
-    The cost is the taps of the planned rows, at most rows x window, which
-    grows as N^2 * ti for N grid points, plus about one column per
-    neighbouring row of a block.  It raises ValueError, before the first
-    block, unless 0 <= ti < 1, cut_out is finite and the planned rows hold at
-    most MAX_TURBULENCE_TAPS taps.
+    rows sum their window outward from the centre: row r with half-width h
+    is (p_r + sum_m w_m (p_{r+m} + p_{r-m})) / (1 + sum_m w_m (1 + [r >= m]))
+    over m = 1..h, with w_m = exp(-0.5 (m dv / sigma)^2) one exp per +-m
+    pair; a window that passes the grid's first column (TI > 0.2) reads
+    zeros there and leaves those weights out of its sum.  The rows are cut
+    into blocks, each evaluated as one dense array of its rows times H, the
+    widest half-width among them, over zero-copy views of the power on both
+    sides.  A block is the longest run of rows whose count times H is at
+    most BLOCK_TAPS (16384), a wider row being a block of its own, so the
+    temporaries stay a few hundred kB.  The blocks are cut from the plan of
+    every row, whichever rows are computed, so a row always sums over the
+    same columns; that keeps :func:`turbulent_power` exact.  The cost is
+    half the taps of the planned rows, at most rows x window, which grows as
+    N^2 * ti for N grid points.  It raises ValueError, before the first
+    block, unless 0 <= ti < 1, cut_out is finite and the planned rows hold
+    at most MAX_TURBULENCE_TAPS taps.
     """
     grid = curve.wind_grid
     return PowerCurve(grid, _smoothed(curve, ti, cut_out, np.ones(len(grid), dtype=bool)))

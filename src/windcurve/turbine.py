@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import IO, Iterator
 
 from .cp_models import BETZ_LIMIT
 from .errors import MissingMandatoryField
@@ -190,9 +192,26 @@ def _json_int(digits: str) -> int | float:
         return float(digits)
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open a file to read as UTF-8 text.  A byte that is not UTF-8, wherever
+    the reader meets it, raises ValueError naming the file."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
 def load_json(path: str | Path):
-    """Parse a JSON file, integers of any length included."""
-    return json.loads(Path(path).read_text(), parse_int=_json_int)
+    """Parse a JSON file, integers of any length included.  A file that is
+    not UTF-8 text or not JSON raises ValueError naming it."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_spec(path: str | Path) -> TurbineSpec:

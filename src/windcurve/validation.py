@@ -20,11 +20,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
-from .curve_engine import DEFAULT_RHO, open_text, read_curve_csv, wind_power
+from .curve_engine import DEFAULT_RHO, read_curve_csv, wind_power
 from .environment import EnvironmentConditions, turbulent_power
 from .errors import MissingMandatoryField, NonFiniteResult
 from .synthesis import synthesize
-from .turbine import TurbineSpec, complete_spec, load_spec
+from .turbine import TurbineSpec, complete_spec, load_json, open_text, spec_from_json
 
 DEFAULT_TI_GRID = (0.0, 0.025, 0.05, 0.075, 0.10)
 
@@ -66,8 +66,9 @@ class MeasuredCurve:
         a curve that breaks a rule of the class, raises naming its file:
         MissingMandatoryField as itself, the rest as ValueError."""
         wind, power = read_curve_csv(curve_csv)
+        record = load_json(spec_json)  # names the file if it does not parse
         try:
-            turbine = load_spec(spec_json)
+            turbine = spec_from_json(record)
             complete_spec(turbine)
         except MissingMandatoryField as exc:
             raise MissingMandatoryField(f"{spec_json}: {exc}") from None

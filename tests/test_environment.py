@@ -5,7 +5,7 @@ from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environme
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
 from windcurve.curve_engine import GRID_EPS
-from windcurve.environment import (BLOCK_TAPS, _BLOCK_ROWS, _blocks, _row_plan, _smoothed,
+from windcurve.environment import (BLOCK_TAPS, _blocks, _row_plan, _smoothed,
                                    turbulent_power)
 
 from conftest import REFERENCE_KWARGS, rated_knee
@@ -202,9 +202,10 @@ class TestApplyTurbulence:
 
     @pytest.mark.parametrize("ti, dv, cut_out, edge", [
         (0.05, 0.01, 25.0, None),
-        (0.021, 0.05, 25.0, "rows"),    # narrow windows
-        (0.1197, 0.05, 25.0, "exact"),  # a rectangle of exactly BLOCK_TAPS
-        (0.3, 0.005, 35.0, "wide"),     # rows wider than BLOCK_TAPS
+        (0.021, 0.05, 25.0, "rows"),     # narrow windows: more rows than columns
+        (0.1197, 0.04, 25.0, "exact"),   # a block of exactly BLOCK_TAPS
+        (0.3, 0.0025, 28.0, "wide"),     # rows wider than BLOCK_TAPS
+        (0.203, 0.05, 25.0, "clipped"),  # windows cut at column 0 beside whole ones
     ])
     def test_blocks_are_the_longest_runs_within_the_bounds(self, ti, dv, cut_out, edge,
                                                            reference_model, monkeypatch):
@@ -215,25 +216,30 @@ class TestApplyTurbulence:
         curve = ideal_curve(spec, reference_model, v_max=dv * round(40.0 / dv), dv=dv)
         _smoothed(curve, ti, cut_out, np.ones(len(curve.wind_grid), dtype=bool))
         ((rows, lo, hi),) = plans
-        blocks = list(_blocks(lo, hi))
+        half = hi - rows - 1
+        blocks = list(_blocks(half))
         assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
         assert blocks[-1][1] == len(rows)
-        areas = []
-        for first, last, c0, c1 in blocks:
-            assert (c0, c1) == (lo[first:last].min(), hi[first:last].max())
-            count, area = last - first, (last - first) * (c1 - c0)
-            assert count <= _BLOCK_ROWS and (area <= BLOCK_TAPS or count == 1)
-            if last < len(rows) and count < _BLOCK_ROWS:
+        shapes = []
+        for first, last, wide in blocks:
+            count = last - first
+            assert wide == half[first:last].max()
+            assert count * wide <= BLOCK_TAPS or count == 1
+            if last < len(rows):
                 # one more row would pass the bound
-                wider = min(c0, lo[last]), hi[last]
-                assert (count + 1) * (wider[1] - wider[0]) > BLOCK_TAPS
-            areas.append((count, area))
+                assert (count + 1) * max(wide, half[last]) > BLOCK_TAPS
+            shapes.append((count, wide))
         if edge == "rows":
-            assert all(count == _BLOCK_ROWS for count, _ in areas[:-1])
+            assert any(count > wide for count, wide in shapes)
         if edge == "exact":
-            assert (32, BLOCK_TAPS) in areas
+            assert (64, 256) in shapes and 64 * 256 == BLOCK_TAPS
         if edge == "wide":
-            assert any(area > BLOCK_TAPS for _, area in areas)
+            assert any(wide > BLOCK_TAPS for _, wide in shapes)
+        if edge == "clipped":
+            # some block holds rows whose window reaches past column 0 (h > r)
+            # and rows whose window does not
+            assert any(0 < (half[first:last] > rows[first:last]).sum() < last - first
+                       for first, last, _ in blocks)
 
     @pytest.mark.parametrize("ti", [0.0, 0.05, 0.3])
     def test_turbulent_power_is_np_interp_of_the_full_curve(self, reference_curve, ti):

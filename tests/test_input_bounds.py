@@ -360,6 +360,22 @@ def test_cli_non_object_json_exits_2(option, content, tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes"),
+    (b'{"rotor_diameter": 80, "name": "\xff"}', "not UTF-8 text: invalid start byte"),
+], ids=["cut-short", "not-utf8"])
+@pytest.mark.parametrize("option", ["--config", "--spec"])
+def test_cli_json_that_does_not_parse_names_the_file(option, content, message, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    result = CliRunner().invoke(main, ["generate", "--diameter", "80",
+                                       "--rated-power", "2000", option, str(path),
+                                       "--out", str(tmp_path / "c.csv")])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result).startswith(f"error: ValueError: {path}: {message}")
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_validate_non_object_spec_exits_2(tmp_path):
     assert CliRunner().invoke(main, ["generate", "--diameter", "80",
                                      "--rated-power", "2000", "--out",
@@ -500,14 +516,16 @@ def test_validate_curve_that_is_not_utf8_names_the_file(rows, tmp_path):
 
 
 @pytest.mark.parametrize("spec, message", [
-    ('{"rotor_diameter": -5, "rated_power": 2000}', "turbine: rotor_diameter must be > 0, got -5"),
-    ('{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes"),
+    (b'{"rotor_diameter": -5, "rated_power": 2000}', "turbine: rotor_diameter must be > 0, got -5"),
+    (b'{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes"),
+    (b'{"rotor_diameter": 80, "name": "\xff"}', "not UTF-8 text: invalid start byte"),
 ])
 def test_validate_bad_spec_json_names_the_file(spec, message, tmp_path):
-    # a spec that breaks a rule of TurbineSpec, and one cut short, beside a good pair
+    # a spec that breaks a rule of TurbineSpec, one cut short and one that is
+    # not UTF-8, beside a good pair; the message names the file once
     fleet = _measured_dir(tmp_path, _rows([0.0] * 26))
     (fleet / "bad.csv").write_bytes((fleet / "t.csv").read_bytes())
-    (fleet / "bad.json").write_text(spec)
+    (fleet / "bad.json").write_bytes(spec)
     result = _validate(fleet)
     assert result.exit_code == 2, result.output
     assert _one_error_line(result).startswith(

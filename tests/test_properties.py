@@ -165,8 +165,8 @@ def test_turbulence_matches_reference_convolution(diameter, power, cut_out, ti, 
        st.sampled_from((0.05, 0.01, 0.037)),
        st.floats(min_value=15.0, max_value=35.0))
 @example(0.1, 0.05, 25.0)    # 5 sigma at 10 m/s lands exactly on the grid point 5 m/s away
-@example(0.021, 0.05, 25.0)  # narrow windows: every block stops at _BLOCK_ROWS rows
-@example(0.3, 0.01, 35.0)    # 5 TI > 1: every window, so every rectangle, starts at 0 m/s
+@example(0.021, 0.05, 25.0)  # narrow windows: one block of every row, 187 rows x 26 columns
+@example(0.3, 0.01, 35.0)    # 5 TI > 1: every window is cut at 0 m/s
 @settings(max_examples=20, deadline=None)
 def test_windowed_turbulence_matches_reference(ti, dv, cut_out):
     spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
@@ -273,8 +273,8 @@ def _block_ends(curve, ti, cut_out):
     """The last planned row of each block of the turbulence stage, from the
     plan _smoothed makes."""
     k = window_end(curve.wind_grid, cut_out)
-    rows, lo, hi = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
-    return [rows[last - 1] for _, last, _, _ in _blocks(lo, hi)]
+    rows, _, hi = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
+    return [rows[last - 1] for _, last, _ in _blocks(hi - rows - 1)]
 
 
 @given(st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
@@ -282,8 +282,9 @@ def _block_ends(curve, ti, cut_out):
        st.floats(min_value=15.0, max_value=35.0),
        st.floats(min_value=0.0, max_value=1.0),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
-@example(0.1197, 0.05, 25.0, 0.3, 0)  # a block of 32 rows x 512 columns, BLOCK_TAPS
-@example(0.3, 0.005, 35.0, 0.05, 1)   # each row past about 32.8 m/s is wider than BLOCK_TAPS
+@example(0.1197, 0.04, 25.0, 0.3, 0)  # a block of 64 rows x 256 columns, BLOCK_TAPS
+@example(0.3, 0.0025, 28.0, 0.05, 1)  # each row past about 27.3 m/s is wider than BLOCK_TAPS
+@example(0.203, 0.05, 25.0, 0.3, 5)   # first block: 20 candidates cut at column 0, 8 whole, apart
 @example(0.1, 0.01, 25.0, 1e-3, 2)    # blocks holding one candidate or none
 @example(0.1, 0.05, 25.0, 0.0, 0)     # no candidate at all
 @example(0.15, 0.01, 25.0, None, 0)   # only the last planned row of each block
