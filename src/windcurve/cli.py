@@ -8,7 +8,9 @@ precedence over built-in defaults.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -25,7 +27,7 @@ from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
 from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load_json,
-                      load_spec)
+                      load_spec, naming)
 from .validation import (DEFAULT_TI_GRID, _curve_pairs, validate_directory,
                          write_report_json, write_summary_csv)
 
@@ -111,23 +113,38 @@ def _given(values: dict) -> dict:
 
 
 def _load_config_file(path: str | None) -> dict:
-    data = {} if path is None else flat_record(load_json(path))
-    unknown = set(data) - set(CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    if path is None:
+        return {}
+    record = load_json(path)
+    with naming(path):
+        data = flat_record(record)
+        unknown = set(data) - set(CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return _given(data)
 
 
 def _refuse_clashes(outputs, inputs) -> None:
     """Raise ValueError naming both options when an output, resolved, is one
-    file with another output or an input.  outputs and inputs are (option,
-    path) pairs; an input path may be None."""
+    file with another output or an input, and the OSError that writing an
+    output would raise when it is a directory or its parent is not one, so
+    that no command writes one output and fails on the next.  outputs and
+    inputs are (option, path) pairs; an input path may be None."""
     owner = {Path(p).resolve(): option for option, p in inputs if p is not None}
     for option, path in outputs:
-        real = Path(path).resolve()
+        path = Path(path)
+        real = path.resolve()
         if real in owner:
             raise ValueError(f"{owner[real]} and {option} both name {real}")
         owner[real] = option
+        try:
+            # the trailing slash stats the parent as a directory: ENOENT if it
+            # is missing, ENOTDIR if it or one above it is a file
+            os.stat(os.path.join(path.parent, ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _resolve_config(config_path: str | None, spec_path: str | None,

@@ -21,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from .cp_models import ScaledCpModel
-from .turbine import TurbineSpec, open_text
+from .turbine import TurbineSpec, naming
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 RAD_S_TO_RPM = 60.0 / (2.0 * math.pi)
@@ -119,21 +119,21 @@ def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     two numbers raises ValueError naming the file and the line, and a byte
     that is not UTF-8 one naming the file."""
     path = Path(path)
-    with open_text(path) as fh:
+    with naming(path), path.open(encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != POWER_CURVE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
+            raise ValueError(f"unexpected header {header!r}")
         rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 2) if line.strip()]
-    ws, power = [], []
-    for n, r in rows:
-        if len(r) != 2:
-            raise ValueError(f"{path}: line {n} has {len(r)} fields, expected 2")
-        try:
-            ws.append(float(r[0]))
-            power.append(float(r[1]))
-        except ValueError:
-            raise ValueError(f"{path}: line {n} holds a field that is not a number: "
-                             f"{','.join(r)!r}") from None
+        ws, power = [], []
+        for n, r in rows:
+            if len(r) != 2:
+                raise ValueError(f"line {n} has {len(r)} fields, expected 2")
+            try:
+                ws.append(float(r[0]))
+                power.append(float(r[1]))
+            except ValueError:
+                raise ValueError(f"line {n} holds a field that is not a number: "
+                                 f"{','.join(r)!r}") from None
     return np.array(ws), np.array(power)
 
 

@@ -14,7 +14,7 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
 from .cp_models import BETZ_LIMIT
 from .errors import MissingMandatoryField
@@ -193,27 +193,30 @@ def _json_int(digits: str) -> int | float:
 
 
 @contextmanager
-def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Open a file to read as UTF-8 text.  A byte that is not UTF-8, wherever
-    the reader meets it, raises ValueError naming the file."""
+def naming(path: str | Path) -> Iterator[None]:
+    """The one rule that names an input file in an error.  In the block a
+    ValueError becomes ValueError("<path>: <message>"), a byte that is not
+    UTF-8 "<path>: not UTF-8 text: <reason>"; a MissingMandatoryField keeps
+    its type.  It is never nested, so a message names its file once."""
     try:
-        with Path(path).open(encoding="utf-8") as fh:
-            yield fh
+        yield
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except MissingMandatoryField as exc:
+        raise MissingMandatoryField(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_json(path: str | Path):
     """Parse a JSON file, integers of any length included.  A file that is
     not UTF-8 text or not JSON raises ValueError naming it."""
-    with open_text(path) as fh:
-        text = fh.read()
-    try:
-        return json.loads(text, parse_int=_json_int)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with naming(path), Path(path).open(encoding="utf-8") as fh:
+        return json.load(fh, parse_int=_json_int)
 
 
 def load_spec(path: str | Path) -> TurbineSpec:
-    """Load a single spec from a JSON record file."""
-    return spec_from_json(load_json(path))
+    """Load a single spec from a JSON record file, named in any error about it."""
+    record = load_json(path)
+    with naming(path):
+        return spec_from_json(record)

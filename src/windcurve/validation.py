@@ -24,7 +24,7 @@ from .curve_engine import DEFAULT_RHO, read_curve_csv, wind_power
 from .environment import EnvironmentConditions, turbulent_power
 from .errors import MissingMandatoryField, NonFiniteResult
 from .synthesis import synthesize
-from .turbine import TurbineSpec, complete_spec, load_json, open_text, spec_from_json
+from .turbine import TurbineSpec, complete_spec, load_spec, naming
 
 DEFAULT_TI_GRID = (0.0, 0.025, 0.05, 0.075, 0.10)
 
@@ -66,18 +66,11 @@ class MeasuredCurve:
         a curve that breaks a rule of the class, raises naming its file:
         MissingMandatoryField as itself, the rest as ValueError."""
         wind, power = read_curve_csv(curve_csv)
-        record = load_json(spec_json)  # names the file if it does not parse
-        try:
-            turbine = spec_from_json(record)
+        turbine = load_spec(spec_json)
+        with naming(spec_json):
             complete_spec(turbine)
-        except MissingMandatoryField as exc:
-            raise MissingMandatoryField(f"{spec_json}: {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{spec_json}: {exc}") from None
-        try:
+        with naming(curve_csv):
             return cls(turbine=turbine, wind=wind, power=power)
-        except ValueError as exc:
-            raise ValueError(f"{curve_csv}: {exc}") from None
 
 
 def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, float]:
@@ -196,7 +189,7 @@ def _curve_pairs(input_dir: str | Path) -> list[tuple[Path, Path]]:
     name; summary CSVs are skipped and a spec JSON may not exist."""
     pairs = []
     for csv_path in sorted(Path(input_dir).glob("*.csv")):
-        with open_text(csv_path) as fh:
+        with naming(csv_path), csv_path.open(encoding="utf-8") as fh:
             if fh.readline().strip() != SUMMARY_CSV_HEADER:
                 pairs.append((csv_path, csv_path.with_suffix(".json")))
     return pairs

@@ -139,4 +139,4 @@ class TestRunConfig:
         result = CliRunner().invoke(main, [*command, "--config", str(config),
                                            "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2
-        assert result.stderr == "error: ValueError: unknown config keys: tip_speed\n"
+        assert result.stderr == f"error: ValueError: {config}: unknown config keys: tip_speed\n"

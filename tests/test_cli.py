@@ -111,7 +111,7 @@ class TestGenerate:
         config.write_text(json.dumps({"foo": None}))
         result, _ = generate(runner, tmp_path, "--config", str(config))
         assert result.exit_code == 2
-        assert result.stderr == "error: ValueError: unknown config keys: foo\n"
+        assert result.stderr == f"error: ValueError: {config}: unknown config keys: foo\n"
 
     def test_numeric_failure_exits_3(self, runner, tmp_path, monkeypatch):
         from windcurve import errors

@@ -1,5 +1,6 @@
 """Input bounds: finite numbers everywhere and the physical veer limit."""
 
+import errno
 import json
 import math
 import os
@@ -305,9 +306,12 @@ def test_cli_json_integer_past_the_digit_limit_exits_2(option, tmp_path):
     path.write_text('{"rotor_diameter": 1' + "0" * 5000 + ', "rated_power": 2000}')
     result = CliRunner().invoke(main, ["generate", option, str(path),
                                        "--out", str(tmp_path / "c.csv")])
+    # a --spec file breaks a rule of TurbineSpec and is named; --config values
+    # are checked only once merged with the flags, so no file is named
+    named = f"{path}: " if option == "--spec" else ""
     assert result.exit_code == 2, result.output
     assert _one_error_line(result) == (
-        "error: ValueError: turbine: rotor_diameter must be finite, got inf")
+        f"error: ValueError: {named}turbine: rotor_diameter must be finite, got inf")
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -356,15 +360,24 @@ def test_cli_non_object_json_exits_2(option, content, tmp_path):
                                        "--rated-power", "2000", option, str(path),
                                        "--out", str(tmp_path / "c.csv")])
     assert result.exit_code == 2, result.output
-    assert _one_error_line(result).startswith("error: ValueError:")
+    assert _one_error_line(result).startswith(f"error: ValueError: {path}: expected")
+    assert result.stderr.count(str(path)) == 1
     assert not (tmp_path / "c.csv").exists()
 
 
-@pytest.mark.parametrize("content, message", [
-    (b'{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes"),
-    (b'{"rotor_diameter": 80, "name": "\xff"}', "not UTF-8 text: invalid start byte"),
-], ids=["cut-short", "not-utf8"])
-@pytest.mark.parametrize("option", ["--config", "--spec"])
+_CUT_SHORT = (b'{"rotor_diameter": 80, ', "Expecting property name enclosed in double quotes")
+_NOT_UTF8 = (b'{"rotor_diameter": 80, "name": "\xff"}', "not UTF-8 text: invalid start byte")
+
+
+@pytest.mark.parametrize("option, content, message", [
+    ("--config", *_CUT_SHORT), ("--config", *_NOT_UTF8),
+    ("--spec", *_CUT_SHORT), ("--spec", *_NOT_UTF8),
+    # a spec that parses but breaks a rule of TurbineSpec; as --config the
+    # --diameter flag would override it
+    ("--spec", b'{"rotor_diameter": -5, "rated_power": 2000}',
+     "turbine: rotor_diameter must be > 0, got -5"),
+], ids=["--config-cut-short", "--config-not-utf8", "--spec-cut-short", "--spec-not-utf8",
+        "--spec-rule"])
 def test_cli_json_that_does_not_parse_names_the_file(option, content, message, tmp_path):
     path = tmp_path / "in.json"
     path.write_bytes(content)
@@ -373,6 +386,7 @@ def test_cli_json_that_does_not_parse_names_the_file(option, content, message, t
                                        "--out", str(tmp_path / "c.csv")])
     assert result.exit_code == 2, result.output
     assert _one_error_line(result).startswith(f"error: ValueError: {path}: {message}")
+    assert result.stderr.count(str(path)) == 1
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -394,6 +408,37 @@ def test_cli_out_is_a_directory_exits_2(command, tmp_path):
     result = CliRunner().invoke(main, [*command, "--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     assert _one_error_line(result).startswith("error: IsADirectoryError:")
+
+
+def _os_error_line(code: int, path) -> str:
+    return f"error: {type(OSError(code, '')).__name__}: [Errno {code}] {os.strerror(code)}: '{path}'"
+
+
+def test_generate_sidecar_that_is_a_directory_writes_no_curve(tmp_path):
+    # the curve CSV would be written first, then the sidecar write would fail
+    (tmp_path / "x.json").mkdir()
+    result = CliRunner().invoke(main, ["generate", "--diameter", "80", "--rated-power", "2000",
+                                       "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == _os_error_line(errno.EISDIR, tmp_path / "x.json")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_validate_csv_out_that_cannot_be_written_writes_no_report(parent, tmp_path):
+    # the report JSON would be written first, then the summary CSV write would fail
+    fleet = tmp_path / "fleet"
+    fleet.mkdir()
+    assert CliRunner().invoke(main, ["generate", "--diameter", "80", "--rated-power", "2000",
+                                     "--out", str(fleet / "t.csv")]).exit_code == 0
+    (tmp_path / "file").touch()
+    out_csv = tmp_path / parent / "s.csv"
+    result = CliRunner().invoke(main, ["validate", "--input-dir", str(fleet),
+                                       "--out-csv", str(out_csv)])
+    assert result.exit_code == 2, result.output
+    code = errno.ENOENT if parent == "missing" else errno.ENOTDIR
+    assert _one_error_line(result) == _os_error_line(code, out_csv)
+    assert sorted(p.name for p in fleet.iterdir()) == ["t.csv", "t.json"]
 
 
 @pytest.mark.parametrize("flags", [
