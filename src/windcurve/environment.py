@@ -43,8 +43,8 @@ KERNEL_REACH = 5.0
 BLOCK_TAPS = 2 ** 14
 
 #: Most kernel taps the turbulence stage evaluates for one curve, checked
-#: before the first: dv 0.001 m/s at TI 0.15 takes 4.7e8, 1.2 s on one core
-#: of a shared Xeon.
+#: before the first: dv 0.001 m/s at TI 0.15 takes 4.7e8, about 1.4 s on
+#: one core of a shared 2.1 GHz Xeon.
 MAX_TURBULENCE_TAPS = 500_000_000
 
 
@@ -217,6 +217,9 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
     # Offsets m = 1 .. pad and the half-widths h in grid steps, float64 for speed.
     offsets = np.arange(1, pad + 1, dtype=np.float64)
     reach = half.astype(np.float64)
+    # Row r's weights are exp(m^2 * scale_r).  Planned rows only: sigma is 0 at 0 m/s.
+    squares = offsets * offsets
+    scale = -0.5 * (dv / sigma[rows]) ** 2
     for first, last, wide in _blocks(half):
         pick = candidates[rows[first:last]]
         r = rows[first:last][pick]
@@ -225,11 +228,12 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
         # Consecutive rows read the view through basic slices, with no copy.
         at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r
         m = offsets[:wide]
-        w = m / (sigma[at, None] / dv)
-        w *= w
-        w *= -0.5
+        w = squares[:wide] * scale[first:last][pick, None]
         np.exp(w, out=w)
-        np.copyto(w, 0.0, where=m > reach[first:last][pick, None])
+        # Every row keeps the columns up to the narrowest half-width h0.
+        h = reach[first:last][pick]
+        h0 = int(h.min())
+        np.copyto(w[:, h0:], 0.0, where=m[h0:] > h[:, None])
         right = w.sum(axis=1)
         # A row whose window passes the grid's first column (h > r, TI > 0.2)
         # counts only the weights of the columns it has on the left.
@@ -259,20 +263,22 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     wholly below cut-in, takes that value exactly at O(1) cost.  The other
     rows sum their window outward from the centre: row r with half-width h
     is (p_r + sum_m w_m (p_{r+m} + p_{r-m})) / (1 + sum_m w_m (1 + [r >= m]))
-    over m = 1..h, with w_m = exp(-0.5 (m dv / sigma)^2) one exp per +-m
-    pair; a window that passes the grid's first column (TI > 0.2) reads
-    zeros there and leaves those weights out of its sum.  The rows are cut
-    into blocks, each evaluated as one dense array of its rows times H, the
-    widest half-width among them, over zero-copy views of the power on both
-    sides.  A block is the longest run of rows whose count times H is at
-    most BLOCK_TAPS (16384), a wider row being a block of its own, so the
-    temporaries stay a few hundred kB.  The blocks are cut from the plan of
-    every row, whichever rows are computed, so a row always sums over the
-    same columns; that keeps :func:`turbulent_power` exact.  The cost is
-    half the taps of the planned rows, at most rows x window, which grows as
-    N^2 * ti for N grid points.  It raises ValueError, before the first
-    block, unless 0 <= ti < 1, cut_out is finite and the planned rows hold
-    at most MAX_TURBULENCE_TAPS taps.
+    over m = 1..h, with w_m = exp(m^2 c_r) and c_r = -0.5 (dv / sigma_r)^2
+    computed once per row, so one multiply and one exp per +-m pair; a window
+    that passes the grid's first column (TI > 0.2) reads zeros there and
+    leaves those weights out of its sum.  The rows are cut into blocks, each
+    evaluated as one dense array of its rows times H, the widest half-width
+    among them, over zero-copy views of the power on both sides; only the
+    columns past the block's narrowest half-width are masked, each row
+    zeroing its weights past its own h.  A block is the longest run of rows
+    whose count times H is at most BLOCK_TAPS (16384), a wider row being a
+    block of its own, so the temporaries stay a few hundred kB.  The blocks
+    are cut from the plan of every row, whichever rows are computed, so a
+    row always sums over the same columns; that keeps :func:`turbulent_power`
+    exact.  The cost is half the taps of the planned rows, at most rows x
+    window, which grows as N^2 * ti for N grid points.  It raises ValueError,
+    before the first block, unless 0 <= ti < 1, cut_out is finite and the
+    planned rows hold at most MAX_TURBULENCE_TAPS taps.
     """
     grid = curve.wind_grid
     return PowerCurve(grid, _smoothed(curve, ti, cut_out, np.ones(len(grid), dtype=bool)))

@@ -11,6 +11,7 @@ the synthesis deliberately does not model).
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 from dataclasses import dataclass, field
@@ -211,7 +212,8 @@ def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT
     results = []
     for csv_path, spec_path in _curve_pairs(input_dir):
         if not spec_path.exists():
-            raise FileNotFoundError(f"{csv_path}: no sidecar spec {spec_path.name}")
+            raise FileNotFoundError(errno.ENOENT, f"No sidecar spec for {csv_path}",
+                                    str(spec_path))
         m = MeasuredCurve.from_files(csv_path, spec_path)
         results.append(match_over_ti(m, ti_grid, rho=rho, cp_model=cp_model))
     return sorted(results, key=lambda r: r.name)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -380,6 +381,16 @@ class TestValidateCmd:
             assert result.exit_code == 2
             assert result.stderr == (f"error: MissingMandatoryField: {spec}: {name}: missing "
                                      "mandatory field(s): rotor_diameter\n")
+
+    def test_curve_without_spec_exits_2(self, runner, tmp_path):
+        # the line carries the errno and the missing spec, and names the curve CSV
+        curve = tmp_path / "a.csv"
+        curve.write_text("wind_speed_ms,power_kw\n1,0\n")
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: FileNotFoundError: [Errno {errno.ENOENT}] No sidecar "
+                                 f"spec for {curve}: '{tmp_path / 'a.json'}'\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["a.csv"]
 
 
     @pytest.mark.parametrize("name_csv", ["same", "relative", "symlink"])

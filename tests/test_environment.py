@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,6 +345,18 @@ class TestApplyTurbulence:
     def test_negative_ti_rejected(self, reference_curve):
         with pytest.raises(ValueError):
             apply_turbulence(reference_curve, -0.01, cut_out=25.0)
+
+    @pytest.mark.parametrize("dv", [0.05, 0.01])
+    def test_warns_about_nothing(self, reference_spec, reference_model, dv):
+        # sigma is 0 at 0 m/s: a weight computed for a row outside the plan
+        # would divide by it
+        curve = ideal_curve(reference_spec, reference_model, dv=dv)
+        wind = np.concatenate([curve.wind_grid[::7], curve.wind_grid[::7] + dv / 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ti, cut_out in itertools.product((0.02, 0.15, 0.3, 0.9), (25.0, -1.0)):
+                apply_turbulence(curve, ti, cut_out=cut_out)
+                turbulent_power(curve, ti, wind, cut_out=cut_out)
 
 
 class TestKernelWeights:

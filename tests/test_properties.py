@@ -167,6 +167,8 @@ def test_turbulence_matches_reference_convolution(diameter, power, cut_out, ti, 
 @example(0.1, 0.05, 25.0)    # 5 sigma at 10 m/s lands exactly on the grid point 5 m/s away
 @example(0.021, 0.05, 25.0)  # narrow windows: one block of every row, 187 rows x 26 columns
 @example(0.3, 0.01, 35.0)    # 5 TI > 1: every window is cut at 0 m/s
+@example(0.02, 0.01, 25.0)   # the fine grid at the lowest and highest TI of site_turbulent:
+@example(0.15, 0.01, 25.0)   # a block masks only the columns past its narrowest row
 @settings(max_examples=20, deadline=None)
 def test_windowed_turbulence_matches_reference(ti, dv, cut_out):
     spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))

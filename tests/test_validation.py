@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 
@@ -254,8 +255,11 @@ class TestBatchValidation:
 
     def test_missing_sidecar(self, batch_dir):
         (batch_dir / "gamma.csv").write_text("wind_speed_ms,power_kw\n1,0\n")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError) as caught:
             validate_directory(batch_dir)
+        assert caught.value.errno == errno.ENOENT
+        assert caught.value.filename == str(batch_dir / "gamma.json")
+        assert str(batch_dir / "gamma.csv") in caught.value.strerror
 
     def test_duplicate_tis_write_the_same_bytes(self, batch_dir):
         def written(ti_grid):
