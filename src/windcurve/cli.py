@@ -28,7 +28,7 @@ from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
 from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load_json,
                       load_spec, naming)
-from .validation import (DEFAULT_TI_GRID, _curve_pairs, validate_directory,
+from .validation import (DEFAULT_TI_GRID, _curve_pairs, ti_text, validate_directory,
                          write_report_json, write_summary_csv)
 
 _INPUT_ERRORS = (WindcurveError, ValueError, OSError)
@@ -122,6 +122,14 @@ def _load_config_file(path: str | None) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return _given(data)
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    """Write text to the file out_path, or to stdout when there is none."""
+    if out_path is None:
+        click.echo(text, nl=False)
+    else:
+        Path(out_path).write_text(text)
 
 
 def _refuse_clashes(outputs, inputs) -> None:
@@ -309,12 +317,8 @@ def defaults(out_path: str | None, **flags) -> None:
     """Complete a partial spec with the statistical defaults."""
     spec = TurbineSpec(**_given(flags))
     completed, report = complete_spec(spec)
-    payload = json.dumps({"spec": asdict(completed), "defaults_report": report},
-                         indent=2)
-    if out_path is None:
-        click.echo(payload)
-    else:
-        Path(out_path).write_text(payload + "\n")
+    _emit(json.dumps({"spec": asdict(completed), "defaults_report": report},
+                     indent=2) + "\n", out_path)
 
 
 @main.command(name="cp-table")
@@ -326,7 +330,7 @@ def defaults(out_path: str | None, **flags) -> None:
 @click.option("--betas", default="0,1,3,5", show_default=True,
               help="Comma-separated pitch angles in degrees.")
 @click.option("--registry-json", is_flag=True,
-              help="Print the coefficient registry as JSON and exit.")
+              help="Write the coefficient registry as JSON in place of the table.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output CSV model,beta_deg,lambda,cp (default stdout).")
 def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
@@ -334,7 +338,7 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
              out_path: str | None) -> None:
     """Tabulate cp versus tip-speed ratio for several pitch angles."""
     if registry_json:
-        click.echo(registry_to_json())
+        _emit(registry_to_json() + "\n", out_path)
         return
     names = [get_parameterisation(m).name for m in models] or sorted(REGISTRY)
     beta_values = [float(b) for b in betas.split(",")]
@@ -347,18 +351,14 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
             cps = cp_general_array(lams, beta, p)
             lines.extend(f"{name},{beta:.6g},{l:.6g},{c:.6g}"
                          for l, c in zip(lams, cps))
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out_path).write_text(text)
+    _emit("\n".join(lines) + "\n", out_path)
 
 
 @main.command()
 @click.option("--input-dir", type=click.Path(exists=True, file_okay=False),
               required=True,
               help="Directory of paired curve CSVs and spec JSONs.")
-@click.option("--ti-grid", default=",".join(f"{t:g}" for t in DEFAULT_TI_GRID),
+@click.option("--ti-grid", default=",".join(map(ti_text, DEFAULT_TI_GRID)),
               show_default=True, help="Comma-separated TI candidates.")
 @click.option("--rho", type=float, default=DEFAULT_RHO, show_default=True)
 @click.option("--cp-model", "cp_model", default=DEFAULT_PARAMETERISATION,
@@ -381,7 +381,7 @@ def validate(input_dir: str, ti_grid: str, rho: float, cp_model: str,
     with csv_path.open("w", newline="") as fh:
         write_summary_csv(results, fh)
     for r in results:
-        click.echo(f"{r.name}: best_ti={r.best_ti:g} rmse={r.rmse_best:.4g}"
+        click.echo(f"{r.name}: best_ti={ti_text(r.best_ti)} rmse={r.rmse_best:.4g}"
                    f"{' BETZ' if r.betz_violation else ''}"
                    f"{' SHAPE' if r.shape_anomaly else ''}")
     click.echo(f"wrote {json_path} and {csv_path}")

@@ -38,7 +38,7 @@ MAX_BANDS = 1_000_000
 KERNEL_REACH = 5.0
 
 #: Most elements in one block of the turbulence stage: its rows times the
-#: widest half-window among them.  Bounds the stage's temporaries to a few
+#: half-width of its last, the widest.  Bounds the stage's temporaries to a few
 #: hundred kB whatever the grid and TI; a row wider than it is a block of its own.
 BLOCK_TAPS = 2 ** 14
 
@@ -149,39 +149,39 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarra
 
 
 def _row_plan(k: int, sigma: np.ndarray, dv: float,
-              power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plan the turbulence rows: (rows, lo, hi), the rows r in the window
-    [0, k) with sigma >= dv/2 whose window [lo, hi) holds more than one value
-    of the plateau-extended input (power[:k], then power[k - 1]).
+              power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plan the turbulence rows: (rows, half), the rows r in the window
+    [0, k) with sigma >= dv/2 whose window holds more than one value of the
+    plateau-extended input (power[:k], then power[k - 1]), and their
+    half-widths h = floor((KERNEL_REACH * sigma + GRID_EPS) / dv) grid steps.
 
-    The window is [max(r - h, 0), r + h + 1), h = floor((KERNEL_REACH *
-    sigma + GRID_EPS) / dv) grid steps: both tests take the slack GRID_EPS,
-    so an edge meant to lie on a grid point is inside, as <= says.  A row
-    whose window lies inside one run of equal values averages that value,
-    which it already holds, so it is left out with no taps.
+    Row r's window is [max(r - h, 0), r + h + 1): both tests take the slack
+    GRID_EPS, so an edge meant to lie on a grid point is inside, as <= says.
+    sigma = ti * grid never falls along the grid, so neither does half.  A
+    row whose window lies inside one run of equal values averages that
+    value, which it already holds, so it is left out with no taps.
     """
     rows = np.flatnonzero(sigma[:k] + GRID_EPS >= dv / 2.0)
     half = ((KERNEL_REACH * sigma[rows] + GRID_EPS) // dv).astype(np.intp)
-    lo = np.maximum(rows - half, 0)
-    hi = rows + half + 1
     inside = power[:k]
     run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
-    keep = run[lo] != run[np.minimum(hi, k) - 1]
-    return rows[keep], lo[keep], hi[keep]
+    keep = run[np.maximum(rows - half, 0)] != run[np.minimum(rows + half, k - 1)]
+    return rows[keep], half[keep]
 
 
 def _blocks(half: np.ndarray):
-    """Split planned rows with half-widths half into blocks (first, last, H):
-    from first, the longest run of rows whose count times H, the widest
-    half-width among them, is at most BLOCK_TAPS, or one wider row."""
+    """Split planned rows with half-widths half, which never fall, into
+    blocks (first, last, H): from first, the longest run of rows whose count
+    times H, the half-width of its last row, is at most BLOCK_TAPS, or one
+    wider row."""
     first = 0
     while first < len(half):
         # H >= half[first], so no run longer than BLOCK_TAPS // half[first]
         # fits; the one row more keeps a wider first row in its own block.
-        widest = np.maximum.accumulate(half[first:first + 1 + BLOCK_TAPS // int(half[first])])
-        area = np.arange(1, len(widest) + 1) * widest
+        h = half[first:first + 1 + BLOCK_TAPS // int(half[first])]
+        area = np.arange(1, len(h) + 1) * h
         last = first + max(int(area.searchsorted(BLOCK_TAPS, "right")), 1)
-        yield first, last, int(widest[last - first - 1])
+        yield first, last, int(half[last - 1])
         first = last
 
 
@@ -201,13 +201,12 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
 
     # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
     sigma = ti * grid
-    rows, lo, hi = _row_plan(k, sigma, dv, smoothed)
-    taps = int((hi - lo).sum())
+    rows, half = _row_plan(k, sigma, dv, smoothed)
+    taps = int((half + np.minimum(half, rows) + 1).sum())
     if taps > MAX_TURBULENCE_TAPS:
         raise ValueError(f"turbulence kernel of {taps} taps at TI {ti} exceeds "
                          f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
-    half = hi - rows - 1
-    pad = int(half.max(initial=0))
+    pad = int(half[-1]) if len(half) else 0
     # The power at the columns -pad .. k + pad - 1: zeros before the grid, the
     # plateau past the window.  view[c + pad] holds the pad columns from c on,
     # so row r reads p_{r+m} at after[r, m - 1] and p_{r-m} at before[r, H - m].
@@ -230,9 +229,9 @@ def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
         m = offsets[:wide]
         w = squares[:wide] * scale[first:last][pick, None]
         np.exp(w, out=w)
-        # Every row keeps the columns up to the narrowest half-width h0.
+        # Every row keeps the columns up to h0, the first picked row's half-width.
         h = reach[first:last][pick]
-        h0 = int(h.min())
+        h0 = int(h[0])
         np.copyto(w[:, h0:], 0.0, where=m[h0:] > h[:, None])
         right = w.sum(axis=1)
         # A row whose window passes the grid's first column (h > r, TI > 0.2)
@@ -266,10 +265,11 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     over m = 1..h, with w_m = exp(m^2 c_r) and c_r = -0.5 (dv / sigma_r)^2
     computed once per row, so one multiply and one exp per +-m pair; a window
     that passes the grid's first column (TI > 0.2) reads zeros there and
-    leaves those weights out of its sum.  The rows are cut into blocks, each
-    evaluated as one dense array of its rows times H, the widest half-width
-    among them, over zero-copy views of the power on both sides; only the
-    columns past the block's narrowest half-width are masked, each row
+    leaves those weights out of its sum.  Half-widths never fall along the
+    grid, as sigma rises with U.  The rows are cut into blocks, each
+    evaluated as one dense array of its rows times H, its last row's
+    half-width, over zero-copy views of the power on both sides; only the
+    columns past its first computed row's half-width are masked, each row
     zeroing its weights past its own h.  A block is the longest run of rows
     whose count times H is at most BLOCK_TAPS (16384), a wider row being a
     block of its own, so the temporaries stay a few hundred kB.  The blocks

@@ -11,6 +11,7 @@ the synthesis deliberately does not model).
 
 from __future__ import annotations
 
+import csv
 import errno
 import json
 import math
@@ -34,6 +35,13 @@ DEFAULT_TI_GRID = (0.0, 0.025, 0.05, 0.075, 0.10)
 SHAPE_ANOMALY_NRMSE = 0.05
 
 SUMMARY_CSV_HEADER = "name,cp_max,betz_flag,best_ti,rmse_best"
+
+
+def ti_text(ti: float) -> str:
+    """The text a TI is written as: its %g form when that reads back as the
+    TI, else its repr, so two distinct TIs never share a text."""
+    text = f"{ti:g}"
+    return text if float(text) == ti else repr(float(ti))
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ class CurveValidation:
             "cp_max_extracted": self.cp_max_extracted,
             "betz_violation": self.betz_violation,
             "best_ti": self.best_ti,
-            "rmse_by_ti": {f"{ti:g}": r for ti, r in self.rmse_by_ti.items()},
+            "rmse_by_ti": {ti_text(ti): r for ti, r in self.rmse_by_ti.items()},
             "rmse_best": self.rmse_best,
             "shape_anomaly": self.shape_anomaly,
             "filled_defaults": self.filled_defaults,
@@ -170,7 +178,7 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
         model_p = turbulent_power(laminar, ti, wind, cut_out=spec.cut_out)
         rmse = float(np.sqrt(np.mean((model_p - measured) ** 2)) / spec.rated_power)
         if not math.isfinite(rmse):
-            raise NonFiniteResult(f"{m.turbine.name}: RMSE at TI {ti:g} is not finite")
+            raise NonFiniteResult(f"{m.turbine.name}: RMSE at TI {ti_text(ti)} is not finite")
         rmse_by_ti[ti] = rmse
 
     best_ti = min(rmse_by_ti, key=rmse_by_ti.get)
@@ -225,8 +233,9 @@ def write_report_json(results: Sequence[CurveValidation], target: IO[str]) -> No
 
 
 def write_summary_csv(results: Sequence[CurveValidation], target: IO[str]) -> None:
+    """One row per result under SUMMARY_CSV_HEADER, a name holding a comma
+    or a quote quoted as csv reads it back."""
     target.write(SUMMARY_CSV_HEADER + "\n")
-    for r in results:
-        target.write(f"{r.name},{r.cp_max_extracted:.6g},"
-                     f"{str(r.betz_violation).lower()},{r.best_ti:.6g},"
-                     f"{r.rmse_best:.6g}\n")
+    csv.writer(target, lineterminator="\n").writerows(
+        [r.name, f"{r.cp_max_extracted:.6g}", str(r.betz_violation).lower(),
+         ti_text(r.best_ti), f"{r.rmse_best:.6g}"] for r in results)

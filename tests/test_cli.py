@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import os
@@ -251,6 +252,19 @@ class TestSweep:
                                       "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("param, count, message", [
+        ("cut_in", "0", "ValueError: --range count must be >= 1"),
+        ("cp_parameterisation", "3",
+         "ValueError: cp_parameterisation sweeps need --values with model names"),
+    ])
+    def test_range_refused_exits_2(self, runner, tmp_path, param, count, message):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["sweep", "--param", param, "--range", "1", "2", count,
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestDefaultsCmd:
     def test_two_mandatory_inputs(self, runner):
@@ -319,6 +333,21 @@ class TestCpTable:
             "ochieng2014", "dai2016"]
 
 
+@pytest.mark.parametrize("args", [
+    ["cp-table", "--registry-json"],
+    ["cp-table", "--model", "heier2014", "--lambda-max", "10", "--step", "0.5"],
+    ["defaults", "--diameter", "80", "--rated-power", "2000"],
+], ids=["registry", "table", "defaults"])
+def test_out_holds_the_stdout_bytes(runner, tmp_path, args):
+    shown = runner.invoke(main, args)
+    assert shown.exit_code == 0, shown.output
+    out = tmp_path / "out.txt"
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert written.exit_code == 0, written.output
+    assert written.stdout_bytes == b""
+    assert out.read_bytes() == shown.stdout_bytes
+
+
 class TestValidateCmd:
     def test_batch(self, runner, tmp_path):
         gen_dir = tmp_path / "fleet"
@@ -353,6 +382,19 @@ class TestValidateCmd:
                             for f in ("summary.csv", "report.json")])
         assert outputs[0] == outputs[1]
         assert len(outputs[1][0].splitlines()) == 3
+
+    def test_tis_that_print_alike_keep_their_own_text(self, runner, tmp_path):
+        # %g writes both 0.1 and 0.1000001 as 0.1
+        result, _ = generate(runner, tmp_path, "--name", "unit1", "--ti", "0.1", stem="unit1")
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path),
+                                      "--ti-grid", "0.1,0.1000001,0.05"])
+        assert result.exit_code == 0, result.output
+        (report,) = json.loads((tmp_path / "report.json").read_text())
+        assert list(report["rmse_by_ti"]) == ["0.05", "0.1", "0.1000001"]
+        (row,) = csv.DictReader((tmp_path / "summary.csv").open())
+        assert float(row["best_ti"]) == report["best_ti"]
+        assert result.stdout.startswith(f"unit1: best_ti={row['best_ti']} rmse=")
 
     def test_missing_dir_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--input-dir",

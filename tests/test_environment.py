@@ -145,8 +145,8 @@ class TestApplyTurbulence:
     def test_constant_windows_cost_no_taps(self, reference_curve):
         grid, dv, power = reference_curve.wind_grid, reference_curve.dv, reference_curve.power
         k, sigma = self._plan_inputs(reference_curve)
-        rows, lo, hi = _row_plan(k, sigma, dv, power)
-        assert int((hi - lo).sum()) > 0
+        rows, planned = _row_plan(k, sigma, dv, power)
+        assert len(rows) > 0
         # of the window's rows with sigma >= dv/2, exactly those whose window,
         # decided exactly, holds more than one value of the plateau-extended
         # input are planned, each with that window
@@ -156,20 +156,19 @@ class TestApplyTurbulence:
         windows = [extended[max(i - half[i], 0):i + half[i] + 1] for i in eligible]
         constant = np.array([np.all(w == w[0]) for w in windows])
         assert np.array_equal(rows, eligible[~constant])
-        assert hi.tolist() == [i + half[i] + 1 for i in rows]
-        assert lo.tolist() == [max(i - half[i], 0) for i in rows]
+        assert planned.tolist() == [half[i] for i in rows]
         # both kinds of constant row occur: wholly below cut-in and past rated
         assert set(extended[eligible[constant]]) == {0.0, 2000.0}
-        rows, lo, hi = _row_plan(k, sigma, dv, np.full(len(grid), 7.5))
-        assert int((hi - lo).sum()) == 0 and len(rows) == 0
+        rows, planned = _row_plan(k, sigma, dv, np.full(len(grid), 7.5))
+        assert len(rows) == 0 and len(planned) == 0
 
     def test_an_edge_on_a_grid_point_is_inside_the_window(self, reference_curve):
         # at TI 0.1, 5 sigma at 10 m/s is 5 m/s, 100 grid steps exactly
         k, _ = self._plan_inputs(reference_curve)
-        rows, lo, hi = _row_plan(k, 0.1 * reference_curve.wind_grid, 0.05,
-                                 reference_curve.power)
+        rows, half = _row_plan(k, 0.1 * reference_curve.wind_grid, 0.05,
+                               reference_curve.power)
         (at,) = np.flatnonzero(rows == 200)
-        assert (lo[at], hi[at]) == (100, 301)
+        assert half[at] == 100
 
     @pytest.mark.parametrize("dv", [0.05, 0.01])
     def test_a_grid_moved_by_round_off_gives_the_same_curve(self, reference_spec,
@@ -200,7 +199,7 @@ class TestApplyTurbulence:
         assert np.flatnonzero(moved).tolist() == [100, 101, 200]
         # rows past cut-out are never planned
         k, sigma = self._plan_inputs(reference_curve)
-        rows, _, _ = _row_plan(k, sigma, reference_curve.dv, power)
+        rows, _ = _row_plan(k, sigma, reference_curve.dv, power)
         assert rows.max() < k
 
     @pytest.mark.parametrize("ti, dv, cut_out, edge", [
@@ -218,8 +217,7 @@ class TestApplyTurbulence:
         spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
         curve = ideal_curve(spec, reference_model, v_max=dv * round(40.0 / dv), dv=dv)
         _smoothed(curve, ti, cut_out, np.ones(len(curve.wind_grid), dtype=bool))
-        ((rows, lo, hi),) = plans
-        half = hi - rows - 1
+        ((rows, half),) = plans
         blocks = list(_blocks(half))
         assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
         assert blocks[-1][1] == len(rows)

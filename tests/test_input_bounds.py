@@ -146,8 +146,9 @@ def test_turbulence_taps_capped_per_curve(reference_curve, monkeypatch):
     monkeypatch.setattr(environment, "_row_plan",
                         lambda *args: plans.append(plan_rows(*args)) or plans[-1])
     apply_turbulence(reference_curve, 0.1, cut_out=25.0)
-    _, lo, hi = plans[0]
-    taps = int((hi - lo).sum())
+    # the taps of each planned row r's window [max(r - h, 0), r + h + 1)
+    rows, half = plans[0]
+    taps = sum(r + h + 1 - max(r - h, 0) for r, h in zip(rows.tolist(), half.tolist()))
     monkeypatch.setattr(environment, "MAX_TURBULENCE_TAPS", taps)
     apply_turbulence(reference_curve, 0.1, cut_out=25.0)
     # past it, both entry points refuse the curve, however few rows are sampled

@@ -275,8 +275,8 @@ def _block_ends(curve, ti, cut_out):
     """The last planned row of each block of the turbulence stage, from the
     plan _smoothed makes."""
     k = window_end(curve.wind_grid, cut_out)
-    rows, _, hi = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
-    return [rows[last - 1] for _, last, _ in _blocks(hi - rows - 1)]
+    rows, half = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
+    return [rows[last - 1] for _, last, _ in _blocks(half)]
 
 
 @given(st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
@@ -306,6 +306,30 @@ def test_smoothed_rows_do_not_depend_on_the_other_candidates(ti, dv, cut_out, sh
     rows = np.flatnonzero(candidates)
     np.testing.assert_array_equal(_smoothed(ideal, ti, cut_out, candidates)[rows],
                                   _smoothed(ideal, ti, cut_out, np.ones_like(candidates))[rows])
+
+
+@given(st.floats(min_value=0.0, max_value=0.9, exclude_min=True),
+       st.floats(min_value=0.002, max_value=0.2),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.integers(min_value=2, max_value=3000),
+       st.floats(min_value=-1.0, max_value=50.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(0.15, 0.01, 0.0, 4001, 25.0, 0)  # the default grid's length at dv 0.01
+@example(0.9, 0.05, 2.0, 801, 40.0, 1)    # windows past column 0 and past the grid's end
+@settings(max_examples=60, deadline=None)
+def test_half_widths_never_fall_along_the_plan(ti, dv, start, n, cut_out, seed):
+    # a linspace grid from any speed, not make_wind_grid's, under a step
+    # curve of a few runs, so some rows are left out of the plan
+    grid = np.linspace(start, start + dv * (n - 1), n)
+    power = np.sort(np.random.default_rng(seed).integers(0, 5, n)) * 500.0
+    curve = PowerCurve(grid, power)
+    k = window_end(curve.wind_grid, cut_out)
+    rows, half = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
+    assert len(rows) == len(half) and np.all(np.diff(rows) > 0)
+    assert np.all(np.diff(half) >= 0)
+    # so a block's first row is its narrowest and its last its widest
+    for first, last, wide in _blocks(half):
+        assert half[first] == half[first:last].min() and wide == half[first:last].max()
 
 
 @given(st.sampled_from((0.05, 0.01, 0.037)),

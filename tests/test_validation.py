@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import errno
 import io
@@ -12,8 +13,8 @@ from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
                        turbulent_power, validate_directory)
 from windcurve import validation
 from windcurve.cp_models import REGISTRY
-from windcurve.validation import (SUMMARY_CSV_HEADER, write_report_json,
-                                  write_summary_csv)
+from windcurve.validation import (DEFAULT_TI_GRID, SUMMARY_CSV_HEADER, CurveValidation,
+                                  ti_text, write_report_json, write_summary_csv)
 
 
 def sample_curve(curve, winds):
@@ -41,6 +42,11 @@ class TestMeasuredCurve:
     def test_powers_non_negative(self, defaults_spec):
         with pytest.raises(ValueError, match=">= 0"):
             MeasuredCurve(defaults_spec, np.arange(4.0), np.array([0, 1, -2, 1.0]))
+
+    def test_wind_and_power_of_unequal_length(self, defaults_spec):
+        with pytest.raises(ValueError,
+                           match="^wind and power must be 1-d arrays of equal length$"):
+            MeasuredCurve(defaults_spec, np.arange(5.0), np.zeros(4))
 
 
 class TestInvertCp:
@@ -220,6 +226,28 @@ class TestMatchOverTi:
         with pytest.raises(ValueError):
             match_over_ti(synthetic_measured, ti_grid=[])
 
+    def test_no_sample_in_the_comparison_range(self, defaults_spec):
+        # every sample lies below cut-in (3 m/s) or past 0.95 * cut-out (23.75 m/s)
+        winds = np.array([0.0, 1.0, 2.0, 2.99, 23.76, 26.0])
+        m = MeasuredCurve(defaults_spec, winds, np.zeros(len(winds)))
+        with pytest.raises(ValueError, match=r"^turbine: no samples inside the "
+                                             r"comparison range \[3\.0, 23\.75\]$"):
+            match_over_ti(m)
+
+    def test_tis_that_print_alike_keep_their_own_keys(self, synthetic_measured):
+        # %g writes 0.1000001 as 0.1; each distinct TI is scored and reported
+        result = match_over_ti(synthetic_measured, [0.1, 0.1000001, 0.05])
+        assert list(result.rmse_by_ti) == [0.05, 0.1, 0.1000001]
+        assert list(result.to_dict()["rmse_by_ti"]) == ["0.05", "0.1", "0.1000001"]
+
+
+def test_ti_text_reads_back_as_its_ti():
+    assert ",".join(map(ti_text, DEFAULT_TI_GRID)) == "0,0.025,0.05,0.075,0.1"
+    for ti in (0.0, 0.1, 0.1000001, 1e-7, 0.123456789, 1 / 3, 0.999999999):
+        assert float(ti_text(ti)) == ti
+    assert ti_text(0.1000001) == "0.1000001" and ti_text(1 / 3) == repr(1 / 3)
+    assert ti_text(np.float64(0.1000001)) == "0.1000001"
+
 
 class TestBatchValidation:
     @pytest.fixture
@@ -286,3 +314,18 @@ class TestBatchValidation:
         assert lines[0] == SUMMARY_CSV_HEADER
         assert lines[1].startswith("alpha,")
         assert ",false," in lines[1]
+
+    def test_summary_reads_back_a_name_with_a_comma(self):
+        def result(name, best_ti):
+            return CurveValidation(name=name, cp_max_extracted=0.45, betz_violation=False,
+                                   best_ti=best_ti, rmse_by_ti={best_ti: 0.0125},
+                                   shape_anomaly=False)
+
+        out = io.StringIO()
+        write_summary_csv([result('V80, 2MW "b"', 0.05), result("unit1", 0.1000001)], out)
+        # a plain name keeps its bytes; the other is quoted, and best_ti keeps its digits
+        assert out.getvalue().splitlines()[2] == "unit1,0.45,false,0.1000001,0.0125"
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert rows[0] == {"name": 'V80, 2MW "b"', "cp_max": "0.45", "betz_flag": "false",
+                           "best_ti": "0.05", "rmse_best": "0.0125"}
+        assert [row["name"] for row in rows] == ['V80, 2MW "b"', "unit1"]
