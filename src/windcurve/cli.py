@@ -18,10 +18,12 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
-from .cp_models import (DEFAULT_PARAMETERISATION, REGISTRY, cp_general_array,
-                        get_parameterisation, lambda_grid, registry_to_json)
+from .cp_models import (DEFAULT_PARAMETERISATION, MAX_LAMBDA_POINTS, REGISTRY,
+                        cp_general_array, get_parameterisation, lambda_grid,
+                        registry_to_json)
 from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve, grid_points
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
@@ -31,8 +33,8 @@ from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load
 from .validation import (DEFAULT_TI_GRID, _curve_pairs, ti_text, validate_directory,
                          write_report_json, write_summary_csv)
 
-_INPUT_ERRORS = (WindcurveError, ValueError, OSError)
-_NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, ArithmeticError)
+_INPUT_ERRORS = (WindcurveError, ValueError, OSError, Warning)
+_NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, ArithmeticError, RuntimeWarning)
 
 
 #: A run held flat, as config files and sidecars hold it: the default of every
@@ -83,6 +85,10 @@ MAX_SWEEP_VALUES = 1000
 #: power: 1000 values on a dv 0.01 grid hold 4e6.
 MAX_SWEEP_POINTS = 10_000_000
 
+#: Most rows one cp table holds, as text, before it is written: all six models
+#: at the four default pitches on a tip-speed-ratio grid of MAX_LAMBDA_POINTS.
+MAX_CP_TABLE_ROWS = len(REGISTRY) * 4 * MAX_LAMBDA_POINTS
+
 
 def _fail(code: int, reason: str) -> None:
     click.echo(f"error: {reason}", err=True)
@@ -91,7 +97,8 @@ def _fail(code: int, reason: str) -> None:
 
 class _Guarded(click.Group):
     """Map every error, option parsing included, to its exit code and one error
-    line.  Warnings are held back and shown only when the command succeeds."""
+    line.  Warnings are held back and shown, one line each, only when the
+    command succeeds; one that the filters raise is an error like any other."""
 
     def invoke(self, ctx: click.Context):
         with warnings.catch_warnings(record=True) as held:
@@ -104,7 +111,7 @@ class _Guarded(click.Group):
             except click.ClickException as exc:
                 _fail(2, exc.format_message())
         for w in held:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            click.echo(f"warning: {w.category.__name__}: {w.message}", err=True)
         return result
 
 
@@ -153,6 +160,18 @@ def _refuse_clashes(outputs, inputs) -> None:
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
+def _labelled(what: str, values, label) -> dict:
+    """Each value under its label, label(value), which names its rows in a
+    table.  Raise ValueError naming both values when two share a label."""
+    first = {}
+    for v in values:
+        text = label(v)
+        if text in first:
+            raise ValueError(f"{what} {first[text]!r} and {v!r} share the label {text}")
+        first[text] = v
+    return first
 
 
 def _resolve_config(config_path: str | None, spec_path: str | None,
@@ -247,7 +266,8 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
 
 
 def _parse_sweep_values(param: str, values: str | None,
-                        vrange: tuple[float, float, int] | None) -> list:
+                        vrange: tuple[float, float, int] | None) -> dict:
+    """Each sweep value under the label of its rows: %.6g, or the model name."""
     if (values is None) == (vrange is None):
         raise ValueError("give exactly one of --values or --range")
     count = values.count(",") + 1 if vrange is None else vrange[2]
@@ -256,13 +276,16 @@ def _parse_sweep_values(param: str, values: str | None,
     if param == "cp_parameterisation":
         if values is None:
             raise ValueError("cp_parameterisation sweeps need --values with model names")
-        return [get_parameterisation(v).name for v in values.split(",")]
+        return _labelled("sweep values", values.split(","),
+                         lambda v: get_parameterisation(v).name)
     if values is not None:
-        return [float(v) for v in values.split(",")]
-    lo, hi, count = vrange
-    if count < 1:
-        raise ValueError("--range count must be >= 1")
-    return list(np.linspace(lo, hi, int(count)))
+        numbers = [float(v) for v in values.split(",")]
+    else:
+        lo, hi, count = vrange
+        if count < 1:
+            raise ValueError("--range count must be >= 1")
+        numbers = np.linspace(lo, hi, int(count)).tolist()
+    return _labelled("sweep values", numbers, "{:.6g}".format)
 
 
 @main.command()
@@ -282,6 +305,11 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
     """Vary one parameter around the reference configuration."""
     _refuse_clashes([("--out", out_path)], [("--config", config_path)])
     sweep_values = _parse_sweep_values(param, values, vrange)
+    if param in SWEEP_INTERVALS:
+        lo, hi = SWEEP_INTERVALS[param]
+        for label, v in sweep_values.items():
+            if not lo <= v <= hi:
+                warnings.warn(f"{param}={label} outside the typical interval [{lo:g}, {hi:g}]")
     base = {**REFERENCE_CONFIG, **_resolve_config(config_path, None, flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
     run = {**_DEFAULT_RECORD, **base}
@@ -292,20 +320,12 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
         raise ValueError(f"sweep of {len(sweep_values)} curves holds {points:.6g} grid "
                          f"points, more than MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
 
-    # Synthesize every curve first and warn only once the CSV is written: a
-    # failing run prints only its error line, and a failing value writes nothing.
-    curves = [_synthesize({**base, key: v})[0] for v in sweep_values]
+    # Synthesize every curve first: a failing value writes nothing.
+    curves = [_synthesize({**base, key: v})[0] for v in sweep_values.values()]
     with Path(out_path).open("w", newline="") as fh:
         fh.write("param_value,wind_speed_ms,power_kw\n")
-        for v, curve in zip(sweep_values, curves):
-            label = v if param == "cp_parameterisation" else f"{v:.6g}"
+        for label, curve in zip(sweep_values, curves):
             fh.writelines(f"{label},{row}\n" for row in curve.csv_rows())
-    interval = SWEEP_INTERVALS.get(param)
-    if interval is not None:
-        for v in sweep_values:
-            if not interval[0] <= v <= interval[1]:
-                click.echo(f"warning: {param}={v:g} outside the typical "
-                           f"interval [{interval[0]:g}, {interval[1]:g}]", err=True)
     click.echo(f"wrote {out_path} ({len(sweep_values)} curves)")
 
 
@@ -338,18 +358,28 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
              out_path: str | None) -> None:
     """Tabulate cp versus tip-speed ratio for several pitch angles."""
     if registry_json:
+        ctx = click.get_current_context()
+        for option in ctx.command.params:
+            if (option.name not in ("registry_json", "out_path")
+                    and ctx.get_parameter_source(option.name) is ParameterSource.COMMANDLINE):
+                raise ValueError(f"{option.opts[0]} has no effect with --registry-json")
         _emit(registry_to_json() + "\n", out_path)
         return
-    names = [get_parameterisation(m).name for m in models] or sorted(REGISTRY)
-    beta_values = [float(b) for b in betas.split(",")]
+    names = list(_labelled("--model", models, lambda m: get_parameterisation(m).name))
+    names = names or sorted(REGISTRY)
     lams = lambda_grid(lambda_min, lambda_max, step)
+    rows = len(names) * (betas.count(",") + 1) * len(lams)
+    if rows > MAX_CP_TABLE_ROWS:
+        raise ValueError(f"cp table of {rows} rows exceeds "
+                         f"MAX_CP_TABLE_ROWS = {MAX_CP_TABLE_ROWS}")
+    pitches = _labelled("--betas", [float(b) for b in betas.split(",")], "{:.6g}".format)
 
     lines = ["model,beta_deg,lambda,cp"]
     for name in names:
         p = REGISTRY[name]
-        for beta in beta_values:
+        for label, beta in pitches.items():
             cps = cp_general_array(lams, beta, p)
-            lines.extend(f"{name},{beta:.6g},{l:.6g},{c:.6g}"
+            lines.extend(f"{name},{label},{l:.6g},{c:.6g}"
                          for l, c in zip(lams, cps))
     _emit("\n".join(lines) + "\n", out_path)
 

@@ -332,6 +332,20 @@ class TestCpTable:
             "slootweg2003", "heier2014", "thongam2009", "dekooning2013",
             "ochieng2014", "dai2016"]
 
+    @pytest.mark.parametrize("args", [
+        ["--model", "dai2016", "--betas", "7"],
+        ["--betas", "0,1,3,5"],
+        ["--lambda-min", "0.5"],
+        ["--lambda-max", "10"],
+        ["--step", "0.1"],
+    ], ids=["model", "betas", "lambda-min", "lambda-max", "step"])
+    def test_registry_json_refuses_a_table_option(self, runner, tmp_path, args):
+        out = tmp_path / "reg.json"
+        result = runner.invoke(main, ["cp-table", "--registry-json", *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: ValueError: {args[0]} has no effect with --registry-json\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("args", [
     ["cp-table", "--registry-json"],
@@ -346,6 +360,28 @@ def test_out_holds_the_stdout_bytes(runner, tmp_path, args):
     assert written.exit_code == 0, written.output
     assert written.stdout_bytes == b""
     assert out.read_bytes() == shown.stdout_bytes
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--param", "rotor_diameter", "--values", "80,80.0000001"],
+     "sweep values 80.0 and 80.0000001 share the label 80"),
+    (["sweep", "--param", "rotor_diameter", "--values", "60,80,80"],
+     "sweep values 80.0 and 80.0 share the label 80"),
+    (["sweep", "--param", "ti", "--range", "0.1", "0.1", "2"],
+     "sweep values 0.1 and 0.1 share the label 0.1"),
+    (["sweep", "--param", "cp_parameterisation", "--values", "dai2016,DAI2016"],
+     "sweep values 'dai2016' and 'DAI2016' share the label dai2016"),
+    (["cp-table", "--betas", "1,1.0000001"], "--betas 1.0 and 1.0000001 share the label 1"),
+    (["cp-table", "--model", "dai2016", "--model", "DAI2016"],
+     "--model 'dai2016' and 'DAI2016' share the label dai2016"),
+], ids=["sweep-near", "sweep-repeat", "sweep-range", "sweep-model", "cp-betas", "cp-model"])
+def test_values_that_share_a_label_exit_2(runner, tmp_path, args, message):
+    # each curve's or pitch's rows are told apart only by their label
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: ValueError: {message}\n"
+    assert not out.exists()
 
 
 class TestValidateCmd:
@@ -476,12 +512,12 @@ class TestValidateCmd:
         assert {f.name: f.read_bytes() for f in fleet.iterdir()} == before
 
 class TestStderr:
-    """Run as a subprocess: pytest records warnings before CliRunner sees them."""
+    """Run as a subprocess, under the interpreter's own warning filters."""
 
     @staticmethod
-    def run(tmp_path, *args):
+    def run(tmp_path, *args, **env):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run([sys.executable, "-m", "windcurve.cli", *args],
                               capture_output=True, text=True, cwd=tmp_path, env=env)
@@ -508,9 +544,31 @@ class TestStderr:
         assert result.returncode == 0, result.stderr
         assert result.stderr.count("UserWarning: air density 0.8") == 1, result.stderr
 
-    def test_success_still_shows_warnings_at_the_caller(self, tmp_path):
-        result = self.run(tmp_path, "generate", "--diameter", "80", "--rated-power",
-                          "2000", "--rho", "0.5", "--out", "c.csv")
+    @pytest.mark.parametrize("args, line", [
+        (["generate", "--diameter", "80", "--rated-power", "2000", "--rho", "0.5",
+          "--out", "c.csv"],
+         "warning: UserWarning: air density 0.5 kg/m^3 outside the usual 0.9-1.5 band"),
+        (["sweep", "--param", "cut_in", "--values", "6", "--out", "c.csv"],
+         "warning: UserWarning: cut_in=6 outside the typical interval [0, 5]"),
+    ], ids=["density", "interval"])
+    def test_success_shows_each_warning_on_one_line(self, tmp_path, args, line):
+        result = self.run(tmp_path, *args)
         assert result.returncode == 0, result.stderr
-        assert "UserWarning: air density 0.5" in result.stderr
-        assert "cli.py:" in result.stderr and "<string>" not in result.stderr
+        assert result.stderr == line + "\n"
+
+    @pytest.mark.parametrize("warning, args, code, line", [
+        ("UserWarning", ["generate", "--diameter", "80", "--rated-power", "2000",
+                         "--rho", "0.8", "--out", "c.csv"], 2,
+         "error: UserWarning: air density 0.8 kg/m^3 outside the usual 0.9-1.5 band"),
+        ("UserWarning", ["sweep", "--param", "cut_in", "--values", "6", "--out", "c.csv"], 2,
+         "error: UserWarning: cut_in=6 outside the typical interval [0, 5]"),
+        ("RuntimeWarning", ["generate", "--diameter", "80", "--rated-power", "2000",
+                            "--cut-in", "0", "--rho", "1e306", "--out", "c.csv"], 3,
+         "error: RuntimeWarning: invalid value encountered in multiply"),
+    ], ids=["density", "interval", "numeric"])
+    def test_warning_raised_as_an_error_is_one_error_line(self, tmp_path, warning, args,
+                                                          code, line):
+        result = self.run(tmp_path, *args, PYTHONWARNINGS=f"error::{warning}")
+        assert result.returncode == code, result.stderr
+        assert result.stderr == line + "\n"
+        assert not (tmp_path / "c.csv").exists()

@@ -15,9 +15,9 @@ from click.testing import CliRunner
 
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_turbulence,
                        make_wind_grid, rews, spec_from_json, synthesize, turbulent_power)
-from windcurve import environment
-from windcurve.cli import MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
-from windcurve.cp_models import MAX_LAMBDA_POINTS, lambda_grid
+from windcurve import cli, environment
+from windcurve.cli import MAX_CP_TABLE_ROWS, MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
+from windcurve.cp_models import MAX_LAMBDA_POINTS, REGISTRY, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
 from windcurve.environment import MAX_BANDS, MAX_TURBULENCE_TAPS, band_areas
 
@@ -128,16 +128,39 @@ def test_lambda_grid_points_capped():
       "--out", "c.csv"],
      f"error: ValueError: turbulence kernel of 682791730358 taps at TI 0.5 exceeds "
      f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}"),
+    (["cp-table", "--betas", ",".join(map(str, range(1000))), "--step", "1.95e-4",
+      "--out", "c.csv"],
+     f"error: ValueError: cp table of 600006000 rows exceeds "
+     f"MAX_CP_TABLE_ROWS = {MAX_CP_TABLE_ROWS}"),
 ])
 def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
     # without the caps, 7.45 GiB of bands or of sweep values, a 145 GiB
-    # tip-speed-ratio grid, 200 curves of a million points held at once, or
-    # hours of turbulence taps (past the timeout)
+    # tip-speed-ratio grid, 200 curves of a million points held at once,
+    # hours of turbulence taps (past the timeout), or 6e8 cp-table rows held
+    # as text
     result = _run_limited([*_CLI, *args], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith(message), result.stderr
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_cp_table_rows_capped(monkeypatch):
+    # the default models and pitches on the finest tip-speed-ratio grid fit
+    assert len(REGISTRY) * 4 * len(lambda_grid(0.5, 20.0, 1.95e-4)) <= MAX_CP_TABLE_ROWS
+    # one model at two pitches on 20 ratios, 0.5 to 10
+    args = ["cp-table", "--model", "heier2014", "--betas", "0,1", "--lambda-max", "10",
+            "--step", "0.5"]
+    monkeypatch.setattr(cli, "MAX_CP_TABLE_ROWS", 40)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 41
+    monkeypatch.setattr(cli, "MAX_CP_TABLE_ROWS", 39)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert _one_error_line(result) == (
+        "error: ValueError: cp table of 40 rows exceeds MAX_CP_TABLE_ROWS = 39")
+    assert result.stdout == ""
 
 
 def test_turbulence_taps_capped_per_curve(reference_curve, monkeypatch):
