@@ -8,6 +8,7 @@ precedence over built-in defaults.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -85,8 +86,8 @@ MAX_SWEEP_VALUES = 1000
 #: power: 1000 values on a dv 0.01 grid hold 4e6.
 MAX_SWEEP_POINTS = 10_000_000
 
-#: Most rows one cp table holds, as text, before it is written: all six models
-#: at the four default pitches on a tip-speed-ratio grid of MAX_LAMBDA_POINTS.
+#: Most rows one cp table writes: all six models at the four default pitches
+#: on a tip-speed-ratio grid of MAX_LAMBDA_POINTS.
 MAX_CP_TABLE_ROWS = len(REGISTRY) * 4 * MAX_LAMBDA_POINTS
 
 
@@ -131,12 +132,21 @@ def _load_config_file(path: str | None) -> dict:
     return _given(data)
 
 
+@contextlib.contextmanager
+def _text_out(out_path: str | None):
+    """A function that writes text to the file out_path, or to stdout when
+    there is none."""
+    if out_path is None:
+        yield lambda text: click.echo(text, nl=False)
+    else:
+        with Path(out_path).open("w") as fh:
+            yield fh.write
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write text to the file out_path, or to stdout when there is none."""
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out_path).write_text(text)
+    with _text_out(out_path) as write:
+        write(text)
 
 
 def _refuse_clashes(outputs, inputs) -> None:
@@ -373,15 +383,21 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
         raise ValueError(f"cp table of {rows} rows exceeds "
                          f"MAX_CP_TABLE_ROWS = {MAX_CP_TABLE_ROWS}")
     pitches = _labelled("--betas", [float(b) for b in betas.split(",")], "{:.6g}".format)
-
-    lines = ["model,beta_deg,lambda,cp"]
+    # Every pitch is checked on one ratio before the first row is written.
     for name in names:
-        p = REGISTRY[name]
-        for label, beta in pitches.items():
-            cps = cp_general_array(lams, beta, p)
-            lines.extend(f"{name},{label},{l:.6g},{c:.6g}"
-                         for l, c in zip(lams, cps))
-    _emit("\n".join(lines) + "\n", out_path)
+        for beta in pitches.values():
+            cp_general_array(lams[:1], beta, REGISTRY[name])
+
+    # Each (model, pitch) block is written as it is computed, from Python
+    # floats, which format faster than numpy's and to the same text.
+    ratios = lams.tolist()
+    with _text_out(out_path) as write:
+        write("model,beta_deg,lambda,cp\n")
+        for name in names:
+            for label, beta in pitches.items():
+                cps = cp_general_array(lams, beta, REGISTRY[name])
+                write("".join(f"{name},{label},{l:.6g},{c:.6g}\n"
+                              for l, c in zip(ratios, cps.tolist())))
 
 
 @main.command()

@@ -17,6 +17,7 @@ plateau before either transformation and the hard gate is re-applied after.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -185,64 +186,85 @@ def _blocks(half: np.ndarray):
         first = last
 
 
-def _smoothed(curve: PowerCurve, ti: float, cut_out: float,
+def _smoothed(curve: PowerCurve, ti: float | Sequence[float], cut_out: float,
               candidates: np.ndarray) -> np.ndarray:
     """The turbulence kernel: the curve's values with the candidate rows, a
     boolean mask over the grid, smoothed (see :func:`apply_turbulence`) and
     zero past cut_out; the other rows hold their plateau-extended input.
+
+    ti is one TI, giving one row of values, or a 1-D sequence of them, giving
+    one row per TI, row i bit-identical to the call with ti[i] alone.  The
+    setup that does not depend on TI is made once per call: the checks, the
+    plateau extension, the padded power and its view, padded to the widest
+    half-width of the batch, and the offsets.  Every TI is planned and checked
+    against MAX_TURBULENCE_TAPS before the first block of any.
     """
-    _check_ti(ti)
+    # A float is told from a sequence without np.ndim's array conversion.
+    scalar = isinstance(ti, float) or np.ndim(ti) == 0
+    tis = [ti] if scalar else list(ti)
+    for t in tis:
+        _check_ti(t)
     check_value("cut_out", cut_out)
     grid, dv = curve.wind_grid, curve.dv
-    k, smoothed, plateau = _plateau_extended(curve, cut_out)
-    smoothed[k:] = 0.0
-    if ti == 0.0:
-        return smoothed
+    k, extended, plateau = _plateau_extended(curve, cut_out)
+    extended[k:] = 0.0
+    if scalar and ti == 0.0:
+        return extended
 
     # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
-    sigma = ti * grid
-    rows, half = _row_plan(k, sigma, dv, smoothed)
-    taps = int((half + np.minimum(half, rows) + 1).sum())
-    if taps > MAX_TURBULENCE_TAPS:
-        raise ValueError(f"turbulence kernel of {taps} taps at TI {ti} exceeds "
-                         f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
-    pad = int(half[-1]) if len(half) else 0
+    # A TI of 0 plans no row, as its scalar call returns above.
+    plans, pad = [], 0
+    for t in tis:
+        sigma = t * grid
+        rows, half = (_row_plan(k, sigma, dv, extended) if t != 0.0
+                      else (np.zeros(0, dtype=np.intp),) * 2)
+        taps = int((half + np.minimum(half, rows) + 1).sum())
+        if taps > MAX_TURBULENCE_TAPS:
+            raise ValueError(f"turbulence kernel of {taps} taps at TI {t} exceeds "
+                             f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
+        plans.append((sigma, rows, half))
+        if len(half):
+            pad = max(pad, int(half[-1]))
     # The power at the columns -pad .. k + pad - 1: zeros before the grid, the
     # plateau past the window.  view[c + pad] holds the pad columns from c on,
     # so row r reads p_{r+m} at after[r, m - 1] and p_{r-m} at before[r, H - m].
-    ext_power = np.concatenate([np.zeros(pad), smoothed[:k], np.full(pad, plateau)])
+    ext_power = np.concatenate([np.zeros(pad), extended[:k], np.full(pad, plateau)])
     view = sliding_window_view(ext_power, pad)
     centre, after = ext_power[pad:], view[pad + 1:]
-    # Offsets m = 1 .. pad and the half-widths h in grid steps, float64 for speed.
+    # Offsets m = 1 .. pad in grid steps, float64 for speed.
     offsets = np.arange(1, pad + 1, dtype=np.float64)
-    reach = half.astype(np.float64)
-    # Row r's weights are exp(m^2 * scale_r).  Planned rows only: sigma is 0 at 0 m/s.
     squares = offsets * offsets
-    scale = -0.5 * (dv / sigma[rows]) ** 2
-    for first, last, wide in _blocks(half):
-        pick = candidates[rows[first:last]]
-        r = rows[first:last][pick]
-        if len(r) == 0:
-            continue
-        # Consecutive rows read the view through basic slices, with no copy.
-        at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r
-        m = offsets[:wide]
-        w = squares[:wide] * scale[first:last][pick, None]
-        np.exp(w, out=w)
-        # Every row keeps the columns up to h0, the first picked row's half-width.
-        h = reach[first:last][pick]
-        h0 = int(h[0])
-        np.copyto(w[:, h0:], 0.0, where=m[h0:] > h[:, None])
-        right = w.sum(axis=1)
-        # A row whose window passes the grid's first column (h > r, TI > 0.2)
-        # counts only the weights of the columns it has on the left.
-        left = right if wide <= r[0] else np.where(m > r[:, None].astype(np.float64),
-                                                  0.0, w).sum(axis=1)
-        before = view[pad - wide:]
-        both = after[at, :wide] + before[at, wide - 1::-1]
-        both *= w
-        smoothed[at] = (centre[at] + both.sum(axis=1)) / (1.0 + right + left)
-    return smoothed
+    out = extended[None] if scalar else np.tile(extended, (len(tis), 1))
+    for i, (sigma, rows, half) in enumerate(plans):
+        smoothed = out[i]
+        # The half-widths h in grid steps, and row r's weights exp(m^2 * scale_r).
+        # Planned rows only: sigma is 0 at 0 m/s.
+        reach = half.astype(np.float64)
+        scale = -0.5 * (dv / sigma[rows]) ** 2
+        for first, last, wide in _blocks(half):
+            pick = candidates[rows[first:last]]
+            r = rows[first:last][pick]
+            if len(r) == 0:
+                continue
+            # Consecutive rows read the view through basic slices, with no copy.
+            at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r
+            m = offsets[:wide]
+            w = squares[:wide] * scale[first:last][pick, None]
+            np.exp(w, out=w)
+            # Every row keeps the columns up to h0, the first picked row's half-width.
+            h = reach[first:last][pick]
+            h0 = int(h[0])
+            np.copyto(w[:, h0:], 0.0, where=m[h0:] > h[:, None])
+            right = w.sum(axis=1)
+            # A row whose window passes the grid's first column (h > r, TI > 0.2)
+            # counts only the weights of the columns it has on the left.
+            left = right if wide <= r[0] else np.where(m > r[:, None].astype(np.float64),
+                                                      0.0, w).sum(axis=1)
+            before = view[pad - wide:]
+            both = after[at, :wide] + before[at, wide - 1::-1]
+            both *= w
+            smoothed[at] = (centre[at] + both.sum(axis=1)) / (1.0 + right + left)
+    return extended if scalar else out
 
 
 def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCurve:
@@ -284,7 +306,7 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     return PowerCurve(grid, _smoothed(curve, ti, cut_out, np.ones(len(grid), dtype=bool)))
 
 
-def turbulent_power(curve: PowerCurve, ti: float, wind: np.ndarray, *,
+def turbulent_power(curve: PowerCurve, ti: float | Sequence[float], wind: np.ndarray, *,
                     cut_out: float) -> np.ndarray:
     """The turbulent curve interpolated linearly at the speeds wind.
 
@@ -296,13 +318,21 @@ def turbulent_power(curve: PowerCurve, ti: float, wind: np.ndarray, *,
     np.interp returns fp[j] without reading fp[j + 1].  So the cost is the
     taps of one row for each speed on a grid point, as a manufacturer curve
     tabulated every 0.25 m/s is on the default grid, and two otherwise.
+
+    ti may also be a 1-D sequence of TIs: the result then holds one row per
+    TI, row i bit-identical to the call with ti[i] alone, and the kernel's
+    TI-independent setup is made once for them all (see :func:`_smoothed`).
     """
     grid = curve.wind_grid
     j = np.clip(np.searchsorted(grid, wind, "right") - 1, 0, len(grid) - 2)
     marked = np.zeros(len(grid), dtype=bool)
     marked[j] = True
     marked[(j + 1)[grid[j] != wind]] = True
-    return np.interp(wind, grid, _smoothed(curve, ti, cut_out, marked))
+    power = _smoothed(curve, ti, cut_out, marked)
+    if power.ndim == 1:
+        return np.interp(wind, grid, power)
+    return np.array([np.interp(wind, grid, row) for row in power]).reshape(
+        len(power), *np.shape(wind))
 
 
 def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,

@@ -158,8 +158,10 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
     samples inside [cut_in, 0.95 * cut_out].  The curve is synthesized once,
     laminar, and each candidate TI smooths only the grid rows that the
     interpolation at those samples reads: one row for a sample on a grid
-    point, the two that bracket it otherwise (see :func:`turbulent_power`).
-    Ties in the error map resolve to the smallest TI.
+    point, the two that bracket it otherwise.  The distinct TIs, smallest
+    first, are scored in one :func:`turbulent_power` call, which builds the
+    kernel's TI-independent setup once for them all.  Ties in the error map
+    resolve to the smallest TI.
     """
     laminar_site, sites = _ti_sites(ti_grid, rho)
     _, cp_max = invert_cp(m, rho)
@@ -172,10 +174,9 @@ def match_over_ti(m: MeasuredCurve, ti_grid: Sequence[float] = DEFAULT_TI_GRID, 
 
     laminar, _ = synthesize(spec, laminar_site, cp_model=cp_model)
     wind, measured = m.wind[mask], m.power[mask]
+    tis = [float(env.ti) for env in sites]
     rmse_by_ti: dict[float, float] = {}
-    for env in sites:
-        ti = float(env.ti)
-        model_p = turbulent_power(laminar, ti, wind, cut_out=spec.cut_out)
+    for ti, model_p in zip(tis, turbulent_power(laminar, tis, wind, cut_out=spec.cut_out)):
         rmse = float(np.sqrt(np.mean((model_p - measured) ** 2)) / spec.rated_power)
         if not math.isfinite(rmse):
             raise NonFiniteResult(f"{m.turbine.name}: RMSE at TI {ti_text(ti)} is not finite")

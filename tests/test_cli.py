@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -324,6 +325,20 @@ class TestCpTable:
         assert result.exit_code == 0
         assert result.output.startswith("model,beta_deg,lambda,cp")
         assert "heier2014,0,8," in result.output
+
+    def test_each_block_is_written_as_it_is_computed(self, runner, monkeypatch):
+        # the header, then one write per (model, pitch) in table order, so the
+        # whole table is never held at once
+        writes = []
+        echo = click.echo
+        monkeypatch.setattr(click, "echo", lambda text, **kw: writes.append(text) or echo(text, **kw))
+        result = runner.invoke(main, ["cp-table", "--model", "heier2014", "--model", "dai2016",
+                                      "--betas", "0,2", "--step", "0.5"])
+        assert result.exit_code == 0, result.output
+        assert writes[0] == "model,beta_deg,lambda,cp\n"
+        assert [{tuple(line.split(",")[:2]) for line in w.splitlines()} for w in writes[1:]] == [
+            {("heier2014", "0")}, {("heier2014", "2")}, {("dai2016", "0")}, {("dai2016", "2")}]
+        assert "".join(writes) == result.stdout
 
     def test_registry_json(self, runner):
         result = runner.invoke(main, ["cp-table", "--registry-json"])

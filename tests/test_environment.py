@@ -355,6 +355,89 @@ class TestApplyTurbulence:
             for ti, cut_out in itertools.product((0.02, 0.15, 0.3, 0.9), (25.0, -1.0)):
                 apply_turbulence(curve, ti, cut_out=cut_out)
                 turbulent_power(curve, ti, wind, cut_out=cut_out)
+            for cut_out in (25.0, -1.0):
+                turbulent_power(curve, [0.3, 0.0, 0.9, 0.02, 0.15, 0.02], wind, cut_out=cut_out)
+
+
+class TestTurbulenceBatch:
+    """The kernel takes a sequence of TIs and gives one row per TI."""
+
+    @staticmethod
+    def _recording(monkeypatch, name):
+        calls = []
+        stage = getattr(environment, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(environment, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (4, 6)])
+    def test_rows_follow_the_tis_and_keep_the_shape_of_wind(self, reference_curve, shape):
+        tis = [0.1, 0.0, 0.25, 0.1]
+        wind = np.linspace(0.0, 30.0, int(np.prod(shape))).reshape(shape)
+        batch = turbulent_power(reference_curve, tis, wind, cut_out=25.0)
+        assert batch.shape == (len(tis), *shape)
+        for row, ti in zip(batch, tis):
+            np.testing.assert_array_equal(
+                row, turbulent_power(reference_curve, ti, wind, cut_out=25.0))
+        assert turbulent_power(reference_curve, [], wind, cut_out=25.0).shape == (0, *shape)
+        every = np.ones(len(reference_curve.wind_grid), dtype=bool)
+        assert _smoothed(reference_curve, np.array(tis), 25.0, every).shape == (
+            len(tis), len(reference_curve.wind_grid))
+
+    def test_setup_is_built_once_per_call(self, reference_curve, monkeypatch):
+        plans = self._recording(monkeypatch, "_row_plan")
+        views = self._recording(monkeypatch, "sliding_window_view")
+        wind = np.arange(0.0, 30.25, 0.25)
+        # a scalar TI of 0 returns before anything is planned or padded
+        turbulent_power(reference_curve, 0.0, wind, cut_out=25.0)
+        apply_turbulence(reference_curve, 0.0, cut_out=25.0)
+        assert plans == [] and views == []
+        # each non-zero TI plans its own rows; the padded power is viewed once
+        turbulent_power(reference_curve, [0.0, 0.05, 0.3, 0.05], wind, cut_out=25.0)
+        assert len(plans) == 3 and len(views) == 1
+        # padded to the widest half-width of the batch, TI 0.3's at 25 m/s
+        assert views[0][1] == (0.3 * 25.0 * 5.0 + GRID_EPS) // 0.05
+        plans.clear()
+        views.clear()
+        turbulent_power(reference_curve, 0.05, wind, cut_out=25.0)
+        assert len(plans) == 1 and len(views) == 1
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [-0.01, 1.0, np.nan])
+    def test_a_bad_ti_anywhere_fails_before_any_block(self, reference_curve, monkeypatch,
+                                                      at, bad):
+        with pytest.raises(ValueError) as single:
+            turbulent_power(reference_curve, bad, np.array([5.0]), cut_out=25.0)
+        blocks = self._recording(monkeypatch, "_blocks")
+        tis = [0.05, 0.0, 0.3]
+        tis.insert(at, bad)
+        with pytest.raises(ValueError) as batch:
+            turbulent_power(reference_curve, tis, np.array([5.0]), cut_out=25.0)
+        assert str(batch.value) == str(single.value)
+        assert blocks == []
+
+    def test_a_taps_cap_only_the_last_ti_passes_fails_before_any_block(self, reference_curve,
+                                                                       monkeypatch):
+        plans = self._recording(monkeypatch, "_row_plan")
+        tis = [0.05, 0.0, 0.02, 0.1]
+        turbulent_power(reference_curve, tis, np.array([5.0]), cut_out=25.0)
+        taps = [int((half + np.minimum(half, rows) + 1).sum())
+                for rows, half in (_row_plan(*args) for args in plans)]
+        assert len(taps) == 3 and max(taps[:-1]) < taps[-1]
+        monkeypatch.setattr(environment, "MAX_TURBULENCE_TAPS", taps[-1] - 1)
+        with pytest.raises(ValueError) as single:
+            turbulent_power(reference_curve, 0.1, np.array([5.0]), cut_out=25.0)
+        assert str(single.value) == (f"turbulence kernel of {taps[-1]} taps at TI 0.1 "
+                                     f"exceeds MAX_TURBULENCE_TAPS = {taps[-1] - 1}")
+        blocks = self._recording(monkeypatch, "_blocks")
+        with pytest.raises(ValueError) as batch:
+            turbulent_power(reference_curve, tis, np.array([5.0]), cut_out=25.0)
+        assert str(batch.value) == str(single.value)
+        assert blocks == []
 
 
 class TestKernelWeights:

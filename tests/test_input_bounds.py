@@ -136,8 +136,8 @@ def test_lambda_grid_points_capped():
 def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
     # without the caps, 7.45 GiB of bands or of sweep values, a 145 GiB
     # tip-speed-ratio grid, 200 curves of a million points held at once,
-    # hours of turbulence taps (past the timeout), or 6e8 cp-table rows held
-    # as text
+    # hours of turbulence taps (past the timeout), or 6e8 cp-table rows, about
+    # 17 GB of text
     result = _run_limited([*_CLI, *args], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
@@ -500,6 +500,18 @@ def test_cp_table_pitch_outside_the_real_family_exits_2(flags, model):
     assert _one_error_line(result).startswith(
         f"error: ValueError: {model}: cp is not real and finite at pitch")
     assert result.stdout == ""
+
+
+def test_cp_table_bad_pitch_of_a_later_model_writes_nothing(tmp_path):
+    # dekooning2013 follows dai2016, whose blocks are fine: every (model,
+    # pitch) is checked before the first row is written
+    out = tmp_path / "t.csv"
+    for args in ([], ["--out", str(out)]):
+        result = CliRunner().invoke(main, ["cp-table", "--betas", "0,-1", *args])
+        assert result.exit_code == 2, result.output
+        assert _one_error_line(result).startswith("error: ValueError: dekooning2013: ")
+        assert result.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -271,6 +271,35 @@ def test_tabulated_samples_give_the_interpolated_curve(ti, dv, fine, coarse, fre
         np.interp(wind, ideal.wind_grid, full))
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=0.35), max_size=4),
+       st.floats(min_value=0.2, max_value=0.35, exclude_min=True),
+       st.sampled_from((0.05, 0.01)),
+       st.lists(st.floats(min_value=0.0, max_value=45.0), max_size=20),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.randoms(use_true_random=False))
+@example([], 0.3, 0.05, [], 1.0, random.Random(0))
+@example([0.1, 0.025, 0.05], 0.35, 0.01, [24.999, 25.0, 40.0], 0.05, random.Random(1))
+@settings(max_examples=15, deadline=None)
+def test_each_row_of_a_ti_batch_is_its_single_ti_call(tis, wide, dv, speeds, share, order):
+    # every batch holds TI 0, a repeat and a TI above 0.2, whose windows
+    # pass 0 m/s, in a random order
+    tis = [*tis, 0.0, wide, wide if not tis else tis[0]]
+    order.shuffle(tis)
+    spec = TurbineSpec(**REFERENCE_KWARGS)
+    model = scale_cp(get_parameterisation("dai2016"), spec.cp_max)
+    ideal = ideal_curve(spec, model, v_max=dv * round(40.0 / dv), dv=dv)
+    grid = ideal.wind_grid
+    wind = np.array([*speeds, *grid[::23], grid[-1] + 2.5])
+    candidates = np.random.default_rng(order.getrandbits(32)).random(len(grid)) < share
+    power = turbulent_power(ideal, tis, wind, cut_out=spec.cut_out)
+    rows = _smoothed(ideal, tis, spec.cut_out, candidates)
+    assert power.shape == (len(tis), len(wind)) and rows.shape == (len(tis), len(grid))
+    for i, ti in enumerate(tis):
+        np.testing.assert_array_equal(power[i],
+                                      turbulent_power(ideal, ti, wind, cut_out=spec.cut_out))
+        np.testing.assert_array_equal(rows[i], _smoothed(ideal, ti, spec.cut_out, candidates))
+
+
 def _block_ends(curve, ti, cut_out):
     """The last planned row of each block of the turbulence stage, from the
     plan _smoothed makes."""

@@ -163,20 +163,22 @@ class TestMatchOverTi:
             return synthesize(spec, env, **kwargs)
 
         def counting_power(curve, ti, wind, **kwargs):
-            smoothed.append(ti)
+            smoothed.append(list(ti))
             return turbulent_power(curve, ti, wind, **kwargs)
 
         monkeypatch.setattr(validation, "synthesize", counting_synthesize)
         monkeypatch.setattr(validation, "turbulent_power", counting_power)
         result = match_over_ti(synthetic_measured, ti_grid=[0.05, 0.05, 0.05])
+        # one kernel call scores the distinct TIs, smallest first, as floats
         assert synthesized == [0.0]
-        assert smoothed == [0.05]
+        assert smoothed == [[0.05]]
         assert list(result.rmse_by_ti) == [0.05]
         synthesized.clear()
         smoothed.clear()
         match_over_ti(synthetic_measured, ti_grid=[0.1, 0.0, 0.1, 0, 0.05])
         assert synthesized == [0.0]
-        assert smoothed == [0.0, 0.05, 0.1]
+        assert smoothed == [[0.0, 0.05, 0.1]]
+        assert all(type(ti) is float for ti in smoothed[0])
 
     @pytest.mark.parametrize("ti_grid", [validation.DEFAULT_TI_GRID, (0.1, 0, 0.05, 0.1, 0.13)])
     @pytest.mark.parametrize("cp_model", sorted(REGISTRY))
