@@ -152,9 +152,11 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarra
 def _row_plan(k: int, sigma: np.ndarray, dv: float,
               power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plan the turbulence rows: (rows, half), the rows r in the window
-    [0, k) with sigma >= dv/2 whose window holds more than one value of the
-    plateau-extended input (power[:k], then power[k - 1]), and their
-    half-widths h = floor((KERNEL_REACH * sigma + GRID_EPS) / dv) grid steps.
+    [0, k) with sigma > 0 and sigma >= dv/2 whose window holds more than one
+    value of the plateau-extended input (power[:k], then power[k - 1]), and
+    their half-widths h = floor((KERNEL_REACH * sigma + GRID_EPS) / dv) grid
+    steps.  A row with sigma = 0, at 0 m/s or at TI 0, is never planned, even
+    on a grid whose step is below 2 * GRID_EPS.
 
     Row r's window is [max(r - h, 0), r + h + 1): both tests take the slack
     GRID_EPS, so an edge meant to lie on a grid point is inside, as <= says.
@@ -162,7 +164,7 @@ def _row_plan(k: int, sigma: np.ndarray, dv: float,
     row whose window lies inside one run of equal values averages that
     value, which it already holds, so it is left out with no taps.
     """
-    rows = np.flatnonzero(sigma[:k] + GRID_EPS >= dv / 2.0)
+    rows = np.flatnonzero((sigma[:k] > 0.0) & (sigma[:k] + GRID_EPS >= dv / 2.0))
     half = ((KERNEL_REACH * sigma[rows] + GRID_EPS) // dv).astype(np.intp)
     inside = power[:k]
     run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
@@ -186,38 +188,34 @@ def _blocks(half: np.ndarray):
         first = last
 
 
-def _smoothed(curve: PowerCurve, ti: float | Sequence[float], cut_out: float,
+def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
               candidates: np.ndarray) -> np.ndarray:
-    """The turbulence kernel: the curve's values with the candidate rows, a
-    boolean mask over the grid, smoothed (see :func:`apply_turbulence`) and
-    zero past cut_out; the other rows hold their plateau-extended input.
-
-    ti is one TI, giving one row of values, or a 1-D sequence of them, giving
-    one row per TI, row i bit-identical to the call with ti[i] alone.  The
-    setup that does not depend on TI is made once per call: the checks, the
-    plateau extension, the padded power and its view, padded to the widest
-    half-width of the batch, and the offsets.  Every TI is planned and checked
-    against MAX_TURBULENCE_TAPS before the first block of any.
+    """The turbulence kernel: one row per TI in tis, (len(tis), n), each the
+    curve's values with the candidate rows, a boolean mask over the grid,
+    smoothed (see :func:`apply_turbulence`) and zero past cut_out; the other
+    rows hold their plateau-extended input.  Row i is bit-identical to the
+    batch [tis[i]].  The setup that does not depend on TI is made once per
+    batch: the checks, the plateau extension, the padded power and its
+    view, padded to the widest half-width of the batch, and the offsets.
+    Every TI is planned and checked against MAX_TURBULENCE_TAPS before the
+    first block of any.  A batch whose TIs are all 0, an empty one
+    included, returns the windowed input in every row before anything is
+    padded or planned.
     """
-    # A float is told from a sequence without np.ndim's array conversion.
-    scalar = isinstance(ti, float) or np.ndim(ti) == 0
-    tis = [ti] if scalar else list(ti)
     for t in tis:
         _check_ti(t)
     check_value("cut_out", cut_out)
     grid, dv = curve.wind_grid, curve.dv
     k, extended, plateau = _plateau_extended(curve, cut_out)
     extended[k:] = 0.0
-    if scalar and ti == 0.0:
-        return extended
+    if not any(tis):
+        return extended[None].repeat(len(tis), 0)
 
     # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
-    # A TI of 0 plans no row, as its scalar call returns above.
     plans, pad = [], 0
     for t in tis:
         sigma = t * grid
-        rows, half = (_row_plan(k, sigma, dv, extended) if t != 0.0
-                      else (np.zeros(0, dtype=np.intp),) * 2)
+        rows, half = _row_plan(k, sigma, dv, extended)
         taps = int((half + np.minimum(half, rows) + 1).sum())
         if taps > MAX_TURBULENCE_TAPS:
             raise ValueError(f"turbulence kernel of {taps} taps at TI {t} exceeds "
@@ -234,9 +232,8 @@ def _smoothed(curve: PowerCurve, ti: float | Sequence[float], cut_out: float,
     # Offsets m = 1 .. pad in grid steps, float64 for speed.
     offsets = np.arange(1, pad + 1, dtype=np.float64)
     squares = offsets * offsets
-    out = extended[None] if scalar else np.tile(extended, (len(tis), 1))
-    for i, (sigma, rows, half) in enumerate(plans):
-        smoothed = out[i]
+    out = extended[None].repeat(len(tis), 0)
+    for smoothed, (sigma, rows, half) in zip(out, plans):
         # The half-widths h in grid steps, and row r's weights exp(m^2 * scale_r).
         # Planned rows only: sigma is 0 at 0 m/s.
         reach = half.astype(np.float64)
@@ -264,7 +261,7 @@ def _smoothed(curve: PowerCurve, ti: float | Sequence[float], cut_out: float,
             both = after[at, :wide] + before[at, wide - 1::-1]
             both *= w
             smoothed[at] = (centre[at] + both.sum(axis=1)) / (1.0 + right + left)
-    return extended if scalar else out
+    return out
 
 
 def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCurve:
@@ -300,37 +297,35 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     exact.  The cost is half the taps of the planned rows, at most rows x
     window, which grows as N^2 * ti for N grid points.  It raises ValueError,
     before the first block, unless 0 <= ti < 1, cut_out is finite and the
-    planned rows hold at most MAX_TURBULENCE_TAPS taps.
+    planned rows hold at most MAX_TURBULENCE_TAPS taps.  This is the
+    kernel's one single-TI front: :func:`turbulent_power` takes a batch of TIs.
     """
     grid = curve.wind_grid
-    return PowerCurve(grid, _smoothed(curve, ti, cut_out, np.ones(len(grid), dtype=bool)))
+    return PowerCurve(grid, _smoothed(curve, (ti,), cut_out, np.ones(len(grid), dtype=bool))[0])
 
 
-def turbulent_power(curve: PowerCurve, ti: float | Sequence[float], wind: np.ndarray, *,
+def turbulent_power(curve: PowerCurve, tis: Sequence[float], wind: np.ndarray, *,
                     cut_out: float) -> np.ndarray:
-    """The turbulent curve interpolated linearly at the speeds wind.
+    """The turbulent curve of each TI in tis, interpolated linearly at the
+    speeds wind: an array of shape (len(tis), *wind.shape).
 
-    Exactly ``np.interp(wind, grid, apply_turbulence(curve, ti,
-    cut_out=cut_out).power)``, but only the grid rows that np.interp reads are
-    smoothed, and each row's value does not depend on which other rows are
+    Row i is exactly ``np.interp(wind, grid, apply_turbulence(curve, tis[i],
+    cut_out=cut_out).power)`` and bit-identical to the batch [tis[i]]; the
+    kernel's TI-independent setup is made once for the batch (see
+    :func:`_smoothed`).  Only the grid rows that np.interp reads are
+    smoothed, and a row's value does not depend on which other rows are
     computed.  For j = clip(searchsorted(grid, wind, "right") - 1, 0, n - 2)
     those are row j, and row j + 1 unless the speed is grid[j] itself: there
     np.interp returns fp[j] without reading fp[j + 1].  So the cost is the
     taps of one row for each speed on a grid point, as a manufacturer curve
     tabulated every 0.25 m/s is on the default grid, and two otherwise.
-
-    ti may also be a 1-D sequence of TIs: the result then holds one row per
-    TI, row i bit-identical to the call with ti[i] alone, and the kernel's
-    TI-independent setup is made once for them all (see :func:`_smoothed`).
     """
     grid = curve.wind_grid
     j = np.clip(np.searchsorted(grid, wind, "right") - 1, 0, len(grid) - 2)
     marked = np.zeros(len(grid), dtype=bool)
     marked[j] = True
     marked[(j + 1)[grid[j] != wind]] = True
-    power = _smoothed(curve, ti, cut_out, marked)
-    if power.ndim == 1:
-        return np.interp(wind, grid, power)
+    power = _smoothed(curve, tis, cut_out, marked)
     return np.array([np.interp(wind, grid, row) for row in power]).reshape(
         len(power), *np.shape(wind))
 

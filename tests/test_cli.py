@@ -453,8 +453,9 @@ class TestValidateCmd:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--rho", "-1"], ["--ti-grid", "2"], ["--ti-grid=-0.5"], ["--cp-model", "foo"]],
-        ids=["rho", "ti-above-one", "ti-negative", "cp-model"])
+        ["--rho", "-1"], ["--ti-grid", "2"], ["--ti-grid=-0.5"], ["--cp-model", "foo"],
+        ["--ti-grid", ",".join(["0.05"] * 1001)]],
+        ids=["rho", "ti-above-one", "ti-negative", "cp-model", "ti-grid-past-the-cap"])
     def test_bad_setting_exits_2_in_a_directory_without_pairs(self, runner, tmp_path, flags):
         result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path), *flags])
         assert result.exit_code == 2

@@ -189,10 +189,10 @@ class TestApplyTurbulence:
         # the kernel plans every row and smooths only the candidates, each to
         # the value the full run gives it
         grid, power = reference_curve.wind_grid, reference_curve.power
-        every = _smoothed(reference_curve, 0.05, 25.0, np.ones(len(grid), dtype=bool))
+        every = _smoothed(reference_curve, [0.05], 25.0, np.ones(len(grid), dtype=bool))[0]
         candidates = np.zeros(len(grid), dtype=bool)
         candidates[[100, 101, 200, 350, 450, 700]] = True
-        some = _smoothed(reference_curve, 0.05, 25.0, candidates)
+        some = _smoothed(reference_curve, [0.05], 25.0, candidates)[0]
         assert np.array_equal(some[candidates], every[candidates])
         # 100, 101 and 200 move; 350 has a constant window, 700 lies past cut-out
         moved = some != np.where(grid <= 25.0, power, 0.0)
@@ -216,7 +216,7 @@ class TestApplyTurbulence:
                             lambda *args: plans.append(_row_plan(*args)) or plans[-1])
         spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=cut_out))
         curve = ideal_curve(spec, reference_model, v_max=dv * round(40.0 / dv), dv=dv)
-        _smoothed(curve, ti, cut_out, np.ones(len(curve.wind_grid), dtype=bool))
+        _smoothed(curve, [ti], cut_out, np.ones(len(curve.wind_grid), dtype=bool))
         ((rows, half),) = plans
         blocks = list(_blocks(half))
         assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
@@ -254,15 +254,15 @@ class TestApplyTurbulence:
                      np.linspace(3.0, 30.0, 24).reshape(4, 6),
                      np.linspace(-1.0, 45.0, 3 * len(grid))):  # numpy's precomputed slopes
             np.testing.assert_array_equal(
-                turbulent_power(reference_curve, ti, wind, cut_out=25.0),
+                turbulent_power(reference_curve, [ti], wind, cut_out=25.0)[0],
                 np.interp(wind, grid, full))
 
     def test_on_grid_samples_smooth_one_row_each(self, reference_curve, monkeypatch):
         masks = []
 
-        def recording(curve, ti, cut_out, candidates):
+        def recording(curve, tis, cut_out, candidates):
             masks.append(candidates.copy())
-            return _smoothed(curve, ti, cut_out, candidates)
+            return _smoothed(curve, tis, cut_out, candidates)
 
         monkeypatch.setattr(environment, "_smoothed", recording)
         grid = reference_curve.wind_grid
@@ -270,7 +270,7 @@ class TestApplyTurbulence:
         # the same speeds off the grid
         on = np.array([float(f"{0.25 * i:.6g}") for i in range(121)])
         for wind in (on, on + 0.01):
-            turbulent_power(reference_curve, 0.1, wind, cut_out=25.0)
+            turbulent_power(reference_curve, [0.1], wind, cut_out=25.0)
         on_rows, off_rows = masks
         # one row per sample, 121 in all, where bracketing each would take 242
         np.testing.assert_array_equal(np.flatnonzero(on_rows), np.searchsorted(grid, on))
@@ -279,7 +279,7 @@ class TestApplyTurbulence:
 
     def test_turbulent_power_rejects_negative_ti(self, reference_curve):
         with pytest.raises(ValueError, match="turbulence intensity"):
-            turbulent_power(reference_curve, -0.01, np.array([5.0]), cut_out=25.0)
+            turbulent_power(reference_curve, [-0.01], np.array([5.0]), cut_out=25.0)
 
     def test_knee_drops_below_rated(self, reference_curve):
         knee = rated_knee(reference_curve, 2000.0)
@@ -307,7 +307,7 @@ class TestApplyTurbulence:
         grid = reference_curve.wind_grid
         for ti in (0.0, 0.025, 0.05, 0.10, 0.5):
             assert not apply_turbulence(reference_curve, ti, cut_out=-1.0).power.any()
-            assert not turbulent_power(reference_curve, ti, grid, cut_out=-1.0).any()
+            assert not turbulent_power(reference_curve, [ti], grid, cut_out=-1.0).any()
 
     def test_smooths_the_cut_in_toe(self, reference_curve):
         # turbulence produces some power slightly below cut-in: gusts above
@@ -344,17 +344,18 @@ class TestApplyTurbulence:
         with pytest.raises(ValueError):
             apply_turbulence(reference_curve, -0.01, cut_out=25.0)
 
-    @pytest.mark.parametrize("dv", [0.05, 0.01])
+    @pytest.mark.parametrize("dv", [0.05, 0.01, 1e-9])
     def test_warns_about_nothing(self, reference_spec, reference_model, dv):
         # sigma is 0 at 0 m/s: a weight computed for a row outside the plan
-        # would divide by it
-        curve = ideal_curve(reference_spec, reference_model, dv=dv)
+        # would divide by it, and a step below 2 * GRID_EPS must not plan row 0
+        curve = (PowerCurve(np.arange(11) * dv, np.arange(11.0)) if dv < 2 * GRID_EPS
+                 else ideal_curve(reference_spec, reference_model, dv=dv))
         wind = np.concatenate([curve.wind_grid[::7], curve.wind_grid[::7] + dv / 3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for ti, cut_out in itertools.product((0.02, 0.15, 0.3, 0.9), (25.0, -1.0)):
                 apply_turbulence(curve, ti, cut_out=cut_out)
-                turbulent_power(curve, ti, wind, cut_out=cut_out)
+                turbulent_power(curve, [ti], wind, cut_out=cut_out)
             for cut_out in (25.0, -1.0):
                 turbulent_power(curve, [0.3, 0.0, 0.9, 0.02, 0.15, 0.02], wind, cut_out=cut_out)
 
@@ -382,7 +383,7 @@ class TestTurbulenceBatch:
         assert batch.shape == (len(tis), *shape)
         for row, ti in zip(batch, tis):
             np.testing.assert_array_equal(
-                row, turbulent_power(reference_curve, ti, wind, cut_out=25.0))
+                row, turbulent_power(reference_curve, [ti], wind, cut_out=25.0)[0])
         assert turbulent_power(reference_curve, [], wind, cut_out=25.0).shape == (0, *shape)
         every = np.ones(len(reference_curve.wind_grid), dtype=bool)
         assert _smoothed(reference_curve, np.array(tis), 25.0, every).shape == (
@@ -392,18 +393,22 @@ class TestTurbulenceBatch:
         plans = self._recording(monkeypatch, "_row_plan")
         views = self._recording(monkeypatch, "sliding_window_view")
         wind = np.arange(0.0, 30.25, 0.25)
-        # a scalar TI of 0 returns before anything is planned or padded
-        turbulent_power(reference_curve, 0.0, wind, cut_out=25.0)
+        # a batch whose TIs are all 0 returns before anything is planned or padded
+        turbulent_power(reference_curve, [0.0], wind, cut_out=25.0)
+        turbulent_power(reference_curve, [0.0, -0.0, 0.0], wind, cut_out=25.0)
+        turbulent_power(reference_curve, [], wind, cut_out=25.0)
         apply_turbulence(reference_curve, 0.0, cut_out=25.0)
         assert plans == [] and views == []
-        # each non-zero TI plans its own rows; the padded power is viewed once
+        # each TI of a mixed batch plans its own rows, TI 0 none; the padded
+        # power is viewed once
         turbulent_power(reference_curve, [0.0, 0.05, 0.3, 0.05], wind, cut_out=25.0)
-        assert len(plans) == 3 and len(views) == 1
+        assert len(plans) == 4 and len(views) == 1
+        assert all(len(a) == 0 for a in _row_plan(*plans[0]))
         # padded to the widest half-width of the batch, TI 0.3's at 25 m/s
         assert views[0][1] == (0.3 * 25.0 * 5.0 + GRID_EPS) // 0.05
         plans.clear()
         views.clear()
-        turbulent_power(reference_curve, 0.05, wind, cut_out=25.0)
+        turbulent_power(reference_curve, [0.05], wind, cut_out=25.0)
         assert len(plans) == 1 and len(views) == 1
 
     @pytest.mark.parametrize("at", [0, 1, 3])
@@ -411,7 +416,7 @@ class TestTurbulenceBatch:
     def test_a_bad_ti_anywhere_fails_before_any_block(self, reference_curve, monkeypatch,
                                                       at, bad):
         with pytest.raises(ValueError) as single:
-            turbulent_power(reference_curve, bad, np.array([5.0]), cut_out=25.0)
+            turbulent_power(reference_curve, [bad], np.array([5.0]), cut_out=25.0)
         blocks = self._recording(monkeypatch, "_blocks")
         tis = [0.05, 0.0, 0.3]
         tis.insert(at, bad)
@@ -427,10 +432,10 @@ class TestTurbulenceBatch:
         turbulent_power(reference_curve, tis, np.array([5.0]), cut_out=25.0)
         taps = [int((half + np.minimum(half, rows) + 1).sum())
                 for rows, half in (_row_plan(*args) for args in plans)]
-        assert len(taps) == 3 and max(taps[:-1]) < taps[-1]
+        assert len(taps) == 4 and taps[1] == 0 and max(taps[:-1]) < taps[-1]
         monkeypatch.setattr(environment, "MAX_TURBULENCE_TAPS", taps[-1] - 1)
         with pytest.raises(ValueError) as single:
-            turbulent_power(reference_curve, 0.1, np.array([5.0]), cut_out=25.0)
+            turbulent_power(reference_curve, [0.1], np.array([5.0]), cut_out=25.0)
         assert str(single.value) == (f"turbulence kernel of {taps[-1]} taps at TI 0.1 "
                                      f"exceeds MAX_TURBULENCE_TAPS = {taps[-1] - 1}")
         blocks = self._recording(monkeypatch, "_blocks")

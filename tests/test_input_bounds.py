@@ -181,7 +181,7 @@ def test_turbulence_taps_capped_per_curve(reference_curve, monkeypatch):
     with pytest.raises(ValueError, match=f"^{message}$"):
         apply_turbulence(reference_curve, 0.1, cut_out=25.0)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        turbulent_power(reference_curve, 0.1, np.array([5.0]), cut_out=25.0)
+        turbulent_power(reference_curve, [0.1], np.array([5.0]), cut_out=25.0)
 
 
 def test_turbulence_ti_checked_before_allocating(tmp_path):
@@ -201,7 +201,7 @@ def test_turbulence_stages_share_the_ti_domain(ti, reference_curve):
     with pytest.raises(ValueError, match=message):
         apply_turbulence(reference_curve, ti, cut_out=25.0)
     with pytest.raises(ValueError, match=message):
-        turbulent_power(reference_curve, ti, np.array([5.0]), cut_out=25.0)
+        turbulent_power(reference_curve, [ti], np.array([5.0]), cut_out=25.0)
     with pytest.raises(ValueError, match="^ti must be finite" if ti != 1.0 else message):
         EnvironmentConditions(ti=ti)
 
@@ -213,7 +213,7 @@ def test_turbulence_stages_reject_a_non_finite_cut_out(cut_out, ti, reference_cu
     with pytest.raises(ValueError, match="^cut_out must be finite"):
         apply_turbulence(reference_curve, ti, cut_out=cut_out)
     with pytest.raises(ValueError, match="^cut_out must be finite"):
-        turbulent_power(reference_curve, ti, np.array([5.0]), cut_out=cut_out)
+        turbulent_power(reference_curve, [ti], np.array([5.0]), cut_out=cut_out)
 
 
 def test_cli_config_band_count_past_the_cap_exits_2(tmp_path):

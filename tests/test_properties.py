@@ -241,7 +241,7 @@ def test_turbulent_power_is_the_interpolated_curve(ti, dv, speeds, points, order
     wind = np.array(wind)
     full = apply_turbulence(ideal, ti, cut_out=spec.cut_out).power
     np.testing.assert_array_equal(
-        turbulent_power(ideal, ti, wind, cut_out=spec.cut_out),
+        turbulent_power(ideal, [ti], wind, cut_out=spec.cut_out)[0],
         np.interp(wind, grid, full))
 
 
@@ -267,7 +267,7 @@ def test_tabulated_samples_give_the_interpolated_curve(ti, dv, fine, coarse, fre
     wind = np.array(wind)
     full = apply_turbulence(ideal, ti, cut_out=spec.cut_out).power
     np.testing.assert_array_equal(
-        turbulent_power(ideal, ti, wind, cut_out=spec.cut_out),
+        turbulent_power(ideal, [ti], wind, cut_out=spec.cut_out)[0],
         np.interp(wind, ideal.wind_grid, full))
 
 
@@ -295,9 +295,13 @@ def test_each_row_of_a_ti_batch_is_its_single_ti_call(tis, wide, dv, speeds, sha
     rows = _smoothed(ideal, tis, spec.cut_out, candidates)
     assert power.shape == (len(tis), len(wind)) and rows.shape == (len(tis), len(grid))
     for i, ti in enumerate(tis):
+        # the contract: each row is its one-TI batch and the interpolated
+        # single-TI curve, bit for bit
         np.testing.assert_array_equal(power[i],
-                                      turbulent_power(ideal, ti, wind, cut_out=spec.cut_out))
-        np.testing.assert_array_equal(rows[i], _smoothed(ideal, ti, spec.cut_out, candidates))
+                                      turbulent_power(ideal, [ti], wind, cut_out=spec.cut_out)[0])
+        full = apply_turbulence(ideal, ti, cut_out=spec.cut_out).power
+        np.testing.assert_array_equal(power[i], np.interp(wind, grid, full))
+        np.testing.assert_array_equal(rows[i], _smoothed(ideal, [ti], spec.cut_out, candidates)[0])
 
 
 def _block_ends(curve, ti, cut_out):
@@ -333,8 +337,9 @@ def test_smoothed_rows_do_not_depend_on_the_other_candidates(ti, dv, cut_out, sh
     else:
         candidates = np.random.default_rng(seed).random(len(ideal.wind_grid)) < share
     rows = np.flatnonzero(candidates)
-    np.testing.assert_array_equal(_smoothed(ideal, ti, cut_out, candidates)[rows],
-                                  _smoothed(ideal, ti, cut_out, np.ones_like(candidates))[rows])
+    every = np.ones_like(candidates)
+    np.testing.assert_array_equal(_smoothed(ideal, [ti], cut_out, candidates)[0, rows],
+                                  _smoothed(ideal, [ti], cut_out, every)[0, rows])
 
 
 @given(st.floats(min_value=0.0, max_value=0.9, exclude_min=True),

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
                        turbulent_power, validate_directory)
 from windcurve import validation
 from windcurve.cp_models import REGISTRY
-from windcurve.validation import (DEFAULT_TI_GRID, SUMMARY_CSV_HEADER, CurveValidation,
-                                  ti_text, write_report_json, write_summary_csv)
+from windcurve.validation import (DEFAULT_TI_GRID, MAX_TI_CANDIDATES, SUMMARY_CSV_HEADER,
+                                  CurveValidation, ti_text, write_report_json,
+                                  write_summary_csv)
 
 
 def sample_curve(curve, winds):
@@ -228,6 +230,24 @@ class TestMatchOverTi:
         with pytest.raises(ValueError):
             match_over_ti(synthetic_measured, ti_grid=[])
 
+    @pytest.mark.parametrize("ti_grid", [(-0.0, 0.0, 0.05), (0.05, -0.0), (-0.0,)])
+    def test_negative_zero_is_scored_and_written_as_zero(self, synthetic_measured, ti_grid):
+        # -0 is TI 0, so the best TI of a laminar curve is +0 and it is written "0"
+        result = match_over_ti(synthetic_measured, ti_grid)
+        assert all(math.copysign(1.0, ti) == 1.0 for ti in (result.best_ti, *result.rmse_by_ti))
+        assert list(result.to_dict()["rmse_by_ti"])[0] == "0"
+        summary = io.StringIO()
+        write_summary_csv([result], summary)
+        (row,) = csv.DictReader(io.StringIO(summary.getvalue()))
+        assert row["best_ti"] == "0"
+
+    def test_ti_grid_capped(self, synthetic_measured):
+        # every candidate's plan and row are held at once, so the grid is capped
+        match_over_ti(synthetic_measured, [0.05] * MAX_TI_CANDIDATES)
+        with pytest.raises(ValueError, match=r"^ti_grid holds 1001 TIs, more than "
+                                             r"MAX_TI_CANDIDATES = 1000$"):
+            match_over_ti(synthetic_measured, [0.05] * (MAX_TI_CANDIDATES + 1))
+
     def test_no_sample_in_the_comparison_range(self, defaults_spec):
         # every sample lies below cut-in (3 m/s) or past 0.95 * cut-out (23.75 m/s)
         winds = np.array([0.0, 1.0, 2.0, 2.99, 23.76, 26.0])
@@ -278,7 +298,8 @@ class TestBatchValidation:
         ([], {}, "ti_grid must not be empty"),
         ([0.05], {"cp_model": 5}, "cp_model must be of type str"),
         ([False, "0.05"], {}, "^ti must be of type Real, got False$"),
-        ([0.05, "0.05"], {}, "^ti must be of type Real, got '0.05'$")])
+        ([0.05, "0.05"], {}, "^ti must be of type Real, got '0.05'$"),
+        ([0.05] * 1001, {}, "^ti_grid holds 1001 TIs, more than MAX_TI_CANDIDATES = 1000$")])
     def test_bad_settings_rejected_without_pairs(self, tmp_path, ti_grid, kwargs, match):
         with pytest.raises(ValueError, match=match):
             validate_directory(tmp_path, ti_grid, **kwargs)
