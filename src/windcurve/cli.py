@@ -25,14 +25,14 @@ from . import __version__
 from .cp_models import (DEFAULT_PARAMETERISATION, MAX_LAMBDA_POINTS, REGISTRY,
                         cp_general_array, get_parameterisation, lambda_grid,
                         registry_to_json)
-from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve, grid_points
+from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve, grid_points, open_output
 from .environment import DEFAULT_N_BANDS, EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
 from .synthesis import ENV_ORDERS, synthesize
 from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load_json,
                       load_spec, naming)
-from .validation import (DEFAULT_TI_GRID, _curve_pairs, ti_text, validate_directory,
-                         write_report_json, write_summary_csv)
+from .validation import (DEFAULT_TI_GRID, _curve_pairs, check_settings, ti_text,
+                         validate_directory, write_report_json, write_summary_csv)
 
 _INPUT_ERRORS = (WindcurveError, ValueError, OSError, Warning)
 _NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, ArithmeticError, RuntimeWarning)
@@ -134,19 +134,13 @@ def _load_config_file(path: str | None) -> dict:
 
 @contextlib.contextmanager
 def _text_out(out_path: str | None):
-    """A function that writes text to the file out_path, or to stdout when
-    there is none."""
+    """A function that writes text to the file out_path, opened by
+    open_output, or to stdout through click.echo when there is none."""
     if out_path is None:
         yield lambda text: click.echo(text, nl=False)
     else:
-        with Path(out_path).open("w") as fh:
+        with open_output(out_path) as fh:
             yield fh.write
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    """Write text to the file out_path, or to stdout when there is none."""
-    with _text_out(out_path) as write:
-        write(text)
 
 
 def _refuse_clashes(outputs, inputs) -> None:
@@ -269,9 +263,9 @@ def generate(config_path: str | None, spec_path: str | None, out_path: str,
     curve, report = _synthesize(given)
     resolved = {**_DEFAULT_RECORD, **given, **{f["field"]: f["value"] for f in report}}
     curve.write_csv(out)
-    sidecar.write_text(json.dumps({"config": resolved,
-                                   "defaults_report": report,
-                                   "model_version": __version__}, indent=2) + "\n")
+    with open_output(sidecar) as fh:
+        fh.write(json.dumps({"config": resolved, "defaults_report": report,
+                             "model_version": __version__}, indent=2) + "\n")
     click.echo(f"wrote {out} and {sidecar}")
 
 
@@ -332,7 +326,7 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
 
     # Synthesize every curve first: a failing value writes nothing.
     curves = [_synthesize({**base, key: v})[0] for v in sweep_values.values()]
-    with Path(out_path).open("w", newline="") as fh:
+    with open_output(out_path) as fh:
         fh.write("param_value,wind_speed_ms,power_kw\n")
         for label, curve in zip(sweep_values, curves):
             fh.writelines(f"{label},{row}\n" for row in curve.csv_rows())
@@ -347,8 +341,9 @@ def defaults(out_path: str | None, **flags) -> None:
     """Complete a partial spec with the statistical defaults."""
     spec = TurbineSpec(**_given(flags))
     completed, report = complete_spec(spec)
-    _emit(json.dumps({"spec": asdict(completed), "defaults_report": report},
-                     indent=2) + "\n", out_path)
+    with _text_out(out_path) as write:
+        write(json.dumps({"spec": asdict(completed), "defaults_report": report},
+                         indent=2) + "\n")
 
 
 @main.command(name="cp-table")
@@ -373,7 +368,8 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
             if (option.name not in ("registry_json", "out_path")
                     and ctx.get_parameter_source(option.name) is ParameterSource.COMMANDLINE):
                 raise ValueError(f"{option.opts[0]} has no effect with --registry-json")
-        _emit(registry_to_json() + "\n", out_path)
+        with _text_out(out_path) as write:
+            write(registry_to_json() + "\n")
         return
     names = list(_labelled("--model", models, lambda m: get_parameterisation(m).name))
     names = names or sorted(REGISTRY)
@@ -418,13 +414,14 @@ def validate(input_dir: str, ti_grid: str, rho: float, cp_model: str,
     """Score measured curves against synthesized ones over a TI grid."""
     json_path = Path(out_json) if out_json else Path(input_dir) / "report.json"
     csv_path = Path(out_csv) if out_csv else Path(input_dir) / "summary.csv"
+    grid = [float(t) for t in ti_grid.split(",")]
+    check_settings(grid, rho, cp_model)
     _refuse_clashes([("--out-json", json_path), ("--out-csv", csv_path)],
                     [("--input-dir", p) for pair in _curve_pairs(input_dir) for p in pair])
-    grid = [float(t) for t in ti_grid.split(",")]
     results = validate_directory(input_dir, grid, rho=rho, cp_model=cp_model)
-    with json_path.open("w") as fh:
+    with open_output(json_path) as fh:
         write_report_json(results, fh)
-    with csv_path.open("w", newline="") as fh:
+    with open_output(csv_path) as fh:
         write_summary_csv(results, fh)
     for r in results:
         click.echo(f"{r.name}: best_ti={ti_text(r.best_ti)} rmse={r.rmse_best:.4g}"

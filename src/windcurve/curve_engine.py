@@ -105,13 +105,18 @@ class PowerCurve:
         return [f"{v:.6g},{p:.6g}" for v, p in zip(self.wind_grid.tolist(), self.power.tolist())]
 
     def write_csv(self, target: str | Path | IO[str]) -> None:
-        """Write the header `wind_speed_ms,power_kw` and the csv_rows."""
+        """Write the header and csv_rows to a text stream, or to a path by open_output."""
         text = "".join(f"{row}\n" for row in [POWER_CURVE_CSV_HEADER, *self.csv_rows()])
         if hasattr(target, "write"):
             target.write(text)
         else:
-            with Path(target).open("w", newline="") as fh:
+            with open_output(target) as fh:
                 fh.write(text)
+
+
+def open_output(path: str | Path) -> IO[str]:
+    """The one way windcurve opens a file to write: UTF-8, LF line ends, any locale."""
+    return Path(path).open("w", encoding="utf-8", newline="")
 
 
 def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -87,6 +87,10 @@ class TurbineSpec:
             return ValueError(f"{self.name}: {msg}")
 
         check_value("name", self.name, str)
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"name must be UTF-8 text, got {self.name!r}") from None
         for f in fields(self)[1:]:
             if getattr(self, f.name) is not None:
                 check_value(f"{self.name}: {f.name}", getattr(self, f.name))

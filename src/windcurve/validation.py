@@ -214,6 +214,13 @@ def _curve_pairs(input_dir: str | Path) -> list[tuple[Path, Path]]:
     return pairs
 
 
+def check_settings(ti_grid: Sequence[float], rho: float, cp_model: str) -> None:
+    """Raise for a TI grid, air density or cp model that match_over_ti would
+    reject, so that a caller can refuse them before it reads any curve."""
+    get_parameterisation(cp_model)
+    _ti_sites(ti_grid, rho)
+
+
 def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT_TI_GRID,
                        *, rho: float = DEFAULT_RHO,
                        cp_model: str = DEFAULT_PARAMETERISATION) -> list[CurveValidation]:
@@ -225,8 +232,7 @@ def validate_directory(input_dir: str | Path, ti_grid: Sequence[float] = DEFAULT
     batch runs are deterministic.  The settings are checked before any pair
     is read, so they are rejected in a directory that holds none.
     """
-    get_parameterisation(cp_model)
-    _ti_sites(ti_grid, rho)
+    check_settings(ti_grid, rho, cp_model)
     results = []
     for csv_path, spec_path in _curve_pairs(input_dir):
         if not spec_path.exists():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -462,6 +463,41 @@ class TestValidateCmd:
         assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rho", "-1"], "air density must be positive"),
+        (["--ti-grid", "2"], "turbulence intensity must lie in [0, 1)"),
+        (["--cp-model", "nosuch"], "unknown cp parameterisation 'nosuch'"),
+        (["--ti-grid", ",".join(["0.05"] * 1001)], "more than MAX_TI_CANDIDATES"),
+    ], ids=["rho", "ti-above-one", "cp-model", "ti-grid-past-the-cap"])
+    def test_bad_setting_exits_2_before_a_curve_is_read(self, runner, tmp_path, flags,
+                                                         message):
+        # listing the pairs decodes each CSV's first line, which fails here
+        (tmp_path / "a.csv").write_bytes(b"wind_speed_ms,power_kw\n\xff\n")
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path), *flags])
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error:")
+        assert message in result.stderr
+        assert [f.name for f in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_spec_name_utf8_cannot_encode_exits_2_before_writing(self, runner, tmp_path):
+        result, out = generate(runner, tmp_path, "--name", "unit1")
+        assert result.exit_code == 0, result.output
+        spec = out.with_suffix(".json")
+        spec.write_text('{"name": "bad\\ud800name", "rotor_diameter": 80, '
+                        '"rated_power": 2000}')
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: ValueError: {spec}: name must be UTF-8 text, "
+                                 "got 'bad\\ud800name'\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["curve.csv", "curve.json"]
+
+    def test_name_utf8_cannot_encode_exits_2_before_writing(self, runner, tmp_path):
+        # the text Python makes of argv bytes that are not UTF-8, here b"V\xff"
+        result, _ = generate(runner, tmp_path, "--name", "V\udcff")
+        assert result.exit_code == 2
+        assert result.stderr == "error: ValueError: name must be UTF-8 text, got 'V\\udcff'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_spec_without_diameter_exits_2(self, runner, tmp_path):
         # the error names the spec JSON, also when the spec has no name of its
         # own and completion calls it "turbine"
@@ -588,3 +624,35 @@ class TestStderr:
         assert result.returncode == code, result.stderr
         assert result.stderr == line + "\n"
         assert not (tmp_path / "c.csv").exists()
+
+    def test_outputs_do_not_depend_on_the_locale(self, tmp_path):
+        # a catalogue name that is not ASCII, read from a UTF-8 spec and
+        # written raw to summary.csv; a C locale encodes text as ASCII
+        name = "Vestas V90 \u2013 3 MW"
+        (tmp_path / "spec.json").write_text(
+            json.dumps({"name": name, "rotor_diameter": 90, "rated_power": 3000},
+                       ensure_ascii=False), encoding="utf-8")
+        commands = [
+            ["generate", "--spec", "../spec.json", "--ti", "0.05", "--out", "fleet/v90.csv"],
+            ["validate", "--input-dir", "fleet"],
+            ["sweep", "--param", "rotor_diameter", "--values", "80,90", "--out", "sweep.csv"],
+            ["defaults", "--diameter", "90", "--rated-power", "3000", "--out", "spec.json"],
+            ["cp-table", "--model", "dai2016", "--betas", "0", "--out", "cp.csv"],
+        ]
+
+        def outputs(locale):
+            cwd = tmp_path / ("C" if locale else "default")
+            (cwd / "fleet").mkdir(parents=True)
+            for args in commands:
+                result = self.run(cwd, *args, **locale)
+                assert result.returncode == 0, (args, result.stderr)
+            return {p.relative_to(cwd): p.read_bytes()
+                    for p in sorted(cwd.rglob("*")) if p.is_file()}
+        # the two locales run side by side, to keep the test near 2 s
+        with ThreadPoolExecutor(2) as pool:
+            files = list(pool.map(outputs, [
+                {}, {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}]))
+        assert files[0] == files[1]
+        assert len(files[0]) == 7
+        assert not any(b"\r" in data for data in files[0].values())
+        assert name.encode() in files[0][Path("fleet/summary.csv")]

@@ -137,6 +137,16 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             TurbineSpec(rotor_diameter=80, rated_power=0)
 
+    @pytest.mark.parametrize("name", ["bad\ud800name", "V\udcff"],
+                             ids=["json-escape", "argv-byte"])
+    def test_name_is_text_utf8_encodes(self, name):
+        # a lone surrogate, from a JSON "\ud800" escape or from argv bytes
+        # that are not UTF-8, could be read but never written
+        with pytest.raises(ValueError) as info:
+            TurbineSpec(name=name, rotor_diameter=80, rated_power=2000)
+        assert str(info.value) == f"name must be UTF-8 text, got {name!r}"
+        assert TurbineSpec(name="Vestas V90 \u2013 3 MW").name == "Vestas V90 \u2013 3 MW"
+
 
 class TestIngestion:
     def test_json_record(self):
