@@ -26,9 +26,9 @@ from .cp_models import (DEFAULT_PARAMETERISATION, MAX_LAMBDA_POINTS, REGISTRY,
                         cp_general_array, get_parameterisation, lambda_grid,
                         registry_to_json)
 from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve, grid_points, open_output
-from .environment import DEFAULT_N_BANDS, EnvironmentConditions
+from .environment import EnvironmentConditions
 from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
-from .synthesis import ENV_ORDERS, synthesize
+from .synthesis import synthesize
 from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load_json,
                       load_spec, naming)
 from .validation import (DEFAULT_TI_GRID, _curve_pairs, check_settings, ti_text,
@@ -39,10 +39,9 @@ _NUMERIC_ERRORS = (NoPositiveCp, NonFiniteResult, ArithmeticError, RuntimeWarnin
 
 
 #: A run held flat, as config files and sidecars hold it: the default of every
-#: key, in sidecar order (turbine, cp model, site, then the grid and bands).
+#: key, in sidecar order (turbine, cp model, site, then the grid).
 _DEFAULT_RECORD = {**asdict(TurbineSpec()), "cp_model": DEFAULT_PARAMETERISATION,
-                   **asdict(EnvironmentConditions()), "n_bands": DEFAULT_N_BANDS,
-                   "v_max": DEFAULT_V_MAX, "dv": DEFAULT_DV, "env_order": ENV_ORDERS[0]}
+                   **asdict(EnvironmentConditions()), "v_max": DEFAULT_V_MAX, "dv": DEFAULT_DV}
 
 #: Every key a flat run configuration may hold, in sidecar order.
 CONFIG_KEYS = tuple(_DEFAULT_RECORD)
@@ -215,15 +214,10 @@ _environment_options = [
                  help="Power-law wind-shear exponent."),
     click.option("--veer-rate", "veer_rate", type=float, default=None,
                  help="Wind veer in degrees per metre of height."),
-    click.option("--n-bands", "n_bands", type=int, default=None,
-                 help="Horizontal rotor bands for the rotor-equivalent speed."),
     click.option("--v-max", "v_max", type=float, default=None,
                  help="Upper end of the wind-speed grid in m/s."),
     click.option("--dv", type=float, default=None,
                  help="Wind-speed grid step in m/s."),
-    click.option("--env-order", "env_order", default=None,
-                 type=click.Choice(ENV_ORDERS),
-                 help="Order in which shear/veer and TI are applied."),
 ]
 
 

@@ -4,9 +4,9 @@ Turbulence intensity is folded in by convolving the curve with a Gaussian
 kernel whose width scales with wind speed (standard deviation U * TI for the
 output point at U).  Wind shear and wind veer enter through a rotor
 equivalent wind speed: the cube-root of the area-weighted mean cubed
-effective speed over horizontal rotor bands, with the band speeds taken from
-a power-law vertical profile and the band directions from a linear veer
-profile.
+effective speed over the N_BANDS horizontal rotor bands, with the band
+speeds taken from a power-law vertical profile and the band directions from
+a linear veer profile.
 
 Both transformations leave the cut-out edge sharp.  Shutdown at cut-out is
 triggered by the hub-height mean wind speed, not by short-term fluctuations
@@ -26,13 +26,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve, window_end
 from .turbine import TurbineSpec, check_value
 
-#: Number of horizontal rotor bands used by default; band refinement is
-#: convergence-tested well below 1e-4 relative at this count.
-DEFAULT_N_BANDS = 100
-
-#: Most rotor bands band_areas slices, 8 MB per float64 array: far past
-#: the 1e-4 convergence that DEFAULT_N_BANDS already reaches.
-MAX_BANDS = 1_000_000
+#: Number of horizontal rotor bands in the rotor-equivalent wind speed; the
+#: band sum is within 1e-4 relative of the 1e4-band sum at this count.
+N_BANDS = 100
 
 #: Kernel support truncated at this many standard deviations, then
 #: renormalized; the discarded mass is below 1e-6.
@@ -82,22 +78,16 @@ class EnvironmentConditions:
                           "0.9-1.5 band", UserWarning, stacklevel=3)
 
 
-def band_areas(rotor_diameter: float,
-               n: int = DEFAULT_N_BANDS) -> tuple[np.ndarray, np.ndarray]:
-    """Slice the rotor disc into n equal-height horizontal bands, at most
-    MAX_BANDS.
+def band_areas(rotor_diameter: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slice the rotor disc into N_BANDS equal-height horizontal bands.
 
     Returns (heights, areas): the band centres relative to the hub (m), which
     serve as the representative heights, and the slice areas (m^2), computed
     analytically from the antiderivative of the chord length
     2*sqrt(R^2 - h^2), so they partition the disc exactly.
     """
-    if n < 1:
-        raise ValueError(f"need at least one band, got {n}")
-    if n > MAX_BANDS:
-        raise ValueError(f"n_bands {n} exceeds MAX_BANDS = {MAX_BANDS}")
     radius = rotor_diameter / 2.0
-    edges = np.linspace(-radius, radius, n + 1)
+    edges = np.linspace(-radius, radius, N_BANDS + 1)
     # Antiderivative of the chord length; clip guards asin against round-off.
     ratio = np.clip(edges / radius, -1.0, 1.0)
     anti = edges * np.sqrt(np.maximum(radius * radius - edges * edges, 0.0)) \
@@ -109,12 +99,11 @@ def band_areas(rotor_diameter: float,
     return centres, areas
 
 
-def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
-         veer_rate: float, n_bands: int = DEFAULT_N_BANDS):
+def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float, veer_rate: float):
     """Rotor-equivalent wind speed for a hub-height speed u_hub.
 
     Cube-root of the area-weighted mean of (U_i * cos(dphi_i))^3 over the
-    n_bands bands of the spec's rotor (see :func:`band_areas`), with U_i from
+    N_BANDS bands of the spec's rotor (see :func:`band_areas`), with U_i from
     the power-law profile anchored at the hub and dphi_i the linear veer
     angle at the band centre; u_hub may be an array.
     The veer across the rotor must stay below 90 deg (|veer_rate| * D/2 < 90),
@@ -125,7 +114,7 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float,
         raise ValueError(f"u_hub must be >= 0, got {u_hub}")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
-    heights, areas = band_areas(spec.rotor_diameter, n_bands)
+    heights, areas = band_areas(spec.rotor_diameter)
     if not abs(veer_rate) * spec.rotor_diameter / 2.0 < 90.0:
         raise ValueError(
             f"veer_rate {veer_rate} deg/m turns the wind by 90 deg or more across "
@@ -331,7 +320,7 @@ def turbulent_power(curve: PowerCurve, tis: Sequence[float], wind: np.ndarray, *
 
 
 def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
-                     veer_rate: float, n_bands: int = DEFAULT_N_BANDS) -> PowerCurve:
+                     veer_rate: float) -> PowerCurve:
     """Remap a power curve through the rotor-equivalent wind speed.
 
     The output at hub speed u is the plateau-extended input interpolated
@@ -340,7 +329,7 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
     """
     if spec.cut_out is None:
         raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
-    u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate, n_bands)
+    u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate)
     k, base, _ = _plateau_extended(curve, spec.cut_out)
     power = np.interp(u_eq, curve.wind_grid, base)
     power[k:] = 0.0

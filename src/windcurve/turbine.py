@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -91,6 +92,9 @@ class TurbineSpec:
             self.name.encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError(f"name must be UTF-8 text, got {self.name!r}") from None
+        # Unicode Cc (C0, DEL and C1 controls), Zl and Zp: one line of text has none
+        if re.search(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]", self.name):
+            raise ValueError(f"name must be one line of text, got {self.name!r}")
         for f in fields(self)[1:]:
             if getattr(self, f.name) is not None:
                 check_value(f"{self.name}: {f.name}", getattr(self, f.name))

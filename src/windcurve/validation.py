@@ -147,13 +147,13 @@ def _ti_sites(ti_grid: Sequence[float],
     smallest first, so a repeated TI is scored once and -0 is scored as 0.
     Every candidate is checked by the site built for it, all on this one
     line, so an unusual air density warns only once; a grid of more than
-    MAX_TI_CANDIDATES raises ValueError."""
+    MAX_TI_CANDIDATES raises ValueError before any site is built."""
+    if len(ti_grid) > MAX_TI_CANDIDATES:
+        raise ValueError(f"ti_grid holds {len(ti_grid)} TIs, more than "
+                         f"MAX_TI_CANDIDATES = {MAX_TI_CANDIDATES}")
     laminar, *sites = (EnvironmentConditions(ti=t, rho=rho) for t in (0.0, *ti_grid))
     if not sites:
         raise ValueError("ti_grid must not be empty")
-    if len(sites) > MAX_TI_CANDIDATES:
-        raise ValueError(f"ti_grid holds {len(sites)} TIs, more than "
-                         f"MAX_TI_CANDIDATES = {MAX_TI_CANDIDATES}")
     return laminar, sorted({float(e.ti) + 0.0 for e in sites})
 
 

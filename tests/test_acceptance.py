@@ -74,14 +74,14 @@ def test_c04_ti_knee_ordering_and_sharp_cut_out(reference_curve):
 
 def test_c05_rotor_equivalent_wind_speed():
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
-    _, areas = band_areas(80.0, 100)
+    _, areas = band_areas(80.0)
     disc = math.pi * 80.0 ** 2 / 4.0
     assert abs(areas.sum() - disc) / disc < 1e-9
     for u in np.linspace(0.5, 30.0, 60):
-        assert rews(u, spec, 0.0, 0.0, 100) == pytest.approx(u, abs=1e-9)
-        assert rews(u, spec, 0.0, 0.75, 100) < u
+        assert rews(u, spec, 0.0, 0.0) == pytest.approx(u, abs=1e-9)
+        assert rews(u, spec, 0.0, 0.75) < u
     oracle = rews_banded(10.0, 80.0, 60.0, 0.2, 0.0, 10_000)
-    got = rews(10.0, spec, 0.2, 0.0, 100)
+    got = rews(10.0, spec, 0.2, 0.0)
     assert abs(got - oracle) / oracle < 1e-4
     _ok(5, f"identity exact, veer strictly reducing, 100-band REWS within "
            f"{abs(got - oracle) / oracle:.2e} of the 1e4-band oracle")

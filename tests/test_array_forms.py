@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power, rews,
                        rotor_speed, tsr)
 from windcurve.cli import CONFIG_KEYS, main
-from windcurve.synthesis import ENV_ORDERS
 
 VS = np.linspace(0.5, 30.0, 60)
 
@@ -91,9 +90,8 @@ def run_records(draw) -> dict:
                   "cp_max": st.floats(0.3, 0.59),
                   "cp_model": st.sampled_from(sorted(REGISTRY)),
                   "ti": st.floats(0.0, 0.15), "rho": st.floats(0.95, 1.4),
-                  "n_bands": st.integers(1, 100), "v_max": st.sampled_from([30.0, 35.0]),
-                  "dv": st.sampled_from([0.05, 0.1]),
-                  "env_order": st.sampled_from(ENV_ORDERS)}))
+                  "v_max": st.sampled_from([30.0, 35.0]),
+                  "dv": st.sampled_from([0.05, 0.1])}))
     if draw(st.booleans()):
         record.update(omega_min=draw(st.floats(3.0, 12.0)),
                       omega_max=draw(st.floats(15.0, 40.0)))
@@ -128,8 +126,7 @@ class TestRunConfig:
         assert CONFIG_KEYS == (
             "name", "rotor_diameter", "rated_power", "cut_in", "cut_out",
             "omega_min", "omega_max", "cp_max", "hub_height", "cp_model",
-            "ti", "rho", "shear_alpha", "veer_rate", "n_bands", "v_max", "dv",
-            "env_order")
+            "ti", "rho", "shear_alpha", "veer_rate", "v_max", "dv")
 
     @pytest.mark.parametrize("command", [
         ["generate"], ["sweep", "--param", "ti", "--values", "0.05"]])

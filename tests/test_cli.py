@@ -139,6 +139,14 @@ class TestGenerate:
             "bundled sets: dai2016, dekooning2013, heier2014, ochieng2014, "
             "slootweg2003, thongam2009\n")
 
+    @pytest.mark.parametrize("flags", [["--n-bands", "5"], ["--env-order", "ti,shear_veer"]])
+    def test_removed_environment_options_exit_2(self, runner, tmp_path, flags):
+        # the band count and the stage order are fixed, not run settings
+        result, _ = generate(runner, tmp_path, "--hub-height", "90", "--shear-alpha", "0.2",
+                             *flags)
+        assert result.exit_code == 2
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_that_is_its_own_sidecar_exits_2(self, runner, tmp_path):
         out = tmp_path / "curve.json"
@@ -496,6 +504,25 @@ class TestValidateCmd:
         result, _ = generate(runner, tmp_path, "--name", "V\udcff")
         assert result.exit_code == 2
         assert result.stderr == "error: ValueError: name must be UTF-8 text, got 'V\\udcff'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spec_name_on_two_lines_exits_2_before_writing(self, runner, tmp_path):
+        result, out = generate(runner, tmp_path, "--name", "unit1")
+        assert result.exit_code == 0, result.output
+        spec = out.with_suffix(".json")
+        spec.write_text(json.dumps({"name": "V80\rB", "rotor_diameter": 80,
+                                    "rated_power": 2000}))
+        result = runner.invoke(main, ["validate", "--input-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: ValueError: {spec}: name must be one line of "
+                                 "text, got 'V80\\rB'\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["curve.csv", "curve.json"]
+
+    def test_name_on_two_lines_exits_2_before_writing(self, runner, tmp_path):
+        # the name is checked first, so no later error repeats it on two lines
+        result, _ = generate(runner, tmp_path, "--name", "V80\nB", "--diameter", "-5")
+        assert result.exit_code == 2
+        assert result.stderr == "error: ValueError: name must be one line of text, got 'V80\\nB'\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_spec_without_diameter_exits_2(self, runner, tmp_path):

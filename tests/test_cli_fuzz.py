@@ -2,8 +2,8 @@
 
 Every numeric ``generate`` flag is set in turn to nan, inf, -inf, a negative,
 zero and the extreme magnitudes 1e308 and 1e-308 on top of a site
-configuration that runs every stage; ``--n-bands`` also gets text click
-cannot parse as an integer.  Whatever the value, the command must end with
+configuration that runs every stage; ``--dv`` also gets text click cannot
+parse as a float.  Whatever the value, the command must end with
 a documented exit code (0, 2 or 3), print exactly one ``error:`` line and no
 usage block when it fails, never escape with a traceback, and only ever
 write finite, non-negative power.
@@ -25,7 +25,7 @@ FLOAT_FLAGS = ("--diameter", "--rated-power", "--cut-in", "--cut-out",
 DEGENERATE = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-308")
 
 CASES = ([(flag, value) for flag in FLOAT_FLAGS for value in DEGENERATE]
-         + [("--n-bands", value) for value in ("-1", "0", "nan", "1.5", "x")])
+         + [("--dv", value) for value in ("x", "1,5")])
 
 
 @pytest.mark.parametrize("flag,value", CASES)

@@ -8,7 +8,7 @@ from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environme
                        apply_shear_veer, apply_turbulence, band_areas,
                        ideal_curve, make_wind_grid, rews)
 from windcurve.curve_engine import GRID_EPS
-from windcurve.environment import (BLOCK_TAPS, _blocks, _row_plan, _smoothed,
+from windcurve.environment import (BLOCK_TAPS, N_BANDS, _blocks, _row_plan, _smoothed,
                                    turbulent_power)
 
 from conftest import REFERENCE_KWARGS, rated_knee
@@ -41,31 +41,18 @@ class TestEnvironmentConditions:
 
 
 class TestBandAreas:
-    def test_single_band_is_the_disc(self):
-        _, areas = band_areas(80.0, 1)
-        assert len(areas) == 1
-        assert areas[0] == pytest.approx(np.pi * 80.0 ** 2 / 4.0, rel=1e-12)
-
-    def test_two_bands_halve_the_disc(self):
-        _, areas = band_areas(80.0, 2)
-        np.testing.assert_allclose(areas, np.pi * 40.0 ** 2 / 2.0, rtol=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 3, 7, 100, 999])
-    def test_partition_of_the_disc(self, n):
-        heights, areas = band_areas(80.0, n)
+    def test_partition_of_the_disc(self):
+        heights, areas = band_areas(80.0)
+        assert len(areas) == N_BANDS
         disc = np.pi * 80.0 ** 2 / 4.0
         assert abs(areas.sum() - disc) / disc < 1e-9
         # symmetric about the hub
         np.testing.assert_allclose(areas, areas[::-1], rtol=1e-9)
         np.testing.assert_allclose(heights, -heights[::-1], atol=1e-9)
 
-    def test_ground_strike(self):
-        with pytest.raises(ValueError):
-            band_areas(80.0, 0)
-
     def test_underflowing_areas_rejected(self):
         with pytest.raises(ValueError, match="band areas must be positive"):
-            band_areas(1e-200, 10)
+            band_areas(1e-200)
 
 
 class TestRews:
@@ -75,14 +62,14 @@ class TestRews:
 
     def test_uniform_flow_identity(self, spec):
         for u in (0.0, 3.0, 10.0, 24.0):
-            assert rews(u, spec, 0.0, 0.0, 100) == pytest.approx(u, abs=1e-9)
+            assert rews(u, spec, 0.0, 0.0) == pytest.approx(u, abs=1e-9)
 
     def test_veer_always_reduces(self, spec):
         for u in (2.0, 10.0, 25.0):
-            assert rews(u, spec, 0.0, 0.75, 100) < u
+            assert rews(u, spec, 0.0, 0.75) < u
 
     def test_shear_case_against_fine_oracle(self, spec):
-        got = rews(10.0, spec, 0.2, 0.0, 100)
+        got = rews(10.0, spec, 0.2, 0.0)
         oracle = rews_banded(10.0, 80.0, 60.0, 0.2, 0.0, 10_000)
         assert oracle == pytest.approx(REWS_SHEAR_02, abs=1e-6)
         assert abs(got - oracle) / oracle < 1e-4
@@ -90,21 +77,18 @@ class TestRews:
         assert abs(got - 10.0) / 10.0 < 0.02
 
     def test_veer_case_against_fine_oracle(self, spec):
-        got = rews(10.0, spec, 0.0, 0.75, 100)
+        got = rews(10.0, spec, 0.0, 0.75)
         oracle = rews_banded(10.0, 80.0, 60.0, 0.0, 0.75, 10_000)
         assert oracle == pytest.approx(REWS_VEER_075, abs=1e-6)
         assert abs(got - oracle) / oracle < 1e-4
 
-    def test_band_refinement_converges(self, spec):
+    def test_shear_and_veer_case_against_fine_oracle(self, spec):
         oracle = rews_banded(10.0, 80.0, 60.0, 0.3, 0.5, 10_000)
-        errors = [abs(rews(10.0, spec, 0.3, 0.5, n) - oracle)
-                  for n in (5, 20, 100)]
-        assert errors[0] > errors[1] > errors[2]
-        assert errors[2] / oracle < 1e-4
+        assert abs(rews(10.0, spec, 0.3, 0.5) - oracle) / oracle < 1e-4
 
     def test_veer_monotonicity(self, spec):
         rates = np.linspace(0.0, 0.75, 16)
-        values = [rews(12.0, spec, 0.1, r, 100) for r in rates]
+        values = [rews(12.0, spec, 0.1, r) for r in rates]
         assert np.all(np.diff(values) < 0)
 
     def test_negative_hub_speed_rejected(self, spec):

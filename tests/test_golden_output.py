@@ -5,11 +5,15 @@ and ``sweep`` wrote before the scalar/array formula pairs were merged into
 single implementations, except the three turbulent generate cases, taken
 again when the turbulence kernel began to decide its +-5 sigma edge exactly
 in grid steps (rows whose edge lies on a grid point moved by up to 1e-4 kW).
+The sidecar digests were taken again when ``n_bands`` and ``env_order`` left
+the run record: each is the earlier sidecar with those two keys deleted,
+re-serialised with ``json.dumps(..., indent=2) + "\n"``.
 Any change to the bytes of these files, however small, fails here;
 refactors of the numeric core must keep them.
 """
 
 import hashlib
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -23,22 +27,23 @@ GENERATE_CASES = {
     "defaults": (
         [],
         "c0deab0560bbbe2e0230c4467cb71c46a185188365131a20e7c8bb17ed6745ca",
-        "704474eeb86d4f35a8f054a64db6124e792553661c74386758d8e82cb25f5780"),
+        "475ddf07e31993f82b70e6d8e718b3cd27c467f5ba6e3c6c29563c5ef860ffc9"),
     "site": (
         ["--hub-height", "90", "--ti", "0.1", "--rho", "1.15",
          "--shear-alpha", "0.2", "--veer-rate", "0.3"],
         "962f043c1400efcbfcb9c8c28d219a19fc59a4a4711ef34aeaeb503d88cc5339",
-        "bb989e69540f6debb13db4576c4e1bd81cd618996075a63e476f28dcc567ff3c"),
+        "e12b4df92d41aa63a2af94c16ed62589079e52302e6b191ed0fc57804d2e116a"),
     "fine_grid": (
         ["--dv", "0.01", "--ti", "0.05"],
         "ff66059ddcf921d3f54b5c0566a1944b323fdaed5aacd20b095b5daf74bb9821",
-        "fa0f91cc48964c2ec89df3660219c59e43020c53e8f7de470c12a43fcba21948"),
+        "97fb40c25ac0d819a789538e90c8799f066b68e57ed5edb0fa01893546cdeb58"),
+    # Named for the TI-first order and 37 bands it once also set; both are
+    # gone, and the CSV digest is that of these flags alone.
     "ti_first_37_bands": (
         ["--hub-height", "70", "--ti", "0.08", "--shear-alpha", "0.14",
-         "--veer-rate", "0.25", "--env-order", "ti,shear_veer",
-         "--n-bands", "37"],
-        "63462589266c6abee02d74f164e8f62e9e188b50e52da591d1afd865d3893cdc",
-        "cf04d0b5db0a3c0cab1ca437bd439d0889e87686da647ea5f5ad4d3f190d6ff8"),
+         "--veer-rate", "0.25"],
+        "2a1650fd64de5c09a78315c9b2c2693142e79fbadd09386e2a67327b79140e30",
+        "8e4aef8f5bed1fa46378c51434e54eef91b3c944c7547e2a4258924c09ebdfef"),
 }
 
 # case -> (sweep flags, sha256 of the long-format CSV)
@@ -66,6 +71,33 @@ def test_generate_bytes_unchanged(case, tmp_path):
     assert result.exit_code == 0, result.output
     assert _sha256(out) == csv_digest
     assert _sha256(out.with_suffix(".json")) == sidecar_digest
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_CASES))
+def test_sidecar_of_the_earlier_format(case, tmp_path):
+    # sidecars written while the band count and the stage order were run
+    # settings hold them at their defaults: such a file is refused naming both
+    # keys, and with the two keys deleted it replays the same CSV bytes
+    flags, csv_digest, _ = GENERATE_CASES[case]
+    out = tmp_path / "new.csv"
+    assert CliRunner().invoke(main, ["generate", *MANDATORY, *flags,
+                                     "--out", str(out)]).exit_code == 0
+    record = json.loads(out.with_suffix(".json").read_text())
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(json.dumps({**record, "config": {
+        **record["config"], "n_bands": 100, "env_order": "shear_veer,ti"}}, indent=2) + "\n")
+    replay = tmp_path / "replay.csv"
+    result = CliRunner().invoke(main, ["generate", "--config", str(earlier),
+                                       "--out", str(replay)])
+    assert result.exit_code == 2
+    assert result.stderr == (f"error: ValueError: {earlier}: unknown config keys: "
+                             "env_order, n_bands\n")
+    assert not replay.exists()
+    earlier.write_text(json.dumps(record, indent=2) + "\n")
+    result = CliRunner().invoke(main, ["generate", "--config", str(earlier),
+                                       "--out", str(replay)])
+    assert result.exit_code == 0, result.output
+    assert _sha256(replay) == csv_digest
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))

@@ -19,7 +19,8 @@ from windcurve import cli, environment
 from windcurve.cli import MAX_CP_TABLE_ROWS, MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
 from windcurve.cp_models import MAX_LAMBDA_POINTS, REGISTRY, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
-from windcurve.environment import MAX_BANDS, MAX_TURBULENCE_TAPS, band_areas
+from windcurve.environment import MAX_TURBULENCE_TAPS
+from windcurve.validation import MAX_TI_CANDIDATES
 
 from conftest import REFERENCE_KWARGS
 
@@ -95,13 +96,6 @@ def test_cli_grid_past_the_cap_exits_2(dv, tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_band_count_capped():
-    with pytest.raises(ValueError,
-                       match=f"n_bands {MAX_BANDS + 1} exceeds MAX_BANDS = {MAX_BANDS}"):
-        band_areas(80.0, MAX_BANDS + 1)
-    assert len(band_areas(80.0, MAX_BANDS)[1]) == MAX_BANDS
-
-
 def test_lambda_grid_points_capped():
     with pytest.raises(ValueError, match=f"exceeds MAX_LAMBDA_POINTS = {MAX_LAMBDA_POINTS}"):
         lambda_grid(0.5, 20.0, 1.9e-4)
@@ -109,9 +103,10 @@ def test_lambda_grid_points_capped():
 
 
 @pytest.mark.parametrize("args, message", [
-    (["generate", "--diameter", "80", "--rated-power", "2000", "--hub-height", "90",
-      "--shear-alpha", "0.1", "--n-bands", "1000000000", "--out", "c.csv"],
-     f"error: ValueError: n_bands 1000000000 exceeds MAX_BANDS = {MAX_BANDS}"),
+    (["validate", "--input-dir", ".", "--out-csv", "c.csv",
+      "--ti-grid", ",".join(["0.05"] * (MAX_TI_CANDIDATES + 1))],
+     f"error: ValueError: ti_grid holds {MAX_TI_CANDIDATES + 1} TIs, more than "
+     f"MAX_TI_CANDIDATES = {MAX_TI_CANDIDATES}"),
     (["cp-table", "--step", "1e-9", "--out", "c.csv"],
      "error: ValueError: tip-speed-ratio grid of 1.95e+10 points"),
     (["sweep", "--param", "cut_in", "--range", "1", "2", "1000000000", "--out", "c.csv"],
@@ -134,10 +129,10 @@ def test_lambda_grid_points_capped():
      f"MAX_CP_TABLE_ROWS = {MAX_CP_TABLE_ROWS}"),
 ])
 def test_cli_sizes_past_their_caps_exit_2(args, message, tmp_path):
-    # without the caps, 7.45 GiB of bands or of sweep values, a 145 GiB
-    # tip-speed-ratio grid, 200 curves of a million points held at once,
-    # hours of turbulence taps (past the timeout), or 6e8 cp-table rows, about
-    # 17 GB of text
+    # without the caps, a kernel plan and output row held for each of any
+    # number of TIs, 7.45 GiB of sweep values, a 145 GiB tip-speed-ratio grid,
+    # 200 curves of a million points held at once, hours of turbulence taps
+    # (past the timeout), or 6e8 cp-table rows, about 17 GB of text
     result = _run_limited([*_CLI, *args], tmp_path)
     assert result.returncode == 2, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
@@ -216,18 +211,6 @@ def test_turbulence_stages_reject_a_non_finite_cut_out(cut_out, ti, reference_cu
         turbulent_power(reference_curve, [ti], np.array([5.0]), cut_out=cut_out)
 
 
-def test_cli_config_band_count_past_the_cap_exits_2(tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text('{"rotor_diameter": 80, "rated_power": 2000, "hub_height": 90, '
-                      '"shear_alpha": 0.1, "n_bands": 10000000000000000000000}')
-    result = CliRunner().invoke(main, ["generate", "--config", str(config),
-                                       "--out", str(tmp_path / "c.csv")])
-    assert result.exit_code == 2, result.output
-    assert _one_error_line(result) == (
-        f"error: ValueError: n_bands 10000000000000000000000 exceeds MAX_BANDS = {MAX_BANDS}")
-    assert not (tmp_path / "c.csv").exists()
-
-
 class TestVeerBound:
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=90.0)
 
@@ -289,9 +272,9 @@ def test_environment_rejects_non_numbers(name, value):
     ("--config", "ti", "0.1"),
     ("--config", "dv", "0.05"),
     ("--config", "v_max", False),
-    ("--config", "n_bands", 1.5),
+    ("--config", "veer_rate", "0.3"),
     ("--config", "cp_model", 5),
-    ("--config", "env_order", ["ti"]),
+    ("--config", "shear_alpha", [0.1]),
     ("--config", "name", [1, 2]),
     ("--config", "name", 5),
     ("--spec", "name", 5),
@@ -347,8 +330,7 @@ def test_oversize_integers_rejected_naming_the_field():
 
 
 @pytest.mark.parametrize("key,value", [
-    ("n_bands", True), ("n_bands", 7.0), ("dv", True), ("cp_model", 5),
-    ("env_order", None)])
+    ("v_max", "40"), ("dv", True), ("cp_model", 5)])
 def test_synthesize_rejects_wrong_typed_settings(key, value):
     # the library call gets the same check a --config file gets
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from windcurve.cli import CONFIG_KEYS, main
 
-# A small wind grid and few rotor bands keep every run that succeeds cheap;
+# A small wind grid keeps every run that succeeds cheap;
 # flags override the file, so these keys of a --config file go unread.
-SMALL_RUN = ["--v-max", "40", "--dv", "0.5", "--n-bands", "5"]
+SMALL_RUN = ["--v-max", "40", "--dv", "0.5"]
 
 GOOD_SPEC = json.dumps({"name": "unit", "rotor_diameter": 80, "rated_power": 2000})
 GOOD_CURVE = "wind_speed_ms,power_kw\n" + "".join(

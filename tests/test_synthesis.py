@@ -33,25 +33,9 @@ class TestSynthesize:
                                     veer_rate=0.4)
         auto, _ = synthesize(reference_spec, env, cp_model="dai2016")
         manual = ideal_curve(reference_spec, reference_model, env.rho)
-        manual = apply_shear_veer(manual, reference_spec, 0.15, 0.4, 100)
+        manual = apply_shear_veer(manual, reference_spec, 0.15, 0.4)
         manual = apply_turbulence(manual, 0.08, cut_out=25.0)
         np.testing.assert_array_equal(auto.power, manual.power)
-
-    def test_env_order_switch(self, reference_spec):
-        env = EnvironmentConditions(ti=0.10, shear_alpha=0.3, veer_rate=0.5)
-        first, _ = synthesize(reference_spec, env, env_order="shear_veer,ti")
-        second, _ = synthesize(reference_spec, env, env_order="ti,shear_veer")
-        # the two stages do not commute, but both leave the hub-gated
-        # cut-out untouched
-        assert not np.allclose(first.power, second.power, rtol=1e-6)
-        i_last_first = int(np.nonzero(first.power)[0][-1])
-        i_last_second = int(np.nonzero(second.power)[0][-1])
-        assert i_last_first == i_last_second
-        assert first.wind_grid[i_last_first] == pytest.approx(25.0)
-
-    def test_invalid_env_order(self, reference_spec):
-        with pytest.raises(ValueError, match="env_order"):
-            synthesize(reference_spec, env_order="ti")
 
     def test_zero_cut_in_produces_no_spurious_power(self):
         # just above a zero cut-in the clamped rotor pushes the tip-speed

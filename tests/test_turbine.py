@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import unicodedata
 import warnings
 
 import pytest
@@ -146,6 +147,31 @@ class TestSpecInvariants:
             TurbineSpec(name=name, rotor_diameter=80, rated_power=2000)
         assert str(info.value) == f"name must be UTF-8 text, got {name!r}"
         assert TurbineSpec(name="Vestas V90 \u2013 3 MW").name == "Vestas V90 \u2013 3 MW"
+
+    @pytest.mark.parametrize("name", ["V80\nB", "V80\rB", "V80\tB", "V80\x00B", "V80\x85B",
+                                      "V80\u2028B", "V80\u2029B", "V80B\r\n"])
+    def test_name_is_one_line(self, name):
+        # a control character or a line or paragraph separator would split a
+        # summary CSV row or an error line in two
+        with pytest.raises(ValueError) as info:
+            TurbineSpec(name=name, rotor_diameter=-5, rated_power=2000)
+        assert str(info.value) == f"name must be one line of text, got {name!r}"
+        # other characters, a non-breaking space or a middle dot, are text
+        one_line = "Windm\u00fchle 3 \u00b7\u00a0A"
+        assert TurbineSpec(name=one_line).name == one_line
+
+    def test_names_refused_are_unicode_cc_zl_zp(self):
+        # every Cc, Zl and Zp character lies in the Basic Multilingual Plane
+        refused, wanted = [], []
+        for c in map(chr, range(0x10000)):
+            if unicodedata.category(c) == "Cs":
+                continue  # a lone surrogate fails the UTF-8 rule first
+            wanted += [c] if unicodedata.category(c) in ("Cc", "Zl", "Zp") else []
+            try:
+                TurbineSpec(name=c)
+            except ValueError:
+                refused.append(c)
+        assert refused == wanted
 
 
 class TestIngestion:

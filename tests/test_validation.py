@@ -248,6 +248,21 @@ class TestMatchOverTi:
                                              r"MAX_TI_CANDIDATES = 1000$"):
             match_over_ti(synthetic_measured, [0.05] * (MAX_TI_CANDIDATES + 1))
 
+    def test_ti_grid_past_the_cap_builds_no_site(self, monkeypatch):
+        # the refusal costs O(1), not one EnvironmentConditions per TI
+        built = []
+
+        def counted(**kwargs):
+            built.append(kwargs)
+            return EnvironmentConditions(**kwargs)
+        monkeypatch.setattr(validation, "EnvironmentConditions", counted)
+        with pytest.raises(ValueError, match=r"^ti_grid holds 1001 TIs, more than "
+                                             r"MAX_TI_CANDIDATES = 1000$"):
+            validation.check_settings([0.05] * (MAX_TI_CANDIDATES + 1), 1.225, "dai2016")
+        assert built == []
+        validation.check_settings([0.05] * MAX_TI_CANDIDATES, 1.225, "dai2016")
+        assert len(built) == MAX_TI_CANDIDATES + 1
+
     def test_no_sample_in_the_comparison_range(self, defaults_spec):
         # every sample lies below cut-in (3 m/s) or past 0.95 * cut-out (23.75 m/s)
         winds = np.array([0.0, 1.0, 2.0, 2.99, 23.76, 26.0])
