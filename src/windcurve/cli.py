@@ -283,7 +283,8 @@ def _parse_sweep_values(param: str, values: str | None,
         if count < 1:
             raise ValueError("--range count must be >= 1")
         numbers = np.linspace(lo, hi, int(count)).tolist()
-    return _labelled("sweep values", numbers, "{:.6g}".format)
+    # + 0.0 makes -0 the value 0, so the two share the label 0.
+    return _labelled("sweep values", [v + 0.0 for v in numbers], "{:.6g}".format)
 
 
 @main.command()
@@ -372,7 +373,7 @@ def cp_table(models: tuple[str, ...], lambda_min: float, lambda_max: float,
     if rows > MAX_CP_TABLE_ROWS:
         raise ValueError(f"cp table of {rows} rows exceeds "
                          f"MAX_CP_TABLE_ROWS = {MAX_CP_TABLE_ROWS}")
-    pitches = _labelled("--betas", [float(b) for b in betas.split(",")], "{:.6g}".format)
+    pitches = _labelled("--betas", [float(b) + 0.0 for b in betas.split(",")], "{:.6g}".format)
     # Every pitch is checked on one ratio before the first row is written.
     for name in names:
         for beta in pitches.values():

@@ -138,25 +138,24 @@ def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarra
     return k, extended, plateau
 
 
-def _row_plan(k: int, sigma: np.ndarray, dv: float,
-              power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plan the turbulence rows: (rows, half), the rows r in the window
-    [0, k) with sigma > 0 and sigma >= dv/2 whose window holds more than one
-    value of the plateau-extended input (power[:k], then power[k - 1]), and
-    their half-widths h = floor((KERNEL_REACH * sigma + GRID_EPS) / dv) grid
-    steps.  A row with sigma = 0, at 0 m/s or at TI 0, is never planned, even
-    on a grid whose step is below 2 * GRID_EPS.
+def _row_plan(k: int, ti: float, r0: float, slack: float,
+              run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plan TI ti's turbulence rows in grid steps: (rows, half), the rows r
+    of the window [0, k) with x = ti * (r0 + r) > 0 and x + slack >= 1/2
+    whose window holds more than one run id, and their half-widths
+    h = floor(KERNEL_REACH * x + slack).  x is sigma / dv, r0 = grid[0] / dv
+    the grid's origin in steps and slack = GRID_EPS / dv; run[i] counts the
+    value changes of the plateau-extended input up to column i.  A row with
+    x = 0, at 0 m/s or at TI 0, is never planned, even when slack >= 1/2.
 
-    Row r's window is [max(r - h, 0), r + h + 1): both tests take the slack
-    GRID_EPS, so an edge meant to lie on a grid point is inside, as <= says.
-    sigma = ti * grid never falls along the grid, so neither does half.  A
-    row whose window lies inside one run of equal values averages that
-    value, which it already holds, so it is left out with no taps.
+    Row r's window is [max(r - h, 0), r + h + 1): both tests take the slack,
+    so an edge meant to lie on a grid point is inside, as <= says.  x never
+    falls along the rows, so neither does half.  A row whose window lies in
+    one run averages the value it already holds: it is left out, with no taps.
     """
-    rows = np.flatnonzero((sigma[:k] > 0.0) & (sigma[:k] + GRID_EPS >= dv / 2.0))
-    half = ((KERNEL_REACH * sigma[rows] + GRID_EPS) // dv).astype(np.intp)
-    inside = power[:k]
-    run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
+    x = ti * (r0 + np.arange(k, dtype=np.float64))
+    rows = np.flatnonzero((x > 0.0) & (x + slack >= 0.5))
+    half = np.floor(KERNEL_REACH * x[rows] + slack).astype(np.intp)
     keep = run[np.maximum(rows - half, 0)] != run[np.minimum(rows + half, k - 1)]
     return rows[keep], half[keep]
 
@@ -184,32 +183,33 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     smoothed (see :func:`apply_turbulence`) and zero past cut_out; the other
     rows hold their plateau-extended input.  Row i is bit-identical to the
     batch [tis[i]].  The setup that does not depend on TI is made once per
-    batch: the checks, the plateau extension, the padded power and its
-    view, padded to the widest half-width of the batch, and the offsets.
-    Every TI is planned and checked against MAX_TURBULENCE_TAPS before the
-    first block of any.  A batch whose TIs are all 0, an empty one
-    included, returns the windowed input in every row before anything is
-    padded or planned.
+    batch: the checks, the plateau extension and its run ids, r0 and the
+    slack (the only terms in dv, see :func:`_row_plan`), the padded power
+    and its view, padded to the widest half-width, and the offsets.  Every
+    TI is planned and checked against MAX_TURBULENCE_TAPS before the first
+    block of any.  A batch whose TIs are all 0, an empty one included,
+    returns the windowed input in every row before any plan or padding.
     """
     for t in tis:
         _check_ti(t)
     check_value("cut_out", cut_out)
-    grid, dv = curve.wind_grid, curve.dv
     k, extended, plateau = _plateau_extended(curve, cut_out)
     extended[k:] = 0.0
     if not any(tis):
         return extended[None].repeat(len(tis), 0)
 
-    # Rows outside the plan (see _row_plan) keep their value: 0 past the window.
+    r0, slack = curve.wind_grid[0] / curve.dv, GRID_EPS / curve.dv
+    inside = extended[:k]
+    run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
+    # Rows outside the plan keep their value: 0 past the window.
     plans, pad = [], 0
     for t in tis:
-        sigma = t * grid
-        rows, half = _row_plan(k, sigma, dv, extended)
+        rows, half = _row_plan(k, t, r0, slack, run)
         taps = int((half + np.minimum(half, rows) + 1).sum())
         if taps > MAX_TURBULENCE_TAPS:
             raise ValueError(f"turbulence kernel of {taps} taps at TI {t} exceeds "
                              f"MAX_TURBULENCE_TAPS = {MAX_TURBULENCE_TAPS}")
-        plans.append((sigma, rows, half))
+        plans.append((t, rows, half))
         if len(half):
             pad = max(pad, int(half[-1]))
     # The power at the columns -pad .. k + pad - 1: zeros before the grid, the
@@ -222,11 +222,10 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     offsets = np.arange(1, pad + 1, dtype=np.float64)
     squares = offsets * offsets
     out = extended[None].repeat(len(tis), 0)
-    for smoothed, (sigma, rows, half) in zip(out, plans):
-        # The half-widths h in grid steps, and row r's weights exp(m^2 * scale_r).
-        # Planned rows only: sigma is 0 at 0 m/s.
+    for smoothed, (t, rows, half) in zip(out, plans):
+        # Row r's weights exp(m^2 * scale_r), scale_r = -0.5 / x_r^2: x_r > 0 on planned rows.
         reach = half.astype(np.float64)
-        scale = -0.5 * (dv / sigma[rows]) ** 2
+        scale = -0.5 / (t * (r0 + rows)) ** 2
         for first, last, wide in _blocks(half):
             pick = candidates[rows[first:last]]
             r = rows[first:last][pick]
@@ -263,19 +262,20 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     output is zero, so the shutdown edge stays one grid step wide.  ti = 0
     returns the input values unchanged inside the window.
 
-    Each row's window is the grid columns within +-KERNEL_REACH sigma,
-    decided once in whole grid steps by :func:`_row_plan`, so an edge on a
-    grid point is inside whatever the grid's round-off.  A row whose window
-    holds one constant value, such as the rows well past rated speed or
-    wholly below cut-in, takes that value exactly at O(1) cost.  The other
-    rows sum their window outward from the centre: row r with half-width h
-    is (p_r + sum_m w_m (p_{r+m} + p_{r-m})) / (1 + sum_m w_m (1 + [r >= m]))
-    over m = 1..h, with w_m = exp(m^2 c_r) and c_r = -0.5 (dv / sigma_r)^2
-    computed once per row, so one multiply and one exp per +-m pair; a window
-    that passes the grid's first column (TI > 0.2) reads zeros there and
-    leaves those weights out of its sum.  Half-widths never fall along the
-    grid, as sigma rises with U.  The rows are cut into blocks, each
-    evaluated as one dense array of its rows times H, its last row's
+    The kernel works in grid steps: row r's sigma is x_r = ti * (r0 + r)
+    steps, with r0 = grid[0] / dv, 0 on every make_wind_grid grid (a grid from
+    another speed is taken, not refused).  Its window is the columns within
+    h = floor(KERNEL_REACH * x_r + GRID_EPS / dv) steps, decided once by
+    :func:`_row_plan`, so an edge on a grid point is inside whatever the
+    grid's round-off.  A row whose window holds one constant value, such as
+    the rows well past rated speed or wholly below cut-in, takes that value
+    exactly at O(1) cost.  The other rows sum their window outward from the
+    centre, row r being (p_r + sum_m w_m (p_{r+m} + p_{r-m})) / (1 + sum_m w_m
+    (1 + [r >= m])) over m = 1..h, with w_m = exp(m^2 c_r) and c_r = -0.5 /
+    x_r^2 computed once per row, so one multiply and one exp per +-m pair; a
+    window that passes the grid's first column (TI > 0.2) reads zeros there
+    and leaves those weights out of its sum.  The rows are cut into blocks,
+    each evaluated as one dense array of its rows times H, its last row's
     half-width, over zero-copy views of the power on both sides; only the
     columns past its first computed row's half-width are masked, each row
     zeroing its weights past its own h.  A block is the longest run of rows

@@ -37,3 +37,8 @@ def rated_knee(curve, rated: float) -> int:
     hits = np.nonzero(curve.power >= rated - 1e-9)[0]
     assert hits.size, "curve never reaches rated power"
     return int(hits[0])
+
+
+def run_ids(values: np.ndarray) -> np.ndarray:
+    """The run id of each value: how many times the values change up to it."""
+    return np.concatenate([[0], np.cumsum(values[1:] != values[:-1])])

@@ -228,6 +228,13 @@ class TestSweep:
         labels = {l.split(",")[0] for l in out.read_text().splitlines()[1:]}
         assert labels == {"0", "0.025", "0.05", "0.075", "0.1"}
 
+    def test_minus_zero_is_labelled_zero(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, ["sweep", "--param", "ti", "--values=-0",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert {l.split(",")[0] for l in out.read_text().splitlines()[1:]} == {"0"}
+
     def test_cp_parameterisation_sweep(self, runner, tmp_path):
         out = tmp_path / "models.csv"
         result = runner.invoke(main, ["sweep", "--param", "cp_parameterisation",
@@ -398,7 +405,10 @@ def test_out_holds_the_stdout_bytes(runner, tmp_path, args):
     (["cp-table", "--betas", "1,1.0000001"], "--betas 1.0 and 1.0000001 share the label 1"),
     (["cp-table", "--model", "dai2016", "--model", "DAI2016"],
      "--model 'dai2016' and 'DAI2016' share the label dai2016"),
-], ids=["sweep-near", "sweep-repeat", "sweep-range", "sweep-model", "cp-betas", "cp-model"])
+    (["sweep", "--param", "ti", "--values=0,-0"], "sweep values 0.0 and 0.0 share the label 0"),
+    (["cp-table", "--betas=0,-0"], "--betas 0.0 and 0.0 share the label 0"),
+], ids=["sweep-near", "sweep-repeat", "sweep-range", "sweep-model", "cp-betas", "cp-model",
+        "sweep-minus-zero", "cp-betas-minus-zero"])
 def test_values_that_share_a_label_exit_2(runner, tmp_path, args, message):
     # each curve's or pitch's rows are told apart only by their label
     out = tmp_path / "x.csv"

@@ -11,7 +11,7 @@ from windcurve.curve_engine import GRID_EPS
 from windcurve.environment import (BLOCK_TAPS, N_BANDS, _blocks, _row_plan, _smoothed,
                                    turbulent_power)
 
-from conftest import REFERENCE_KWARGS, rated_knee
+from conftest import REFERENCE_KWARGS, rated_knee, run_ids
 from oracles import convolve_reference, kernel_half_widths, rews_banded
 
 # Frozen oracle values: 1e4-band midpoint discretization, D=80, hub 60 m.
@@ -123,13 +123,13 @@ class TestApplyTurbulence:
 
     @staticmethod
     def _plan_inputs(curve):
-        """The window k for cut-out 25 and the sigma of TI 0.05."""
-        return int(np.sum(curve.wind_grid <= 25.0)), 0.05 * curve.wind_grid
+        """The window k for cut-out 25, the grid's origin r0 and the slack in steps."""
+        return int(np.sum(curve.wind_grid <= 25.0)), 0.0, GRID_EPS / curve.dv
 
     def test_constant_windows_cost_no_taps(self, reference_curve):
         grid, dv, power = reference_curve.wind_grid, reference_curve.dv, reference_curve.power
-        k, sigma = self._plan_inputs(reference_curve)
-        rows, planned = _row_plan(k, sigma, dv, power)
+        k, r0, slack = self._plan_inputs(reference_curve)
+        rows, planned = _row_plan(k, 0.05, r0, slack, run_ids(power[:k]))
         assert len(rows) > 0
         # of the window's rows with sigma >= dv/2, exactly those whose window,
         # decided exactly, holds more than one value of the plateau-extended
@@ -143,16 +143,50 @@ class TestApplyTurbulence:
         assert planned.tolist() == [half[i] for i in rows]
         # both kinds of constant row occur: wholly below cut-in and past rated
         assert set(extended[eligible[constant]]) == {0.0, 2000.0}
-        rows, planned = _row_plan(k, sigma, dv, np.full(len(grid), 7.5))
+        rows, planned = _row_plan(k, 0.05, r0, slack, run_ids(np.full(k, 7.5)))
         assert len(rows) == 0 and len(planned) == 0
 
     def test_an_edge_on_a_grid_point_is_inside_the_window(self, reference_curve):
         # at TI 0.1, 5 sigma at 10 m/s is 5 m/s, 100 grid steps exactly
-        k, _ = self._plan_inputs(reference_curve)
-        rows, half = _row_plan(k, 0.1 * reference_curve.wind_grid, 0.05,
-                               reference_curve.power)
+        k, r0, slack = self._plan_inputs(reference_curve)
+        rows, half = _row_plan(k, 0.1, r0, slack, run_ids(reference_curve.power[:k]))
         (at,) = np.flatnonzero(rows == 200)
         assert half[at] == 100
+
+    @pytest.mark.parametrize("dv", [0.1, 0.05, 0.04, 0.025, 0.01])
+    def test_half_widths_in_grid_steps_are_the_exact_rule(self, dv):
+        # on every make_wind_grid grid, the plan's rows and half-widths from
+        # ti * r in grid steps are the rule decided exactly on the grid's
+        # speeds; a rising power leaves no window constant, so none is pruned
+        curve = PowerCurve(make_wind_grid(40.0, dv), np.arange(int(round(40.0 / dv)) + 1.0))
+        k = len(curve.wind_grid)
+        for ti in (0.001, 0.005, 0.01, 0.02, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3,
+                   0.5, 0.9):
+            rows, half = _row_plan(k, ti, curve.wind_grid[0] / curve.dv, GRID_EPS / curve.dv,
+                                   run_ids(curve.power))
+            exact = kernel_half_widths(ti, curve.wind_grid, curve.dv, GRID_EPS)
+            assert rows.tolist() == [r for r, h in enumerate(exact) if h is not None]
+            assert half.tolist() == [h for h in exact if h is not None]
+
+    @pytest.mark.parametrize("dv", [0.05, 0.01])
+    @pytest.mark.parametrize("j", [1, 37, 200])
+    def test_a_grid_from_another_speed_keeps_its_origin(self, reference_spec,
+                                                        reference_model, dv, j):
+        # the curve from grid point j on: each row whose window stays inside
+        # it is the same row of the whole curve, sigma taken at its own speed
+        whole = ideal_curve(reference_spec, reference_model, dv=dv)
+        grid = whole.wind_grid
+        part = PowerCurve(grid[j:], whole.power[j:])
+        smoothed = 0
+        for ti in (0.02, 0.1, 0.15):
+            half = [h or 0 for h in kernel_half_widths(ti, grid, dv, GRID_EPS)]
+            inside = [i - j for i in range(j, len(grid)) if i - half[i] >= j]
+            np.testing.assert_allclose(
+                apply_turbulence(part, ti, cut_out=25.0).power[inside],
+                apply_turbulence(whole, ti, cut_out=25.0).power[[i + j for i in inside]],
+                rtol=0.0, atol=1e-11)
+            smoothed += sum(half[i + j] > 0 and grid[i + j] <= 25.0 for i in inside)
+        assert smoothed > 100
 
     @pytest.mark.parametrize("dv", [0.05, 0.01])
     def test_a_grid_moved_by_round_off_gives_the_same_curve(self, reference_spec,
@@ -182,8 +216,8 @@ class TestApplyTurbulence:
         moved = some != np.where(grid <= 25.0, power, 0.0)
         assert np.flatnonzero(moved).tolist() == [100, 101, 200]
         # rows past cut-out are never planned
-        k, sigma = self._plan_inputs(reference_curve)
-        rows, _ = _row_plan(k, sigma, reference_curve.dv, power)
+        k, r0, slack = self._plan_inputs(reference_curve)
+        rows, _ = _row_plan(k, 0.05, r0, slack, run_ids(power[:k]))
         assert rows.max() < k
 
     @pytest.mark.parametrize("ti, dv, cut_out, edge", [

@@ -19,7 +19,7 @@ from windcurve.cp_models import BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameter
 from windcurve.curve_engine import GRID_EPS, raw_power, rotor_speed, tsr, window_end
 from windcurve.environment import _blocks, _plateau_extended, _row_plan, _smoothed
 
-from conftest import REFERENCE_KWARGS
+from conftest import REFERENCE_KWARGS, run_ids
 from oracles import convolve_reference, cp_direct, kernel_half_widths
 
 finite = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
@@ -306,7 +306,7 @@ def _block_ends(curve, ti, cut_out):
     """The last planned row of each block of the turbulence stage, from the
     plan _smoothed makes."""
     k = window_end(curve.wind_grid, cut_out)
-    rows, half = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
+    rows, half = _row_plan(k, ti, 0.0, GRID_EPS / curve.dv, run_ids(curve.power[:k]))
     return [rows[last - 1] for _, last, _ in _blocks(half)]
 
 
@@ -356,7 +356,8 @@ def test_half_widths_never_fall_along_the_plan(ti, dv, start, n, cut_out, seed):
     power = np.sort(np.random.default_rng(seed).integers(0, 5, n)) * 500.0
     curve = PowerCurve(grid, power)
     k = window_end(curve.wind_grid, cut_out)
-    rows, half = _row_plan(k, ti * curve.wind_grid, curve.dv, curve.power)
+    rows, half = _row_plan(k, ti, grid[0] / curve.dv, GRID_EPS / curve.dv,
+                           run_ids(curve.power[:k]))
     assert len(rows) == len(half) and np.all(np.diff(rows) > 0)
     assert np.all(np.diff(half) >= 0)
     # so a block's first row is its narrowest and its last its widest
