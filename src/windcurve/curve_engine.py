@@ -88,11 +88,15 @@ class PowerCurve:
             raise ValueError("a power curve needs at least two grid points")
         # Every step within 1e-8 + 1e-9 * steps[0] of the first, the test
         # np.allclose(steps, steps[0], rtol=1e-9) makes, without its cost.
-        # A grid holding inf or NaN has an inf or NaN step: max < inf rejects
-        # the one, and NaN, which min and max propagate, fails both tests.
-        steps = np.diff(self.wind_grid)
-        if not (0.0 < steps.min() and steps.max() < math.inf
-                and np.abs(steps - steps[0]).max() <= 1e-8 + 1e-9 * steps[0]):
+        # Float subtraction rounds monotonically, so the largest |step - first|
+        # is hi - first or first - lo.  A grid holding inf or NaN has an inf or
+        # NaN step: hi < inf rejects the one, and NaN, which min and max
+        # propagate, fails both tests.
+        grid = self.wind_grid
+        steps = grid[1:] - grid[:-1]
+        first, lo, hi = steps[0], steps.min(), steps.max()
+        if not (0.0 < lo and hi < math.inf
+                and max(hi - first, first - lo) <= 1e-8 + 1e-9 * first):
             raise ValueError("wind_grid must be finite, increasing and uniformly spaced")
 
     @property
@@ -145,8 +149,10 @@ def read_curve_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 def rotor_speed(v: float | np.ndarray, spec: TurbineSpec, lambda_opt: float):
     """Rotor speed schedule in rpm: track lambda_opt, clamped to the limits."""
     radius = spec.rotor_diameter / 2.0
-    return np.clip(lambda_opt * v / radius * RAD_S_TO_RPM,
-                   spec.omega_min, spec.omega_max)
+    # np.clip's result for the finite, ordered limits TurbineSpec enforces,
+    # without its Python wrapper.
+    return np.minimum(np.maximum(lambda_opt * v / radius * RAD_S_TO_RPM, spec.omega_min),
+                      spec.omega_max)
 
 
 def tsr(v: float | np.ndarray, omega: float | np.ndarray, rotor_diameter: float):

@@ -110,8 +110,10 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float, veer_
     past which cos(dphi) < 0 reverses the band speeds; the typical range,
     0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
     """
-    if np.less(u_hub, 0).any():
-        raise ValueError(f"u_hub must be >= 0, got {u_hub}")
+    # The smallest speed, or 0 if none is lower; NaN is skipped, as < 0 skips it.
+    lowest = np.fmin.reduce(u_hub, axis=None, initial=0.0)
+    if lowest < 0:
+        raise ValueError(f"u_hub must be >= 0, got a smallest speed of {lowest}")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
     heights, areas = band_areas(spec.rotor_diameter)

@@ -40,6 +40,11 @@ def check_value(name: str, value, kind: type = numbers.Real) -> None:
     """Raise ValueError naming the field unless value is a kind, and finite
     if a real number.  A bool never passes, though Python counts it an int,
     nor does an int too large for a float."""
+    # The common case, a Python float checked as a real, without the ABC check.
+    if type(value) is float and kind is numbers.Real:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        return
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
     if kind is not numbers.Real:

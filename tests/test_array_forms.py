@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power, rews,
                        rotor_speed, tsr)
 from windcurve.cli import CONFIG_KEYS, main
+from windcurve.curve_engine import RAD_S_TO_RPM
 
 VS = np.linspace(0.5, 30.0, 60)
 
@@ -63,6 +64,25 @@ def test_chain_arrays_match_scalars(reference_spec, reference_model):
         assert omega[i] == rotor_speed(float(v), reference_spec, reference_model.lambda_opt)
         assert lam[i] == tsr(float(v), omega[i], 80.0)
         assert power[i] == raw_power(float(v), 0.4, 1.225, 80.0)
+
+
+@given(st.floats(min_value=20.0, max_value=170.0), st.floats(min_value=2.0, max_value=12.0),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0),
+       st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_rotor_speed_is_np_clip_bit_for_bit(d, lambda_opt, low, high, speeds):
+    # limits between the tracking speeds of 0 and 40 m/s, so the speeds span
+    # both clamps; the scalar form gives the same np.float64 as the array form
+    vs = np.array([0.0, 40.0, *speeds])
+    tracking = lambda_opt * vs / (d / 2.0) * RAD_S_TO_RPM
+    omega_min, omega_max = sorted((low * tracking[1], high * tracking[1]))
+    spec = TurbineSpec(rotor_diameter=d, rated_power=2000.0, omega_min=omega_min,
+                       omega_max=omega_max)
+    want = np.clip(tracking, omega_min, omega_max)
+    assert rotor_speed(vs, spec, lambda_opt).tobytes() == want.tobytes()
+    for v, w in zip(vs.tolist(), want):
+        got = rotor_speed(v, spec, lambda_opt)
+        assert type(got) is np.float64 and got.tobytes() == w.tobytes()
 
 
 def test_tsr_array_with_a_zero_speed_raises():

@@ -91,9 +91,20 @@ class TestRews:
         values = [rews(12.0, spec, 0.1, r) for r in rates]
         assert np.all(np.diff(values) < 0)
 
-    def test_negative_hub_speed_rejected(self, spec):
-        with pytest.raises(ValueError):
+    def test_negative_hub_speed_rejected(self, spec, reference_spec):
+        # one line naming the smallest speed, however many speeds are negative
+        message = "u_hub must be >= 0, got a smallest speed of -1.0"
+        with pytest.raises(ValueError) as err:
             rews(-1.0, spec, 0.0, 0.0)
+        assert str(err.value) == message
+        grid = np.arange(-10, 401) * 0.1
+        with pytest.raises(ValueError) as err:
+            apply_shear_veer(PowerCurve(grid, np.zeros_like(grid)), reference_spec, 0.2, 0.1)
+        assert str(err.value) == message
+        # NaN is no speed below 0, and takes no part in the minimum
+        with pytest.raises(ValueError, match="smallest speed of -2.0$"):
+            rews(np.array([1.0, np.nan, -2.0, -0.5]), spec, 0.0, 0.0)
+        assert np.isnan(rews(np.array([np.nan]), spec, 0.0, 0.0)).all()
 
 
 class TestApplyTurbulence:

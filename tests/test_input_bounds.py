@@ -3,6 +3,7 @@
 import errno
 import json
 import math
+import numbers
 import os
 import resource
 import subprocess
@@ -20,6 +21,7 @@ from windcurve.cli import MAX_CP_TABLE_ROWS, MAX_SWEEP_POINTS, MAX_SWEEP_VALUES,
 from windcurve.cp_models import MAX_LAMBDA_POINTS, REGISTRY, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
 from windcurve.environment import MAX_TURBULENCE_TAPS
+from windcurve.turbine import check_value
 from windcurve.validation import MAX_TI_CANDIDATES
 
 from conftest import REFERENCE_KWARGS
@@ -43,6 +45,39 @@ def test_spec_rejects_non_finite(name, value):
 def test_environment_rejects_non_finite(name, value):
     with pytest.raises(ValueError):
         EnvironmentConditions(**{name: value})
+
+
+def _general_check_value(name, value, kind=numbers.Real):
+    """check_value as every value took it before its float fast path: the
+    reference that path must agree with."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if kind is not numbers.Real:
+        return
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large "
+                         "for a float") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", [numbers.Real, str])
+@pytest.mark.parametrize("value", [1.5, -0.0, math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                   np.float32(1.5), 3, 10 ** 400, True, np.True_, "1.5", None])
+def test_check_value_fast_path_agrees_with_the_general_one(value, kind):
+    # a Python float takes the fast path, every other value the general one
+    assert _outcome(check_value, "x", value, kind) == _outcome(_general_check_value, "x",
+                                                               value, kind)
 
 
 @pytest.mark.parametrize("v_max,dv", [(math.inf, 0.05), (40.0, math.inf),

@@ -486,6 +486,48 @@ def jittered_grids(draw):
     return grid
 
 
+def _step_formula_accepts(grid: np.ndarray) -> bool:
+    """PowerCurve's grid test as np.abs over every step: the reference for its
+    test from the steps' min and max alone."""
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(grid)
+        return bool(0.0 < steps.min() and steps.max() < math.inf
+                    and np.abs(steps - steps[0]).max() <= 1e-8 + 1e-9 * steps[0])
+
+
+@st.composite
+def odd_grids(draw):
+    """Jittered grids with up to two points made NaN or +-inf, or equal to or
+    past a neighbour, so a step is 0 or negative."""
+    grid = draw(jittered_grids())
+    for k in draw(st.lists(st.integers(min_value=0, max_value=len(grid) - 1), max_size=2)):
+        kind = draw(st.sampled_from(["nan", "inf", "-inf", "repeated", "decreasing"]))
+        # the neighbour before k, or after it for the first point
+        j, side = (k - 1, 1.0) if k else (1, -1.0)
+        if kind == "repeated":
+            grid[k] = grid[j]
+        elif kind == "decreasing":
+            grid[k] = grid[j] - side * draw(st.floats(min_value=0.0, max_value=2.0))
+        else:
+            grid[k] = float(kind)
+    return grid
+
+
+@given(odd_grids())
+@example(np.array([0.0, 5.1670340845325424e-09, 2.0334068174232117e-08]))  # exactly at it
+@example(np.array([0.0, math.inf, math.inf]))
+@example(np.array([-math.inf, 0.0, 1.0]))
+@settings(max_examples=500)
+def test_power_curve_accepts_the_grids_the_step_formula_accepts(grid):
+    try:
+        with np.errstate(invalid="ignore"):
+            PowerCurve(grid, np.zeros_like(grid))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _step_formula_accepts(grid)
+
+
 @given(jittered_grids())
 @example(np.array([0.0, 5.1670340845325424e-09, 2.0334068174232117e-08]))  # exactly at it
 @settings(max_examples=300)

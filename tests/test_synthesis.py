@@ -4,7 +4,7 @@ import pytest
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec,
                        get_parameterisation, ideal_curve, match_over_ti, scale_cp,
                        synthesize)
-from windcurve import cp_models, synthesis, validation
+from windcurve import cp_models, curve_engine, synthesis, validation
 
 
 class TestSynthesize:
@@ -99,3 +99,27 @@ def test_stages_are_called_through_their_module_globals(reference_spec, monkeypa
     match_over_ti(measured)
     assert called == synthesis_stages | {"validation.synthesize", "validation.complete_spec",
                                          "validation.turbulent_power"}
+
+
+class _NumpyWithout:
+    """numpy as a module sees it, except that looking up one of names raises."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __getattr__(self, attr):
+        if attr in self.names:
+            raise AssertionError(f"np.{attr} looked up on the synthesis path")
+        return getattr(np, attr)
+
+
+def test_curve_engine_calls_no_clip_or_diff(reference_spec, monkeypatch):
+    # rotor_speed clamps with np.minimum and np.maximum, and PowerCurve takes
+    # its steps by slicing: np.clip and np.diff are Python wrappers that cost
+    # a few microseconds per call on every synthesis, laminar or not
+    env = (EnvironmentConditions(shear_alpha=0.2, veer_rate=0.3),
+           EnvironmentConditions(ti=0.05))
+    want = [synthesize(reference_spec, e)[0].power for e in env]
+    monkeypatch.setattr(curve_engine, "np", _NumpyWithout("clip", "diff"))
+    for e, power in zip(env, want):
+        assert synthesize(reference_spec, e)[0].power.tobytes() == power.tobytes()
