@@ -282,9 +282,14 @@ def _parse_sweep_values(param: str, values: str | None,
         lo, hi, count = vrange
         if count < 1:
             raise ValueError("--range count must be >= 1")
+        for v in (lo, hi):  # before np.linspace spreads a non-finite end
+            check_value(param, v)
         numbers = np.linspace(lo, hi, int(count)).tolist()
     # + 0.0 makes -0 the value 0, so the two share the label 0.
-    return _labelled("sweep values", [v + 0.0 for v in numbers], "{:.6g}".format)
+    numbers = [v + 0.0 for v in numbers]
+    for v in numbers:
+        check_value(param, v)
+    return _labelled("sweep values", numbers, "{:.6g}".format)
 
 
 @main.command()

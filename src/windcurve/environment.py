@@ -6,7 +6,8 @@ output point at U).  Wind shear and wind veer enter through a rotor
 equivalent wind speed: the cube-root of the area-weighted mean cubed
 effective speed over the N_BANDS horizontal rotor bands, with the band
 speeds taken from a power-law vertical profile and the band directions from
-a linear veer profile.
+a linear veer profile.  Both profiles scale with the hub speed u, so that
+speed is kappa * u for one number kappa, and the stage reads the curve there.
 
 Both transformations leave the cut-out edge sharp.  Shutdown at cut-out is
 triggered by the hub-height mean wind speed, not by short-term fluctuations
@@ -99,21 +100,17 @@ def band_areas(rotor_diameter: float) -> tuple[np.ndarray, np.ndarray]:
     return centres, areas
 
 
-def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float, veer_rate: float):
-    """Rotor-equivalent wind speed for a hub-height speed u_hub.
+def rews_factor(spec: TurbineSpec, shear_alpha: float, veer_rate: float) -> float:
+    """kappa, the rotor-equivalent wind speed over the hub-height speed.
 
-    Cube-root of the area-weighted mean of (U_i * cos(dphi_i))^3 over the
-    N_BANDS bands of the spec's rotor (see :func:`band_areas`), with U_i from
-    the power-law profile anchored at the hub and dphi_i the linear veer
-    angle at the band centre; u_hub may be an array.
+    Cube-root of the area-weighted mean of (s_i * cos(dphi_i))^3 over the
+    N_BANDS bands of the spec's rotor (see :func:`band_areas`), with s_i the
+    power-law speed ratio to the hub and dphi_i the linear veer angle at the
+    band centre.
     The veer across the rotor must stay below 90 deg (|veer_rate| * D/2 < 90),
     past which cos(dphi) < 0 reverses the band speeds; the typical range,
     0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
     """
-    # The smallest speed, or 0 if none is lower; NaN is skipped, as < 0 skips it.
-    lowest = np.fmin.reduce(u_hub, axis=None, initial=0.0)
-    if lowest < 0:
-        raise ValueError(f"u_hub must be >= 0, got a smallest speed of {lowest}")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
     heights, areas = band_areas(spec.rotor_diameter)
@@ -125,19 +122,7 @@ def rews(u_hub: float | np.ndarray, spec: TurbineSpec, shear_alpha: float, veer_
     speed_ratio = (z / spec.hub_height) ** shear_alpha
     dphi = np.deg2rad(veer_rate * heights)
     weights = areas / areas.sum()
-    return u_hub * float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
-
-
-def _plateau_extended(curve: PowerCurve, cut_out: float) -> tuple[int, np.ndarray, float]:
-    """(k, extended, plateau): the production window is the grid prefix [0, k)
-    up to cut_out (see window_end), which the callers zero past.  Past it the
-    extended values take plateau, the value at the cut-out point (0 if k = 0),
-    as if no shutdown occurred; so does the grid's extension past its end."""
-    k = window_end(curve.wind_grid, cut_out)
-    plateau = float(curve.power[k - 1]) if k else 0.0
-    extended = curve.power.copy()
-    extended[k:] = plateau
-    return k, extended, plateau
+    return float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
 
 
 def _row_plan(k: int, ti: float, r0: float, slack: float,
@@ -183,9 +168,9 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     """The turbulence kernel: one row per TI in tis, (len(tis), n), each the
     curve's values with the candidate rows, a boolean mask over the grid,
     smoothed (see :func:`apply_turbulence`) and zero past cut_out; the other
-    rows hold their plateau-extended input.  Row i is bit-identical to the
-    batch [tis[i]].  The setup that does not depend on TI is made once per
-    batch: the checks, the plateau extension and its run ids, r0 and the
+    rows hold their input.  Row i is bit-identical to the batch [tis[i]].
+    The setup that does not depend on TI is made once per batch: the checks,
+    the window [0, k), its plateau power[k - 1] and run ids, r0 and the
     slack (the only terms in dv, see :func:`_row_plan`), the padded power
     and its view, padded to the widest half-width, and the offsets.  Every
     TI is planned and checked against MAX_TURBULENCE_TAPS before the first
@@ -195,13 +180,15 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     for t in tis:
         _check_ti(t)
     check_value("cut_out", cut_out)
-    k, extended, plateau = _plateau_extended(curve, cut_out)
-    extended[k:] = 0.0
+    k = window_end(curve.wind_grid, cut_out)
+    plateau = float(curve.power[k - 1]) if k else 0.0
+    windowed = curve.power.copy()
+    windowed[k:] = 0.0
     if not any(tis):
-        return extended[None].repeat(len(tis), 0)
+        return windowed[None].repeat(len(tis), 0)
 
     r0, slack = curve.wind_grid[0] / curve.dv, GRID_EPS / curve.dv
-    inside = extended[:k]
+    inside = windowed[:k]
     run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
     # Rows outside the plan keep their value: 0 past the window.
     plans, pad = [], 0
@@ -217,13 +204,13 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     # The power at the columns -pad .. k + pad - 1: zeros before the grid, the
     # plateau past the window.  view[c + pad] holds the pad columns from c on,
     # so row r reads p_{r+m} at after[r, m - 1] and p_{r-m} at before[r, H - m].
-    ext_power = np.concatenate([np.zeros(pad), extended[:k], np.full(pad, plateau)])
+    ext_power = np.concatenate([np.zeros(pad), windowed[:k], np.full(pad, plateau)])
     view = sliding_window_view(ext_power, pad)
     centre, after = ext_power[pad:], view[pad + 1:]
     # Offsets m = 1 .. pad in grid steps, float64 for speed.
     offsets = np.arange(1, pad + 1, dtype=np.float64)
     squares = offsets * offsets
-    out = extended[None].repeat(len(tis), 0)
+    out = windowed[None].repeat(len(tis), 0)
     for smoothed, (t, rows, half) in zip(out, plans):
         # Row r's weights exp(m^2 * scale_r), scale_r = -0.5 / x_r^2: x_r > 0 on planned rows.
         reach = half.astype(np.float64)
@@ -325,14 +312,19 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
                      veer_rate: float) -> PowerCurve:
     """Remap a power curve through the rotor-equivalent wind speed.
 
-    The output at hub speed u is the plateau-extended input interpolated
-    linearly at rews(u).  The cut-out gate acts on the hub-height speed, not
-    on the rotor-equivalent one, so the shutdown position is untouched.
+    The output at hub speed u is the input over the window grid[:k] (see
+    window_end) interpolated linearly at kappa * u (see :func:`rews_factor`),
+    which holds the window's last value as a plateau past its end.  The
+    cut-out gate acts on the hub-height speed, so grid[k:] is zero.
     """
     if spec.cut_out is None:
         raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
-    u_eq = rews(curve.wind_grid, spec, shear_alpha, veer_rate)
-    k, base, _ = _plateau_extended(curve, spec.cut_out)
-    power = np.interp(u_eq, curve.wind_grid, base)
-    power[k:] = 0.0
-    return PowerCurve(curve.wind_grid, power)
+    grid = curve.wind_grid
+    if grid[0] < 0.0:
+        raise ValueError(f"wind grid must start at or above 0 m/s, got {grid[0]}")
+    kappa = rews_factor(spec, shear_alpha, veer_rate)
+    k = window_end(grid, spec.cut_out)
+    power = np.zeros(len(grid))  # np.interp refuses an empty window
+    if k:
+        power[:k] = np.interp(grid[:k] * kappa, grid[:k], curve.power[:k])
+    return PowerCurve(grid, power)

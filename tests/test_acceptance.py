@@ -14,7 +14,8 @@ import pytest
 from windcurve import (BETZ_LIMIT, EnvironmentConditions, MeasuredCurve,
                        REGISTRY, TurbineSpec, apply_turbulence, band_areas,
                        betz_screen, complete_spec, ideal_curve, invert_cp,
-                       match_over_ti, raw_power, rews, scale_cp, synthesize)
+                       match_over_ti, raw_power, rews_factor, scale_cp,
+                       synthesize)
 
 from conftest import REFERENCE_KWARGS, rated_knee
 from oracles import naive_power_curve, rews_banded
@@ -78,10 +79,10 @@ def test_c05_rotor_equivalent_wind_speed():
     disc = math.pi * 80.0 ** 2 / 4.0
     assert abs(areas.sum() - disc) / disc < 1e-9
     for u in np.linspace(0.5, 30.0, 60):
-        assert rews(u, spec, 0.0, 0.0) == pytest.approx(u, abs=1e-9)
-        assert rews(u, spec, 0.0, 0.75) < u
+        assert u * rews_factor(spec, 0.0, 0.0) == pytest.approx(u, abs=1e-9)
+        assert u * rews_factor(spec, 0.0, 0.75) < u
     oracle = rews_banded(10.0, 80.0, 60.0, 0.2, 0.0, 10_000)
-    got = rews(10.0, spec, 0.2, 0.0)
+    got = 10.0 * rews_factor(spec, 0.2, 0.0)
     assert abs(got - oracle) / oracle < 1e-4
     _ok(5, f"identity exact, veer strictly reducing, 100-band REWS within "
            f"{abs(got - oracle) / oracle:.2e} of the 1e4-band oracle")

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power, rews,
+from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power,
                        rotor_speed, tsr)
 from windcurve.cli import CONFIG_KEYS, main
 from windcurve.curve_engine import RAD_S_TO_RPM
@@ -88,14 +88,6 @@ def test_rotor_speed_is_np_clip_bit_for_bit(d, lambda_opt, low, high, speeds):
 def test_tsr_array_with_a_zero_speed_raises():
     with pytest.raises(ZeroDivisionError):
         tsr(np.array([5.0, 0.0]), np.array([10.0, 10.0]), 80.0)
-
-
-def test_rews_array_matches_scalar():
-    spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
-    vec = rews(VS, spec, 0.2, 0.3)
-    assert [rews(float(u), spec, 0.2, 0.3) for u in VS] == list(vec)
-    with pytest.raises(ValueError):
-        rews(np.array([1.0, -1.0]), spec, 0.0, 0.0)
 
 
 @st.composite

@@ -418,6 +418,22 @@ def test_values_that_share_a_label_exit_2(runner, tmp_path, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--param", "rotor_diameter", "--values", "80,nan,nan"], "rotor_diameter must be finite, got nan"),
+    (["--param", "rotor_diameter", "--values", "80,-inf"], "rotor_diameter must be finite, got -inf"),
+    (["--param", "rotor_diameter", "--range", "40", "inf", "3"],
+     "rotor_diameter must be finite, got inf"),
+    (["--param", "ti", "--range", "nan", "0.1", "2"], "ti must be finite, got nan"),
+], ids=["values-nan-twice", "values-inf", "range-inf", "range-nan"])
+def test_non_finite_sweep_values_exit_2_naming_the_parameter(runner, tmp_path, args, message):
+    # the fault is the value, not a label two non-finite values share
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["sweep", *args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: ValueError: {message}\n"
+    assert not out.exists()
+
+
 class TestValidateCmd:
     def test_batch(self, runner, tmp_path):
         gen_dir = tmp_path / "fleet"

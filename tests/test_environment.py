@@ -6,7 +6,7 @@ import pytest
 
 from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environment,
                        apply_shear_veer, apply_turbulence, band_areas,
-                       ideal_curve, make_wind_grid, rews)
+                       ideal_curve, make_wind_grid, rews_factor)
 from windcurve.curve_engine import GRID_EPS
 from windcurve.environment import (BLOCK_TAPS, N_BANDS, _blocks, _row_plan, _smoothed,
                                    turbulent_power)
@@ -62,14 +62,14 @@ class TestRews:
 
     def test_uniform_flow_identity(self, spec):
         for u in (0.0, 3.0, 10.0, 24.0):
-            assert rews(u, spec, 0.0, 0.0) == pytest.approx(u, abs=1e-9)
+            assert u * rews_factor(spec, 0.0, 0.0) == pytest.approx(u, abs=1e-9)
 
     def test_veer_always_reduces(self, spec):
         for u in (2.0, 10.0, 25.0):
-            assert rews(u, spec, 0.0, 0.75) < u
+            assert u * rews_factor(spec, 0.0, 0.75) < u
 
     def test_shear_case_against_fine_oracle(self, spec):
-        got = rews(10.0, spec, 0.2, 0.0)
+        got = 10.0 * rews_factor(spec, 0.2, 0.0)
         oracle = rews_banded(10.0, 80.0, 60.0, 0.2, 0.0, 10_000)
         assert oracle == pytest.approx(REWS_SHEAR_02, abs=1e-6)
         assert abs(got - oracle) / oracle < 1e-4
@@ -77,34 +77,38 @@ class TestRews:
         assert abs(got - 10.0) / 10.0 < 0.02
 
     def test_veer_case_against_fine_oracle(self, spec):
-        got = rews(10.0, spec, 0.0, 0.75)
+        got = 10.0 * rews_factor(spec, 0.0, 0.75)
         oracle = rews_banded(10.0, 80.0, 60.0, 0.0, 0.75, 10_000)
         assert oracle == pytest.approx(REWS_VEER_075, abs=1e-6)
         assert abs(got - oracle) / oracle < 1e-4
 
     def test_shear_and_veer_case_against_fine_oracle(self, spec):
         oracle = rews_banded(10.0, 80.0, 60.0, 0.3, 0.5, 10_000)
-        assert abs(rews(10.0, spec, 0.3, 0.5) - oracle) / oracle < 1e-4
+        assert abs(10.0 * rews_factor(spec, 0.3, 0.5) - oracle) / oracle < 1e-4
 
     def test_veer_monotonicity(self, spec):
         rates = np.linspace(0.0, 0.75, 16)
-        values = [rews(12.0, spec, 0.1, r) for r in rates]
+        values = [12.0 * rews_factor(spec, 0.1, r) for r in rates]
         assert np.all(np.diff(values) < 0)
 
-    def test_negative_hub_speed_rejected(self, spec, reference_spec):
-        # one line naming the smallest speed, however many speeds are negative
-        message = "u_hub must be >= 0, got a smallest speed of -1.0"
-        with pytest.raises(ValueError) as err:
-            rews(-1.0, spec, 0.0, 0.0)
-        assert str(err.value) == message
+    def test_negative_hub_speed_rejected(self, reference_spec):
+        # the grid increases, so its first speed is its smallest: one line
+        # naming it, however many speeds are negative
         grid = np.arange(-10, 401) * 0.1
         with pytest.raises(ValueError) as err:
             apply_shear_veer(PowerCurve(grid, np.zeros_like(grid)), reference_spec, 0.2, 0.1)
-        assert str(err.value) == message
-        # NaN is no speed below 0, and takes no part in the minimum
-        with pytest.raises(ValueError, match="smallest speed of -2.0$"):
-            rews(np.array([1.0, np.nan, -2.0, -0.5]), spec, 0.0, 0.0)
-        assert np.isnan(rews(np.array([np.nan]), spec, 0.0, 0.0)).all()
+        assert str(err.value) == "wind grid must start at or above 0 m/s, got -1.0"
+        # a grid from 0 m/s, or from any speed above it, is taken
+        for start in (0.0, 5e-324, 7.5):
+            grid = start + np.arange(400) * 0.1
+            apply_shear_veer(PowerCurve(grid, np.zeros_like(grid)), reference_spec, 0.2, 0.1)
+
+    def test_factor_is_one_float_either_side_of_one(self, spec):
+        # (z / hub)^(3 alpha) is convex past alpha = 1/3: shear lifts the rotor
+        # mean above the hub speed there and lowers it below; veer only lowers it
+        kappa = rews_factor(spec, 0.4, 0.0)
+        assert type(kappa) is float
+        assert kappa > 1.0 > rews_factor(spec, 0.2, 0.0) > rews_factor(spec, 0.2, 0.3)
 
 
 class TestApplyTurbulence:

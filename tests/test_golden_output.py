@@ -55,6 +55,14 @@ SWEEP_CASES = {
         ["--param", "cp_parameterisation", "--values",
          "dai2016,heier2014,slootweg2003,thongam2009,dekooning2013,ochieng2014"],
         "75fe0dd66210e285032f90cfd5b306e1f7912b9bce832af0b43e25e63d1df134"),
+    # laminar sheared curves, kappa below 1 (alpha 0.2, every veer) and above 1
+    # (alpha 0.4), taken before the shear/veer stage read the curve at kappa * u
+    "shear_alpha": (
+        ["--param", "shear_alpha", "--values", "0,0.2,0.4"],
+        "7c6b1d7a4ffc6858916dbec080f2029ada2ab8eebf6d7d257e22212e3b0e846c"),
+    "veer_rate": (
+        ["--param", "veer_rate", "--values", "0,0.3,0.75"],
+        "962d0aa2c2a78d5a52e2486557a3dd34cc497bf291aae7f9c29c9e42ea65c84f"),
 }
 
 

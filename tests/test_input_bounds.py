@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_turbulence,
-                       make_wind_grid, rews, spec_from_json, synthesize, turbulent_power)
+                       make_wind_grid, rews_factor, spec_from_json, synthesize, turbulent_power)
 from windcurve import cli, environment
 from windcurve.cli import MAX_CP_TABLE_ROWS, MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
 from windcurve.cp_models import MAX_LAMBDA_POINTS, REGISTRY, lambda_grid
@@ -250,12 +250,12 @@ class TestVeerBound:
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=90.0)
 
     def test_just_below_ninety_degrees_is_accepted(self):
-        assert rews(10.0, self.spec, 0.0, 2.24) > 0.0
+        assert 10.0 * rews_factor(self.spec, 0.0, 2.24) > 0.0
 
     @pytest.mark.parametrize("veer", [2.25, -2.25, 10.0])
     def test_ninety_degrees_or_more_rejected(self, veer):
         with pytest.raises(ValueError, match="veer_rate"):
-            rews(10.0, self.spec, 0.0, veer)
+            rews_factor(self.spec, 0.0, veer)
 
 
 @pytest.mark.parametrize("flags", [

@@ -11,13 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
-                       TurbineSpec, apply_turbulence, band_areas, complete_spec,
-                       cp_general_array, get_parameterisation, ideal_curve,
-                       make_wind_grid, rews, scale_cp, synthesize,
-                       turbulent_power)
+                       TurbineSpec, apply_shear_veer, apply_turbulence, band_areas,
+                       complete_spec, cp_general_array, get_parameterisation,
+                       ideal_curve, make_wind_grid, rews_factor, scale_cp,
+                       synthesize, turbulent_power)
 from windcurve.cp_models import BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS, raw_power, rotor_speed, tsr, window_end
-from windcurve.environment import _blocks, _plateau_extended, _row_plan, _smoothed
+from windcurve.environment import _blocks, _row_plan, _smoothed
 
 from conftest import REFERENCE_KWARGS, run_ids
 from oracles import convolve_reference, cp_direct, kernel_half_widths
@@ -79,7 +79,7 @@ def test_band_areas_partition_the_disc(diameter):
 @settings(max_examples=50)
 def test_rews_uniform_flow_identity(u_hub):
     spec = TurbineSpec(rotor_diameter=90.0, rated_power=3000.0, hub_height=100.0)
-    assert rews(u_hub, spec, 0.0, 0.0) == pytest.approx(u_hub, abs=1e-9)
+    assert u_hub * rews_factor(spec, 0.0, 0.0) == pytest.approx(u_hub, abs=1e-9)
 
 
 @given(st.floats(min_value=0.0, max_value=0.74),
@@ -90,8 +90,8 @@ def test_rews_decreases_with_veer(veer_lo, delta, alpha):
     veer_hi = veer_lo + delta
     assume(veer_hi <= 0.75)
     spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
-    lo = rews(10.0, spec, alpha, veer_lo)
-    hi = rews(10.0, spec, alpha, veer_hi)
+    lo = 10.0 * rews_factor(spec, alpha, veer_lo)
+    hi = 10.0 * rews_factor(spec, alpha, veer_hi)
     assert hi < lo
 
 
@@ -378,10 +378,50 @@ def test_production_window_is_a_grid_prefix(dv, i, between, eps):
     grid = make_wind_grid(dv * round(40.0 / dv), dv)
     cut_out = (grid[i] if 0 <= i < len(grid) else i * dv) + between * dv + eps
     power = np.arange(len(grid), dtype=float)
-    k, extended, plateau = _plateau_extended(PowerCurve(grid, power), cut_out)
-    assert k == window_end(grid, cut_out) == (grid <= cut_out + GRID_EPS).sum()
-    assert np.array_equal(extended[:k], power[:k])
-    assert plateau == (power[k - 1] if k else 0.0) and np.all(extended[k:] == plateau)
+    curve = PowerCurve(grid, power)
+    k = window_end(grid, cut_out)
+    assert k == (grid <= cut_out + GRID_EPS).sum()
+    # each environment stage keeps grid[:k] and zeroes the rest
+    laminar = apply_turbulence(curve, 0.0, cut_out=cut_out).power
+    assert np.array_equal(laminar[:k], power[:k]) and not laminar[k:].any()
+    # and reads power[k - 1] past the window's last speed: at kappa > 1 the
+    # last row, and every row read past grid[k - 1], holds it exactly
+    spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0,
+                       cut_out=cut_out)
+    sheared = apply_shear_veer(curve, spec, 0.5, 0.0).power
+    past = grid[:k] * rews_factor(spec, 0.5, 0.0) >= grid[k - 1]  # empty if k = 0
+    assert (not k or past[-1]) and np.all(sheared[:k][past] == power[k - 1])
+    assert not sheared[k:].any()
+
+
+@given(st.sampled_from((0.0, 0.37, 6.0)), st.sampled_from((0.05, 0.013)),
+       st.sampled_from(("none", "first", "some", "all")),
+       st.floats(min_value=0.0, max_value=0.6), st.floats(min_value=-0.75, max_value=0.75),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(0.0, 0.05, "some", 0.4, 0.0, 1)     # kappa above 1
+@example(0.37, 0.013, "all", 0.2, 0.3, 2)    # kappa below 1
+@example(6.0, 0.05, "none", 0.4, 0.0, 3)
+@example(0.0, 0.05, "first", 0.4, 0.0, 4)
+@settings(max_examples=80, deadline=None)
+def test_shear_veer_is_the_plateau_interpolation(start, dv, window, alpha, veer, seed):
+    # bit for bit the earlier formula: the whole grid interpolated at kappa * u
+    # over the power with [k:] set to power[k - 1] (0 if k = 0), zeroed past k
+    rng = np.random.default_rng(seed)
+    grid = start + np.arange(400) * dv
+    power = rng.uniform(0.0, 3000.0, len(grid))
+    cut_out = {"none": start - 1.0, "first": start, "all": grid[-1] + 1.0,
+               "some": float(grid[rng.integers(1, len(grid) - 1)])}[window]
+    spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0,
+                       cut_out=cut_out)
+    k = window_end(grid, cut_out)
+    assert k == {"none": 0, "first": 1, "all": len(grid)}.get(window, k)
+    kappa = rews_factor(spec, alpha, veer)
+    base = power.copy()
+    base[k:] = power[k - 1] if k else 0.0
+    want = np.interp(grid * kappa, grid, base)
+    want[k:] = 0.0
+    got = apply_shear_veer(PowerCurve(grid, power), spec, alpha, veer).power
+    assert got.tobytes() == want.tobytes()
 
 
 def _edge(grid, speed, snap):
