@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import math
 import os
 import sys
 import warnings
@@ -282,8 +283,10 @@ def _parse_sweep_values(param: str, values: str | None,
         lo, hi, count = vrange
         if count < 1:
             raise ValueError("--range count must be >= 1")
-        for v in (lo, hi):  # before np.linspace spreads a non-finite end
+        for v in (lo, hi):  # before np.linspace spreads a non-finite end or span
             check_value(param, v)
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"--range {lo} to {hi} spans more than the largest float")
         numbers = np.linspace(lo, hi, int(count)).tolist()
     # + 0.0 makes -0 the value 0, so the two share the label 0.
     numbers = [v + 0.0 for v in numbers]

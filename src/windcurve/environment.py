@@ -31,6 +31,15 @@ from .turbine import TurbineSpec, check_value
 #: band sum is within 1e-4 relative of the 1e4-band sum at this count.
 N_BANDS = 100
 
+# The N_BANDS equal-height bands of the unit disc, edges _e from -1 to 1: the
+# steps of the chord's antiderivative e*sqrt(1 - e^2) + asin(e) are their areas.
+_e = np.linspace(-1.0, 1.0, N_BANDS + 1)
+_areas = np.diff(_e * np.sqrt(1.0 - _e * _e) + np.arcsin(_e))
+#: The band centres in radii from the hub.
+BAND_CENTRES = 0.5 * (_e[:-1] + _e[1:])
+#: The bands' shares of the disc's area, which sum to 1.
+BAND_WEIGHTS = _areas / _areas.sum()
+
 #: Kernel support truncated at this many standard deviations, then
 #: renormalized; the discarded mass is below 1e-6.
 KERNEL_REACH = 5.0
@@ -79,50 +88,27 @@ class EnvironmentConditions:
                           "0.9-1.5 band", UserWarning, stacklevel=3)
 
 
-def band_areas(rotor_diameter: float) -> tuple[np.ndarray, np.ndarray]:
-    """Slice the rotor disc into N_BANDS equal-height horizontal bands.
-
-    Returns (heights, areas): the band centres relative to the hub (m), which
-    serve as the representative heights, and the slice areas (m^2), computed
-    analytically from the antiderivative of the chord length
-    2*sqrt(R^2 - h^2), so they partition the disc exactly.
-    """
-    radius = rotor_diameter / 2.0
-    edges = np.linspace(-radius, radius, N_BANDS + 1)
-    # Antiderivative of the chord length; clip guards asin against round-off.
-    ratio = np.clip(edges / radius, -1.0, 1.0)
-    anti = edges * np.sqrt(np.maximum(radius * radius - edges * edges, 0.0)) \
-        + radius ** 2 * np.arcsin(ratio)
-    areas = np.diff(anti)
-    if not (areas > 0.0).all():  # they underflow to 0 below a diameter of ~1e-160 m
-        raise ValueError("band areas must be positive")
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    return centres, areas
-
-
 def rews_factor(spec: TurbineSpec, shear_alpha: float, veer_rate: float) -> float:
     """kappa, the rotor-equivalent wind speed over the hub-height speed.
 
     Cube-root of the area-weighted mean of (s_i * cos(dphi_i))^3 over the
-    N_BANDS bands of the spec's rotor (see :func:`band_areas`), with s_i the
-    power-law speed ratio to the hub and dphi_i the linear veer angle at the
-    band centre.
+    N_BANDS bands of the unit disc scaled by the rotor radius (BAND_CENTRES,
+    BAND_WEIGHTS), with s_i the power-law speed ratio to the hub and dphi_i
+    the linear veer angle at the band centre.
     The veer across the rotor must stay below 90 deg (|veer_rate| * D/2 < 90),
     past which cos(dphi) < 0 reverses the band speeds; the typical range,
     0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
     """
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
-    heights, areas = band_areas(spec.rotor_diameter)
     if not abs(veer_rate) * spec.rotor_diameter / 2.0 < 90.0:
         raise ValueError(
             f"veer_rate {veer_rate} deg/m turns the wind by 90 deg or more across "
             f"a {spec.rotor_diameter} m rotor")
-    z = spec.hub_height + heights
-    speed_ratio = (z / spec.hub_height) ** shear_alpha
+    heights = spec.rotor_diameter / 2.0 * BAND_CENTRES
+    speed_ratio = ((spec.hub_height + heights) / spec.hub_height) ** shear_alpha
     dphi = np.deg2rad(veer_rate * heights)
-    weights = areas / areas.sum()
-    return float(np.cbrt(np.sum(weights * (speed_ratio * np.cos(dphi)) ** 3)))
+    return float(np.cbrt(np.sum(BAND_WEIGHTS * (speed_ratio * np.cos(dphi)) ** 3)))
 
 
 def _row_plan(k: int, ti: float, r0: float, slack: float,
@@ -299,7 +285,7 @@ def turbulent_power(curve: PowerCurve, tis: Sequence[float], wind: np.ndarray, *
     tabulated every 0.25 m/s is on the default grid, and two otherwise.
     """
     grid = curve.wind_grid
-    j = np.clip(np.searchsorted(grid, wind, "right") - 1, 0, len(grid) - 2)
+    j = np.minimum(np.maximum(np.searchsorted(grid, wind, "right") - 1, 0), len(grid) - 2)
     marked = np.zeros(len(grid), dtype=bool)
     marked[j] = True
     marked[(j + 1)[grid[j] != wind]] = True

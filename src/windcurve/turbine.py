@@ -36,19 +36,17 @@ RULE_OMEGA_MIN = "rpm-diameter-fit-min"
 RULE_OMEGA_MAX = "rpm-diameter-fit-max"
 
 
-def check_value(name: str, value, kind: type = numbers.Real) -> None:
-    """Raise ValueError naming the field unless value is a kind, and finite
-    if a real number.  A bool never passes, though Python counts it an int,
-    nor does an int too large for a float."""
-    # The common case, a Python float checked as a real, without the ABC check.
-    if type(value) is float and kind is numbers.Real:
+def check_value(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is a finite real number.
+    A bool never passes, though Python counts it an int, nor does an int too
+    large for a float."""
+    # The common case, a Python float, without the ABC check.
+    if type(value) is float:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
         return
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    if kind is not numbers.Real:
-        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be of type Real, got {value!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:
@@ -92,7 +90,8 @@ class TurbineSpec:
         def bad(msg: str) -> ValueError:
             return ValueError(f"{self.name}: {msg}")
 
-        check_value("name", self.name, str)
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be of type str, got {self.name!r}")
         try:
             self.name.encode("utf-8")
         except UnicodeEncodeError:

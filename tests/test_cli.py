@@ -640,6 +640,17 @@ class TestStderr:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("env", [{}, {"PYTHONWARNINGS": "error::RuntimeWarning"}],
+                             ids=["plain", "runtime-warning-raised"])
+    def test_sweep_range_wider_than_a_float_is_one_error_line(self, tmp_path, env):
+        # both ends are finite, but the span np.linspace would divide is not
+        result = self.run(tmp_path, "sweep", "--param", "rotor_diameter", "--range",
+                          "-1e308", "1e308", "3", "--out", "c.csv", **env)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == ("error: ValueError: --range -1e+308 to 1e+308 spans "
+                                 "more than the largest float\n")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_validate_warns_once_of_an_unusual_density(self, tmp_path):
         for name in ("unit1", "unit2"):
             result = self.run(tmp_path, "generate", "--name", name, "--diameter", "80",

@@ -1,18 +1,19 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environment,
-                       apply_shear_veer, apply_turbulence, band_areas,
-                       ideal_curve, make_wind_grid, rews_factor)
+                       apply_shear_veer, apply_turbulence, ideal_curve,
+                       make_wind_grid, rews_factor)
 from windcurve.curve_engine import GRID_EPS
-from windcurve.environment import (BLOCK_TAPS, N_BANDS, _blocks, _row_plan, _smoothed,
-                                   turbulent_power)
+from windcurve.environment import (BAND_CENTRES, BAND_WEIGHTS, BLOCK_TAPS, N_BANDS, _blocks,
+                                   _row_plan, _smoothed, turbulent_power)
 
 from conftest import REFERENCE_KWARGS, rated_knee, run_ids
-from oracles import convolve_reference, kernel_half_widths, rews_banded
+from oracles import _segment_area, convolve_reference, kernel_half_widths, rews_banded
 
 # Frozen oracle values: 1e4-band midpoint discretization, D=80, hub 60 m.
 REWS_SHEAR_02 = 9.952081132   # u=10, alpha=0.2, veer=0
@@ -42,17 +43,15 @@ class TestEnvironmentConditions:
 
 class TestBandAreas:
     def test_partition_of_the_disc(self):
-        heights, areas = band_areas(80.0)
-        assert len(areas) == N_BANDS
-        disc = np.pi * 80.0 ** 2 / 4.0
-        assert abs(areas.sum() - disc) / disc < 1e-9
-        # symmetric about the hub
-        np.testing.assert_allclose(areas, areas[::-1], rtol=1e-9)
-        np.testing.assert_allclose(heights, -heights[::-1], atol=1e-9)
-
-    def test_underflowing_areas_rejected(self):
-        with pytest.raises(ValueError, match="band areas must be positive"):
-            band_areas(1e-200)
+        # the unit disc's bands: shares that sum to 1, each the area between
+        # its edges, symmetric about the hub like the centres
+        assert len(BAND_WEIGHTS) == len(BAND_CENTRES) == N_BANDS
+        assert abs(BAND_WEIGHTS.sum() - 1.0) <= 1e-15
+        np.testing.assert_allclose(BAND_WEIGHTS, BAND_WEIGHTS[::-1], rtol=1e-13)
+        np.testing.assert_allclose(BAND_CENTRES, -BAND_CENTRES[::-1], rtol=0, atol=1e-15)
+        edges = np.linspace(-1.0, 1.0, N_BANDS + 1).tolist()
+        areas = [_segment_area(1.0, h0, h1) / math.pi for h0, h1 in zip(edges, edges[1:])]
+        np.testing.assert_allclose(BAND_WEIGHTS, areas, rtol=1e-14, atol=0)
 
 
 class TestRews:
@@ -102,6 +101,14 @@ class TestRews:
         for start in (0.0, 5e-324, 7.5):
             grid = start + np.arange(400) * 0.1
             apply_shear_veer(PowerCurve(grid, np.zeros_like(grid)), reference_spec, 0.2, 0.1)
+
+    @pytest.mark.parametrize("diameter", [1e-200, 1e300])
+    def test_extreme_diameters_give_a_finite_factor(self, diameter):
+        # the shares are the unit disc's, so no rotor size underflows them
+        spec = TurbineSpec(rotor_diameter=diameter, rated_power=2000.0,
+                           hub_height=diameter)
+        kappa = rews_factor(spec, 0.2, 0.0)
+        assert math.isfinite(kappa) and 0.9 < kappa < 1.0
 
     def test_factor_is_one_float_either_side_of_one(self, spec):
         # (z / hub)^(3 alpha) is convex past alpha = 1/3: shear lifts the rotor

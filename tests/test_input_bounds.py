@@ -48,8 +48,8 @@ def test_environment_rejects_non_finite(name, value):
 
 
 def _general_check_value(name, value, kind=numbers.Real):
-    """check_value as every value took it before its float fast path: the
-    reference that path must agree with."""
+    """check_value as every value took it before its float fast path, when it
+    also checked a spec's name as str: the reference both must agree with."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
     if kind is not numbers.Real:
@@ -75,9 +75,13 @@ def _outcome(check, *args):
 @pytest.mark.parametrize("value", [1.5, -0.0, math.nan, math.inf, -math.inf, np.float64(math.nan),
                                    np.float32(1.5), 3, 10 ** 400, True, np.True_, "1.5", None])
 def test_check_value_fast_path_agrees_with_the_general_one(value, kind):
-    # a Python float takes the fast path, every other value the general one
-    assert _outcome(check_value, "x", value, kind) == _outcome(_general_check_value, "x",
-                                                               value, kind)
+    # a Python float takes check_value's fast path, every other real the
+    # general one; a spec's name, the one value checked as str, keeps its message
+    if kind is numbers.Real:
+        assert _outcome(check_value, "x", value) == _outcome(_general_check_value, "x", value)
+    else:
+        assert (_outcome(lambda v: TurbineSpec(name=v, **REFERENCE_KWARGS), value)
+                == _outcome(_general_check_value, "name", value, str))
 
 
 @pytest.mark.parametrize("v_max,dv", [(math.inf, 0.05), (40.0, math.inf),

@@ -11,16 +11,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
-                       TurbineSpec, apply_shear_veer, apply_turbulence, band_areas,
+                       TurbineSpec, apply_shear_veer, apply_turbulence,
                        complete_spec, cp_general_array, get_parameterisation,
                        ideal_curve, make_wind_grid, rews_factor, scale_cp,
                        synthesize, turbulent_power)
 from windcurve.cp_models import BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation
 from windcurve.curve_engine import GRID_EPS, raw_power, rotor_speed, tsr, window_end
-from windcurve.environment import _blocks, _row_plan, _smoothed
+from windcurve.environment import N_BANDS, _blocks, _row_plan, _smoothed
 
 from conftest import REFERENCE_KWARGS, run_ids
-from oracles import convolve_reference, cp_direct, kernel_half_widths
+from oracles import convolve_reference, cp_direct, kernel_half_widths, naive_rews_factor
 
 finite = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
@@ -64,15 +64,15 @@ def test_scaled_peak_hits_cp_max(name, cp_max):
     assert model.cp_array(grid).max() <= cp_max + 1e-9
 
 
-@given(st.floats(min_value=5.0, max_value=200.0))
-# radius ** 2 (libm pow) and radius * radius round 1 ulp apart at this
-# diameter, which left a nonzero chord at the rim.
-@example(29.53500699225793)
-def test_band_areas_partition_the_disc(diameter):
-    _, areas = band_areas(diameter)
-    disc = np.pi * diameter ** 2 / 4.0
-    assert abs(areas.sum() - disc) / disc < 1e-9
-    np.testing.assert_allclose(areas, areas[::-1], rtol=1e-9)
+@given(st.floats(min_value=5.0, max_value=200.0),
+       st.floats(min_value=1.0, max_value=150.0),
+       st.floats(min_value=-0.2, max_value=0.6),
+       st.floats(min_value=-0.75, max_value=0.75))
+def test_rews_factor_is_the_naive_band_sum(diameter, clearance, alpha, veer):
+    hub = diameter / 2.0 + clearance
+    spec = TurbineSpec(rotor_diameter=diameter, rated_power=2000.0, hub_height=hub)
+    assert rews_factor(spec, alpha, veer) == pytest.approx(
+        naive_rews_factor(diameter, hub, alpha, veer, N_BANDS), rel=1e-14, abs=0)
 
 
 @given(st.floats(min_value=0.0, max_value=40.0))
