@@ -129,6 +129,11 @@ def _load_config_file(path: str | None) -> dict:
         unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    # A sidecar's bytes are those of the model that wrote it.
+    version = record.get("model_version", __version__)
+    if version != __version__:
+        warnings.warn(f"{path}: written by windcurve {version}, this is {__version__}; "
+                      "its CSV may not replay byte for byte")
     return _given(data)
 
 

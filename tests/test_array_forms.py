@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windcurve import (REGISTRY, TurbineSpec, cp_general_array, raw_power,
@@ -121,6 +121,13 @@ class TestRunConfig:
 
     @settings(max_examples=25, deadline=None)
     @given(run_records())
+    # many blocks of turbulence taps on a fine grid at high TI
+    @example({"rotor_diameter": 80.0, "rated_power": 2000.0, "ti": 0.15, "dv": 0.01})
+    # a laminar sheared curve
+    @example({"rotor_diameter": 80.0, "rated_power": 2000.0, "hub_height": 100.0,
+              "shear_alpha": 0.3, "veer_rate": 0.4})
+    # a production window that reaches the grid's end, v_max
+    @example({"rotor_diameter": 80.0, "rated_power": 2000.0, "cut_out": 40.0, "ti": 0.1})
     def test_sidecar_holds_the_record_and_replays_it(self, record):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -129,6 +136,7 @@ class TestRunConfig:
                 result = CliRunner().invoke(main, ["generate", "--config", str(tmp / config),
                                                    "--out", str(tmp / out)])
                 assert result.exit_code == 0, result.output
+                assert result.stderr == ""
             sidecar = json.loads((tmp / "curve.json").read_text())["config"]
             assert tuple(sidecar) == CONFIG_KEYS
             assert {k: sidecar[k] for k in record} == record

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from windcurve import TurbineSpec, synthesize
+from windcurve import TurbineSpec, __version__, synthesize
 from windcurve.cli import SWEEP_INTERVALS, main
 from windcurve.curve_engine import read_curve_csv
 
@@ -57,6 +57,22 @@ class TestGenerate:
                                       "--config", str(out.with_suffix(".json")),
                                       "--out", str(rerun)])
         assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert rerun.read_bytes() == out.read_bytes()
+
+    def test_sidecar_of_another_version_warns_once(self, runner, tmp_path):
+        # its bytes may be another model's, but the file stays usable
+        result, out = generate(runner, tmp_path, "--ti", "0.07", stem="orig")
+        assert result.exit_code == 0, result.output
+        record = json.loads(out.with_suffix(".json").read_text())
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**record, "model_version": "0.0.1-other"}))
+        rerun = tmp_path / "rerun.csv"
+        result = runner.invoke(main, ["generate", "--config", str(other), "--out", str(rerun)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == (f"warning: UserWarning: {other}: written by windcurve "
+                                 f"0.0.1-other, this is {__version__}; its CSV may not "
+                                 "replay byte for byte\n")
         assert rerun.read_bytes() == out.read_bytes()
 
     def test_missing_diameter_exits_2(self, runner, tmp_path):
@@ -378,6 +394,12 @@ class TestCpTable:
         assert not out.exists()
 
 
+def test_version_is_the_package_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert __version__ in result.stdout
+
+
 @pytest.mark.parametrize("args", [
     ["cp-table", "--registry-json"],
     ["cp-table", "--model", "heier2014", "--lambda-max", "10", "--step", "0.5"],
@@ -468,6 +490,9 @@ class TestValidateCmd:
                             for f in ("summary.csv", "report.json")])
         assert outputs[0] == outputs[1]
         assert len(outputs[1][0].splitlines()) == 3
+        # each curve is matched to the TI it was generated with
+        rows = csv.DictReader(outputs[1][0].decode().splitlines())
+        assert {row["name"]: row["best_ti"] for row in rows} == {"unit1": "0.05", "unit2": "0.1"}
 
     def test_tis_that_print_alike_keep_their_own_text(self, runner, tmp_path):
         # %g writes both 0.1 and 0.1000001 as 0.1
@@ -620,12 +645,23 @@ class TestStderr:
     """Run as a subprocess, under the interpreter's own warning filters."""
 
     @staticmethod
-    def run(tmp_path, *args, **env):
+    def python(tmp_path, *args, **env):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "windcurve.cli", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, cwd=tmp_path, env=env)
+
+    @classmethod
+    def run(cls, tmp_path, *args, **env):
+        return cls.python(tmp_path, "-m", "windcurve.cli", *args, **env)
+
+    def test_import_raises_no_warning(self, tmp_path):
+        # the rotor bands are computed at import: a numpy warning there, such
+        # as the square root of a negative round-off at the rim, fails it
+        result = self.python(tmp_path, "-W", "error", "-c", "import windcurve")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
     @pytest.mark.parametrize("args, code", [
         (["generate", "--diameter", "80", "--rated-power", "2000", "--cut-in", "0",
@@ -660,17 +696,27 @@ class TestStderr:
         assert result.returncode == 0, result.stderr
         assert result.stderr.count("UserWarning: air density 0.8") == 1, result.stderr
 
-    @pytest.mark.parametrize("args, line", [
+    @pytest.mark.parametrize("args, stderr", [
         (["generate", "--diameter", "80", "--rated-power", "2000", "--rho", "0.5",
           "--out", "c.csv"],
-         "warning: UserWarning: air density 0.5 kg/m^3 outside the usual 0.9-1.5 band"),
+         "warning: UserWarning: air density 0.5 kg/m^3 outside the usual 0.9-1.5 band\n"),
         (["sweep", "--param", "cut_in", "--values", "6", "--out", "c.csv"],
-         "warning: UserWarning: cut_in=6 outside the typical interval [0, 5]"),
-    ], ids=["density", "interval"])
-    def test_success_shows_each_warning_on_one_line(self, tmp_path, args, line):
-        result = self.run(tmp_path, *args)
+         "warning: UserWarning: cut_in=6 outside the typical interval [0, 5]\n"),
+        # many blocks of turbulence taps on a fine grid at high TI
+        (["generate", "--diameter", "80", "--rated-power", "2000", "--ti", "0.15",
+          "--dv", "0.01", "--out", "c.csv"], ""),
+        # a laminar sheared curve, read at kappa * u
+        (["generate", "--diameter", "80", "--rated-power", "2000", "--hub-height", "100",
+          "--shear-alpha", "0.3", "--veer-rate", "0.4", "--out", "c.csv"], ""),
+        # a cut-in of 0 keeps 0 m/s, where the tip-speed ratio is undefined, out of the window
+        (["generate", "--diameter", "80", "--rated-power", "2000", "--cut-in", "0",
+          "--out", "c.csv"], ""),
+    ], ids=["density", "interval", "fine-turbulent", "sheared", "cut-in-0"])
+    def test_success_shows_each_warning_on_one_line(self, tmp_path, args, stderr):
+        # a numpy warning, raised as an error, would fail the run
+        result = self.run(tmp_path, *args, PYTHONWARNINGS="error::RuntimeWarning")
         assert result.returncode == 0, result.stderr
-        assert result.stderr == line + "\n"
+        assert result.stderr == stderr
 
     @pytest.mark.parametrize("warning, args, code, line", [
         ("UserWarning", ["generate", "--diameter", "80", "--rated-power", "2000",
@@ -699,24 +745,31 @@ class TestStderr:
         commands = [
             ["generate", "--spec", "../spec.json", "--ti", "0.05", "--out", "fleet/v90.csv"],
             ["validate", "--input-dir", "fleet"],
+            # one kernel call scores TI 0, a repeat and TI 0.3, whose windows pass 0 m/s
+            ["validate", "--input-dir", "fleet", "--ti-grid", "0.3,0,0.1,0.05,0.1",
+             "--out-json", "batch.json", "--out-csv", "batch.csv"],
             ["sweep", "--param", "rotor_diameter", "--values", "80,90", "--out", "sweep.csv"],
             ["defaults", "--diameter", "90", "--rated-power", "3000", "--out", "spec.json"],
             ["cp-table", "--model", "dai2016", "--betas", "0", "--out", "cp.csv"],
         ]
+        envs = {"default": {}, "C": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                # an open that names no encoding warns, and so does numpy; both fail
+                "strict": {"PYTHONWARNDEFAULTENCODING": "1",
+                           "PYTHONWARNINGS": "error::EncodingWarning,error::RuntimeWarning"}}
 
-        def outputs(locale):
-            cwd = tmp_path / ("C" if locale else "default")
+        def outputs(name):
+            cwd = tmp_path / name
             (cwd / "fleet").mkdir(parents=True)
             for args in commands:
-                result = self.run(cwd, *args, **locale)
+                result = self.run(cwd, *args, **envs[name])
                 assert result.returncode == 0, (args, result.stderr)
+                assert result.stderr == "", (args, result.stderr)
             return {p.relative_to(cwd): p.read_bytes()
                     for p in sorted(cwd.rglob("*")) if p.is_file()}
-        # the two locales run side by side, to keep the test near 2 s
-        with ThreadPoolExecutor(2) as pool:
-            files = list(pool.map(outputs, [
-                {}, {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}]))
-        assert files[0] == files[1]
-        assert len(files[0]) == 7
+        # the settings run side by side, to keep the test near 2 s
+        with ThreadPoolExecutor(len(envs)) as pool:
+            files = list(pool.map(outputs, envs))
+        assert files[0] == files[1] == files[2]
+        assert len(files[0]) == 9
         assert not any(b"\r" in data for data in files[0].values())
         assert name.encode() in files[0][Path("fleet/summary.csv")]

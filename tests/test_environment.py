@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,3 +551,19 @@ def test_np_interp_returns_fp_on_a_grid_point_unread_neighbours(repeat):
     x = np.tile([0.0, 1.0, 2.0], repeat)
     np.testing.assert_array_equal(np.interp(x, [0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
                                   np.tile([1.0, np.inf, 3.0], repeat))
+
+
+def test_kernel_sums_without_blas():
+    # BLAS rounds a row by its block's shape, which would break the bit
+    # identity of turbulent_power with np.interp over apply_turbulence
+    source = Path(__file__).resolve().parents[1] / "src" / "windcurve" / "environment.py"
+    blas = {"dot", "matmul", "einsum", "inner", "tensordot"}
+    found = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in blas:
+                found.append(f"line {node.lineno}: {name}()")
+    assert found == []

@@ -9,7 +9,9 @@ The sidecar digests were taken again when ``n_bands`` and ``env_order`` left
 the run record: each is the earlier sidecar with those two keys deleted,
 re-serialised with ``json.dumps(..., indent=2) + "\n"``.
 Any change to the bytes of these files, however small, fails here;
-refactors of the numeric core must keep them.
+refactors of the numeric core must keep them.  A change that moves a digest
+bumps ``__version__``, the ``model_version`` every sidecar records, and adds
+the new tables' hash under it to TABLE_DIGESTS.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from windcurve import __version__
 from windcurve.cli import main
 
 MANDATORY = ["--diameter", "80", "--rated-power", "2000"]
@@ -66,8 +69,20 @@ SWEEP_CASES = {
 }
 
 
+# version -> sha256 of the JSON of [GENERATE_CASES, SWEEP_CASES] at that version
+TABLE_DIGESTS = {
+    "0.1.0": "25c96ca497560eec3fe3b9e217026f5371d958f4f691c15053372c92dd426666",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_digest_tables_belong_to_this_version():
+    # a digest taken again under the same version fails here
+    tables = json.dumps([GENERATE_CASES, SWEEP_CASES], sort_keys=True).encode()
+    assert TABLE_DIGESTS.get(__version__) == hashlib.sha256(tables).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(GENERATE_CASES))
