@@ -40,6 +40,9 @@ BETZ_LIMIT = 16.0 / 27.0
 #: term of some fits grows without bound).
 LAMBDA_DOMAIN = (0.5, 25.0)
 
+# 2**-1024, the largest float whose reciprocal overflows to inf.
+_RECIPROCAL_OVERFLOW = 2.0 ** -1024
+
 #: Most points a tip-speed-ratio grid may hold: step 1.95e-4 over the default
 #: 0.5-20 cp-table range, whose text holds one row per point, model and pitch.
 MAX_LAMBDA_POINTS = 100_001
@@ -97,14 +100,37 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
             or (b == 0.0 and p.x < 0.0)):
         raise ValueError(f"{p.name}: cp is not real and finite at pitch beta = {beta} deg "
                          f"(shifted pitch {b}, exponent x = {p.x})")
-    shifted = lams + p.c9 * b
+    # Each term of the family that is an exact zero is skipped.  Where the mask
+    # keeps a point, such a term could only flip the sign of a zero cp, which
+    # cp > 0 drops, so the result is bit-identical.  Two terms are zero only
+    # where their array factor is finite: c4 * li * b with c4 = 0 is nan where
+    # 1/inv_li overflows, 0 < inv_li <= _RECIPROCAL_OVERFLOW, which the mask then
+    # drops instead; c8 * lambda with c8 = 0 is nan at lambda = inf, which
+    # inv_li <= 0 masks unless c10 / (b**3 + 1) < 0, where the term is kept.
+    c9b = p.c9 * b
+    shifted = lams + c9b if c9b else lams
     # Evaluated everywhere, masked once: outside the domain it may be inf or nan.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_li = 1.0 / shifted - p.c10 / pitch_term
-        li = 1.0 / inv_li
-        cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
-              * np.exp(-p.c7 * inv_li) + p.c8 * lams)
-    return np.where((lams > 0.0) & (shifted > 0.0) & (inv_li > 0.0) & (cp > 0.0), cp, 0.0)
+        c3b, c5bx, c10t = p.c3 * b, p.c5 * b ** p.x, p.c10 / pitch_term
+        inv_li = 1.0 / shifted
+        if c10t:
+            inv_li -= c10t
+        cp = p.c2 * inv_li
+        if c3b:
+            cp -= c3b
+        if p.c4:
+            cp -= p.c4 * (1.0 / inv_li) * b
+        if c5bx:
+            cp -= c5bx
+        cp -= p.c6
+        cp *= p.c1
+        cp *= np.exp(-p.c7 * inv_li)
+        if p.c8 or c10t < 0.0:
+            cp += p.c8 * lams
+    keep = (lams > 0.0) & (inv_li > (0.0 if p.c4 else _RECIPROCAL_OVERFLOW)) & (cp > 0.0)
+    if shifted is not lams:
+        keep &= shifted > 0.0
+    return np.where(keep, cp, 0.0)
 
 
 def lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:

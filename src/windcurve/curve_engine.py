@@ -57,7 +57,8 @@ def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.n
     """Uniform wind-speed grid [0, v_max] with step dv, of at most
     MAX_GRID_POINTS points.  Point i of n steps is i * v_max / n, not
     i * (v_max / n), so on decimal grids such as 0-40 m/s at dv 0.05 each
-    point is the double its %.6g text reads back as."""
+    point is the double its %.6g text reads back as.  The grid is read-only,
+    so a PowerCurve built on it keeps it without a copy."""
     points = grid_points(v_max, dv)
     if not points <= MAX_GRID_POINTS:
         raise ValueError(f"wind grid of {points:.6g} points (v_max {v_max} / dv {dv} + 1) "
@@ -65,26 +66,52 @@ def make_wind_grid(v_max: float = DEFAULT_V_MAX, dv: float = DEFAULT_DV) -> np.n
     n = int(round(v_max / dv))
     if abs(n * dv - v_max) > 1e-9:
         raise ValueError(f"v_max={v_max} is not a multiple of dv={dv}")
-    return np.arange(n + 1) * v_max / n
+    grid = np.arange(n + 1) * v_max / n
+    grid.flags.writeable = False
+    return grid
 
 
-@dataclass
+def _read_only(grid) -> np.ndarray:
+    """grid as a float64 array that no one can write: grid itself when it is
+    one already, read-only and not a view of a writable array, else a
+    read-only copy."""
+    if (type(grid) is np.ndarray and grid.dtype == np.float64 and not grid.flags.writeable
+            and (grid.base is None
+                 or isinstance(grid.base, np.ndarray) and not grid.base.flags.writeable)):
+        return grid
+    grid = np.array(grid, dtype=np.float64)
+    grid.flags.writeable = False
+    return grid
+
+
+def _checked_power(grid: np.ndarray, power) -> np.ndarray:
+    """power as a float64 array of the 1-d grid's shape, or ValueError."""
+    power = np.asarray(power, dtype=np.float64)
+    if power.shape != grid.shape or grid.ndim != 1:
+        raise ValueError("wind_grid and power must be 1-d arrays of equal length")
+    return power
+
+
+@dataclass(frozen=True)
 class PowerCurve:
     """Sampled power curve on a uniform wind-speed grid.
 
     The grid is finite and increasing, and every step lies within
-    1e-8 + 1e-9 * dv of the first one, dv.
+    1e-8 + 1e-9 * dv of the first one, dv.  A curve is immutable: its fields
+    cannot be assigned, and its grid is a read-only float64 array (see
+    make_wind_grid), copied once when it is given as anything else.  So the
+    grid is tested once, when the curve is built, and :meth:`with_power`
+    puts new values on it without testing it again.
     """
 
     wind_grid: np.ndarray
     power: np.ndarray
 
     def __post_init__(self) -> None:
-        self.wind_grid = np.asarray(self.wind_grid, dtype=np.float64)
-        self.power = np.asarray(self.power, dtype=np.float64)
-        if self.wind_grid.shape != self.power.shape or self.wind_grid.ndim != 1:
-            raise ValueError("wind_grid and power must be 1-d arrays of equal length")
-        if len(self.wind_grid) < 2:
+        grid = _read_only(self.wind_grid)
+        object.__setattr__(self, "wind_grid", grid)
+        object.__setattr__(self, "power", _checked_power(grid, self.power))
+        if len(grid) < 2:
             raise ValueError("a power curve needs at least two grid points")
         # Every step within 1e-8 + 1e-9 * steps[0] of the first, the test
         # np.allclose(steps, steps[0], rtol=1e-9) makes, without its cost.
@@ -92,12 +119,21 @@ class PowerCurve:
         # is hi - first or first - lo.  A grid holding inf or NaN has an inf or
         # NaN step: hi < inf rejects the one, and NaN, which min and max
         # propagate, fails both tests.
-        grid = self.wind_grid
         steps = grid[1:] - grid[:-1]
         first, lo, hi = steps[0], steps.min(), steps.max()
         if not (0.0 < lo and hi < math.inf
                 and max(hi - first, first - lo) <= 1e-8 + 1e-9 * first):
             raise ValueError("wind_grid must be finite, increasing and uniformly spaced")
+
+    def with_power(self, power) -> PowerCurve:
+        """The curve of the values power on this curve's grid, which is shared.
+        power is checked as the constructor checks it, with its message; the
+        grid, read-only and tested when this curve was built, is not tested
+        again."""
+        curve = object.__new__(type(self))
+        object.__setattr__(curve, "wind_grid", self.wind_grid)
+        object.__setattr__(curve, "power", _checked_power(self.wind_grid, power))
+        return curve
 
     @property
     def dv(self) -> float:

@@ -150,33 +150,36 @@ def _blocks(half: np.ndarray):
 
 
 def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
-              candidates: np.ndarray) -> np.ndarray:
+              candidates: np.ndarray | None = None) -> np.ndarray:
     """The turbulence kernel: one row per TI in tis, (len(tis), n), each the
-    curve's values with the candidate rows, a boolean mask over the grid,
-    smoothed (see :func:`apply_turbulence`) and zero past cut_out; the other
-    rows hold their input.  Row i is bit-identical to the batch [tis[i]].
-    The setup that does not depend on TI is made once per batch: the checks,
-    the window [0, k), its plateau power[k - 1] and run ids, r0 and the
-    slack (the only terms in dv, see :func:`_row_plan`), the padded power
-    and its view, padded to the widest half-width, and the offsets.  Every
-    TI is planned and checked against MAX_TURBULENCE_TAPS before the first
-    block of any.  A batch whose TIs are all 0, an empty one included,
-    returns the windowed input in every row before any plan or padding.
+    curve's values with the candidate rows, a boolean mask over the grid
+    (None for every row), smoothed (see :func:`apply_turbulence`) and zero
+    past cut_out; the other rows hold their input.  Row i is bit-identical
+    to the batch [tis[i]].  The setup that does not depend on TI is made
+    once per batch: the checks, the window [0, k), its plateau power[k - 1]
+    and run ids, r0 and the slack (the only terms in dv, see
+    :func:`_row_plan`), the padded power and its view, padded to the widest
+    half-width, and the offsets.  Every TI is planned and checked against
+    MAX_TURBULENCE_TAPS before the first block of any.  A batch whose TIs
+    are all 0, an empty one included, returns the windowed input in every
+    row before any mask, plan or padding.
     """
     for t in tis:
         _check_ti(t)
     check_value("cut_out", cut_out)
     k = window_end(curve.wind_grid, cut_out)
-    plateau = float(curve.power[k - 1]) if k else 0.0
-    windowed = curve.power.copy()
-    windowed[k:] = 0.0
-    if not any(tis):
-        return windowed[None].repeat(len(tis), 0)
-
-    r0, slack = curve.wind_grid[0] / curve.dv, GRID_EPS / curve.dv
-    inside = windowed[:k]
-    run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
     # Rows outside the plan keep their value: 0 past the window.
+    out = curve.power[None].repeat(len(tis), 0)
+    out[:, k:] = 0.0
+    if not any(tis):
+        return out
+
+    if candidates is None:
+        candidates = np.ones(len(curve.wind_grid), dtype=bool)
+    plateau = float(curve.power[k - 1]) if k else 0.0
+    r0, slack = curve.wind_grid[0] / curve.dv, GRID_EPS / curve.dv
+    inside = curve.power[:k]
+    run = np.concatenate([[0], np.cumsum(inside[1:] != inside[:-1])])
     plans, pad = [], 0
     for t in tis:
         rows, half = _row_plan(k, t, r0, slack, run)
@@ -190,13 +193,12 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     # The power at the columns -pad .. k + pad - 1: zeros before the grid, the
     # plateau past the window.  view[c + pad] holds the pad columns from c on,
     # so row r reads p_{r+m} at after[r, m - 1] and p_{r-m} at before[r, H - m].
-    ext_power = np.concatenate([np.zeros(pad), windowed[:k], np.full(pad, plateau)])
+    ext_power = np.concatenate([np.zeros(pad), inside, np.full(pad, plateau)])
     view = sliding_window_view(ext_power, pad)
     centre, after = ext_power[pad:], view[pad + 1:]
     # Offsets m = 1 .. pad in grid steps, float64 for speed.
     offsets = np.arange(1, pad + 1, dtype=np.float64)
     squares = offsets * offsets
-    out = windowed[None].repeat(len(tis), 0)
     for smoothed, (t, rows, half) in zip(out, plans):
         # Row r's weights exp(m^2 * scale_r), scale_r = -0.5 / x_r^2: x_r > 0 on planned rows.
         reach = half.astype(np.float64)
@@ -217,9 +219,10 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
             np.copyto(w[:, h0:], 0.0, where=m[h0:] > h[:, None])
             right = w.sum(axis=1)
             # A row whose window passes the grid's first column (h > r, TI > 0.2)
-            # counts only the weights of the columns it has on the left.
-            left = right if wide <= r[0] else np.where(m > r[:, None].astype(np.float64),
-                                                      0.0, w).sum(axis=1)
+            # counts only the weights of the columns it has on the left; where
+            # no row's does, those columns are already zero.
+            left = (np.where(m > r[:, None].astype(np.float64), 0.0, w).sum(axis=1)
+                    if (h > r).any() else right)
             before = view[pad - wide:]
             both = after[at, :wide] + before[at, wide - 1::-1]
             both *= w
@@ -264,8 +267,7 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     planned rows hold at most MAX_TURBULENCE_TAPS taps.  This is the
     kernel's one single-TI front: :func:`turbulent_power` takes a batch of TIs.
     """
-    grid = curve.wind_grid
-    return PowerCurve(grid, _smoothed(curve, (ti,), cut_out, np.ones(len(grid), dtype=bool))[0])
+    return curve.with_power(_smoothed(curve, (ti,), cut_out)[0])
 
 
 def turbulent_power(curve: PowerCurve, tis: Sequence[float], wind: np.ndarray, *,
@@ -313,4 +315,4 @@ def apply_shear_veer(curve: PowerCurve, spec: TurbineSpec, shear_alpha: float,
     power = np.zeros(len(grid))  # np.interp refuses an empty window
     if k:
         power[:k] = np.interp(grid[:k] * kappa, grid[:k], curve.power[:k])
-    return PowerCurve(grid, power)
+    return curve.with_power(power)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -172,6 +173,47 @@ class TestPowerCurveType:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
             PowerCurve(np.linspace(0, 1, 5), np.zeros(4))
+
+    def test_with_power_shares_the_grid_and_checks_the_values(self, reference_curve):
+        grid = reference_curve.wind_grid
+        doubled = reference_curve.with_power(2.0 * reference_curve.power)
+        assert doubled.wind_grid is grid
+        assert doubled.power.tobytes() == (2.0 * reference_curve.power).tobytes()
+        with pytest.raises(ValueError) as built:
+            PowerCurve(grid, np.zeros(len(grid) - 1))
+        for bad in (np.zeros(len(grid) - 1), np.zeros((1, len(grid))), 5.0):
+            with pytest.raises(ValueError) as given:
+                reference_curve.with_power(bad)
+            assert str(given.value) == str(built.value)
+
+    def test_a_built_curve_cannot_change(self, reference_curve):
+        with pytest.raises(ValueError, match="read-only"):
+            reference_curve.wind_grid[3] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reference_curve.wind_grid = make_wind_grid(40.0, 0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reference_curve.power = np.zeros(801)
+
+    @pytest.mark.parametrize("kind", ["writable", "list", "float32", "view of writable"])
+    def test_a_callers_grid_is_copied(self, kind):
+        given = np.linspace(0.0, 4.0, 9)
+        if kind == "view of writable":
+            grid = given.view()
+            grid.flags.writeable = False
+        else:
+            grid = {"writable": given, "list": given.tolist(),
+                    "float32": given.astype(np.float32)}[kind]
+        curve = PowerCurve(grid, np.zeros(9))
+        given[:] = np.arange(9.0) ** 2
+        assert curve.wind_grid.tolist() == np.linspace(0.0, 4.0, 9).tolist()
+        assert curve.wind_grid.dtype == np.float64 and not curve.wind_grid.flags.writeable
+
+    def test_a_read_only_grid_is_kept(self):
+        grid = make_wind_grid(40.0, 0.05)
+        assert not grid.flags.writeable
+        assert PowerCurve(grid, np.zeros(len(grid))).wind_grid is grid
+        part = grid[100:]
+        assert PowerCurve(part, np.zeros(len(part))).wind_grid is part
 
     def test_make_wind_grid_rejects_misaligned_step(self):
         with pytest.raises(ValueError):

@@ -386,6 +386,26 @@ class TestApplyTurbulence:
         with pytest.raises(ValueError):
             apply_turbulence(reference_curve, -0.01, cut_out=25.0)
 
+    def test_left_sums_are_masked_only_past_column_0(self, reference_curve, monkeypatch):
+        # a block masks its left weights (np.where) only when a computed row's
+        # window passes the grid's first column, h > r, which at TI < 0.2 on
+        # a grid from 0 m/s none does; elsewhere those weights are already 0
+        want = {ti: apply_turbulence(reference_curve, ti, cut_out=25.0).power
+                for ti in (0.05, 0.15, 0.25)}
+        masked = []
+
+        class Numpy:
+            def __getattr__(self, attr):
+                if attr == "where":
+                    masked.append(attr)
+                return getattr(np, attr)
+
+        monkeypatch.setattr(environment, "np", Numpy())
+        for ti, power in want.items():
+            got = apply_turbulence(reference_curve, ti, cut_out=25.0).power
+            assert got.tobytes() == power.tobytes()
+            assert bool(masked) == (ti == 0.25), ti
+
     @pytest.mark.parametrize("dv", [0.05, 0.01, 1e-9])
     def test_warns_about_nothing(self, reference_spec, reference_model, dv):
         # sigma is 0 at 0 m/s: a weight computed for a row outside the plan

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,8 @@ from windcurve import (EnvironmentConditions, NonFiniteResult, PowerCurve,
                        complete_spec, cp_general_array, get_parameterisation,
                        ideal_curve, make_wind_grid, rews_factor, scale_cp,
                        synthesize, turbulent_power)
-from windcurve.cp_models import BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation
+from windcurve.cp_models import (BETZ_LIMIT, LAMBDA_DOMAIN, REGISTRY, CpParameterisation,
+                                 lambda_opt)
 from windcurve.curve_engine import GRID_EPS, raw_power, rotor_speed, tsr, window_end
 from windcurve.environment import N_BANDS, _blocks, _row_plan, _smoothed
 
@@ -44,6 +46,92 @@ def test_cp_general_never_negative(p, lam, beta):
     cp = cp_general_array(np.array([lam]), beta, p)[0]
     if np.isfinite(cp):
         assert cp >= 0.0
+
+
+def _cp_every_term(lams: np.ndarray, beta: float, p: CpParameterisation) -> np.ndarray:
+    """cp_general_array as the whole formula, every term evaluated: the
+    reference for its skipping of the terms that are exact zeros."""
+    if not math.isfinite(beta):
+        raise ValueError(f"pitch angle beta must be finite, got {beta}")
+    lams = np.asarray(lams, dtype=np.float64)
+    b = beta + p.beta_offset
+    pitch_term = b ** 3 + 1.0
+    if (pitch_term == 0.0 or (b < 0.0 and not float(p.x).is_integer())
+            or (b == 0.0 and p.x < 0.0)):
+        raise ValueError("not real and finite")
+    shifted = lams + p.c9 * b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_li = 1.0 / shifted - p.c10 / pitch_term
+        li = 1.0 / inv_li
+        cp = (p.c1 * (p.c2 * inv_li - p.c3 * b - p.c4 * li * b - p.c5 * b ** p.x - p.c6)
+              * np.exp(-p.c7 * inv_li) + p.c8 * lams)
+    return np.where((lams > 0.0) & (shifted > 0.0) & (inv_li > 0.0) & (cp > 0.0), cp, 0.0)
+
+
+def _outcome(f, *args):
+    """f(*args) as bytes, or the type of what it raised."""
+    try:
+        return f(*args).tobytes()
+    except (ValueError, OverflowError) as e:
+        return type(e)
+
+
+# Tip-speed ratios where the skipped terms matter: zeros of both signs,
+# subnormals, the reciprocal-overflow edge, the largest floats, infinities,
+# nan and negatives.
+EDGE_LAMBDAS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0 ** -1024, 2.2250738585072014e-308,
+                1e-300, 1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+                math.inf, -math.inf, math.nan, -1.0, 0.5, 7.0, 25.0]
+coefficient = st.one_of(st.just(0.0), st.just(-0.0), finite, small,
+                        st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@st.composite
+def sparse_parameterisations(draw):
+    """A bundled set, or a coefficient set in which each coefficient is often
+    an exact zero of either sign."""
+    named = draw(st.one_of(st.none(), registry_names))
+    if named is not None:
+        return REGISTRY[named]
+    return CpParameterisation(
+        name="fuzz", **{f"c{i}": draw(coefficient) for i in range(1, 11)},
+        x=draw(st.sampled_from([1.0, 2.0, 2.14, 0.5, 3.0])),
+        beta_offset=draw(st.sampled_from([0.0, -0.0, 2.5, 1.0, -2.0, -0.5])))
+
+
+@given(sparse_parameterisations(),
+       st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 7.5]),
+       st.lists(st.one_of(st.sampled_from(EDGE_LAMBDAS),
+                          st.floats(allow_nan=True, allow_infinity=True)), max_size=30))
+@example(REGISTRY["dai2016"], 0.0, EDGE_LAMBDAS)
+@example(CpParameterisation(name="edge", c1=1.0, c2=1.0, c3=0.0, c4=0.0, c5=0.0, c6=-1.0,
+                            c7=0.0, c8=0.0, c9=0.0, c10=0.0, x=1.0),
+         0.0, [1.7976931348623157e308, math.inf])
+@example(CpParameterisation(name="edge", c1=1.0, c2=1.0, c3=0.0, c4=0.0, c5=0.0, c6=-1.0,
+                            c7=0.0, c8=0.0, c9=0.0, c10=0.1, x=1.0),
+         -3.0, [math.inf, 1e300])
+@example(CpParameterisation(name="edge", c1=1.0, c2=1.0, c3=0.0, c4=0.0, c5=0.0, c6=-1.0,
+                            c7=0.0, c8=0.0, c9=-1.0, c10=-200.0, x=1.0),
+         7.5, [0.5, 1.0])
+@settings(max_examples=400)
+def test_cp_general_array_is_the_whole_formula_bit_for_bit(p, beta, lams):
+    lams = np.array(EDGE_LAMBDAS + lams)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(cp_general_array, lams, beta, p)
+    assert got == _outcome(_cp_every_term, lams, beta, p)
+
+
+def test_lambda_opt_of_each_bundled_set():
+    # recomputed past the cache, with the skipped cp terms
+    assert {name: lambda_opt.__wrapped__(p) for name, p in REGISTRY.items()} == {
+        "slootweg2003": (6.907745, 0.4411993813370079),
+        "heier2014": (7.954026, 0.4109631035212347),
+        "thongam2009": (8.100117000000001, 0.4800119028278733),
+        "dekooning2013": (6.76841, 0.44054316379938996),
+        "ochieng2014": (7.209311, 0.6350038183792596),
+        "dai2016": (9.949497000000001, 0.5000139362007022),
+    }
 
 
 @given(registry_names, st.lists(st.floats(min_value=0.1, max_value=35.0),

@@ -101,6 +101,18 @@ def test_stages_are_called_through_their_module_globals(reference_spec, monkeypa
                                          "validation.turbulent_power"}
 
 
+@pytest.mark.parametrize("env", [None, EnvironmentConditions(shear_alpha=0.2, veer_rate=0.3)])
+def test_synthesis_tests_its_grid_once(reference_spec, monkeypatch, env):
+    # ideal_curve builds the one curve whose grid is tested; the environment
+    # stages put their values on it with with_power
+    built = []
+    test_grid = curve_engine.PowerCurve.__post_init__
+    monkeypatch.setattr(curve_engine.PowerCurve, "__post_init__",
+                        lambda curve: built.append(curve) or test_grid(curve))
+    curve, _ = synthesize(reference_spec, env)
+    assert len(built) == 1 and curve.wind_grid is built[0].wind_grid
+
+
 class _NumpyWithout:
     """numpy as a module sees it, except that looking up one of names raises."""
 
