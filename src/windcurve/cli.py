@@ -28,10 +28,9 @@ from .cp_models import (DEFAULT_PARAMETERISATION, MAX_LAMBDA_POINTS, REGISTRY,
                         registry_to_json)
 from .curve_engine import DEFAULT_DV, DEFAULT_RHO, DEFAULT_V_MAX, PowerCurve, grid_points, open_output
 from .environment import EnvironmentConditions
-from .errors import NoPositiveCp, NonFiniteResult, WindcurveError
+from .errors import NoPositiveCp, NonFiniteResult, WindcurveError, check_value
 from .synthesis import synthesize
-from .turbine import (TurbineSpec, check_value, complete_spec, flat_record, load_json,
-                      load_spec, naming)
+from .turbine import TurbineSpec, complete_spec, flat_record, load_json, load_spec, naming
 from .validation import (DEFAULT_TI_GRID, _curve_pairs, check_settings, ti_text,
                          validate_directory, write_report_json, write_summary_csv)
 
@@ -325,8 +324,6 @@ def sweep(param: str, values: str | None, vrange, config_path: str | None,
     base = {**REFERENCE_CONFIG, **_resolve_config(config_path, None, flags)}
     key = "cp_model" if param == "cp_parameterisation" else param
     run = {**_DEFAULT_RECORD, **base}
-    for name in ("v_max", "dv"):
-        check_value(name, run[name])
     points = len(sweep_values) * grid_points(run["v_max"], run["dv"])
     if not points <= MAX_SWEEP_POINTS:
         raise ValueError(f"sweep of {len(sweep_values)} curves holds {points:.6g} grid "

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import NoPositiveCp, UnknownParameterisation
+from .errors import NoPositiveCp, UnknownParameterisation, check_value
 
 #: Betz limit, the hard physical ceiling for any power coefficient.
 BETZ_LIMIT = 16.0 / 27.0
@@ -73,12 +73,8 @@ class CpParameterisation:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name in ("name", "provenance"):
-                continue
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"{self.name}: coefficient {f.name} is not finite")
+        for f in fields(self)[1:-1]:  # every field but name and provenance
+            check_value(f"{self.name}: {f.name}", getattr(self, f.name))
 
 
 def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np.ndarray:
@@ -91,8 +87,7 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
     non-finite beta, a shifted pitch b = -1 (where b**3 + 1 = 0), b < 0 with a
     non-integer exponent x (where b**x is complex), or b = 0 with x < 0.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"pitch angle beta must be finite, got {beta}")
+    check_value("pitch angle beta", beta)
     lams = np.asarray(lams, dtype=np.float64)
     b = beta + p.beta_offset
     pitch_term = b ** 3 + 1.0
@@ -136,8 +131,10 @@ def cp_general_array(lams: np.ndarray, beta: float, p: CpParameterisation) -> np
 def lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Tip-speed ratios from lo to hi inclusive, evenly spaced about step
     apart, at most MAX_LAMBDA_POINTS of them."""
+    for name, value in (("lo", lo), ("hi", hi), ("step", step)):
+        check_value(f"tip-speed-ratio grid {name}", value)
     count = (hi - lo) / step if step > 0 else math.nan
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and math.isfinite(count)):
+    if not (lo < hi and math.isfinite(count)):
         raise ValueError(f"tip-speed-ratio grid needs finite bounds lo < hi and a step > 0 "
                          f"giving a finite point count, got {lo}, {hi}, step {step}")
     if not count + 1.0 <= MAX_LAMBDA_POINTS:
@@ -222,6 +219,7 @@ def scale_cp(p: CpParameterisation, cp_max: float) -> ScaledCpModel:
     ``cp_max`` must lie in (0, 16/27]; the search for the raw peak may raise
     :class:`NoPositiveCp` for unusable coefficient sets.
     """
+    check_value("cp_max", cp_max)
     lam, raw = lambda_opt(p)
     return ScaledCpModel(base=p, cp_max=float(cp_max), lambda_opt=lam, raw_cp_at_opt=raw)
 

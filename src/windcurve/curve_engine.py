@@ -21,6 +21,7 @@ from typing import IO
 import numpy as np
 
 from .cp_models import ScaledCpModel
+from .errors import check_value
 from .turbine import TurbineSpec, naming
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
@@ -48,7 +49,9 @@ MAX_GRID_POINTS = 1_000_001
 def grid_points(v_max: float, dv: float) -> float:
     """The points of the wind grid [0, v_max] with step dv, v_max / dv + 1, as
     a float that may be far past any array size."""
-    if not (0 < v_max < math.inf and 0 < dv < math.inf):
+    check_value("v_max", v_max)
+    check_value("dv", dv)
+    if not (v_max > 0 and dv > 0):
         raise ValueError("v_max and dv must be positive and finite")
     return v_max / dv + 1.0
 

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve, window_end
-from .turbine import TurbineSpec, check_value
+from .errors import check_value
+from .turbine import TurbineSpec, require_fields
 
 #: Number of horizontal rotor bands in the rotor-equivalent wind speed; the
 #: band sum is within 1e-4 relative of the 1e4-band sum at this count.
@@ -49,14 +50,16 @@ KERNEL_REACH = 5.0
 #: hundred kB whatever the grid and TI; a row wider than it is a block of its own.
 BLOCK_TAPS = 2 ** 14
 
-#: Most kernel taps the turbulence stage evaluates for one curve, checked
-#: before the first: dv 0.001 m/s at TI 0.15 takes 4.7e8, about 1.4 s on
-#: one core of a shared 2.1 GHz Xeon.
+#: Most window taps one curve's plan may hold at one TI, sum(h + min(h, r) + 1)
+#: over the rows r whose window holds more than one value, checked before the
+#: first block; the kernel evaluates about half as many weights, one exp per +-m
+#: pair.  dv 0.001 m/s at TI 0.15 plans 4.7e8, 1.4 s on a shared 2.1 GHz Xeon core.
 MAX_TURBULENCE_TAPS = 500_000_000
 
 
 def _check_ti(ti: float) -> None:
-    """Raise ValueError unless 0 <= ti < 1, before any work depends on ti."""
+    """Raise ValueError unless ti is a finite real in [0, 1), before any work depends on it."""
+    check_value("ti", ti)
     if not 0.0 <= ti < 1.0:
         raise ValueError(f"turbulence intensity must lie in [0, 1), got {ti}")
 
@@ -94,13 +97,17 @@ def rews_factor(spec: TurbineSpec, shear_alpha: float, veer_rate: float) -> floa
     Cube-root of the area-weighted mean of (s_i * cos(dphi_i))^3 over the
     N_BANDS bands of the unit disc scaled by the rotor radius (BAND_CENTRES,
     BAND_WEIGHTS), with s_i the power-law speed ratio to the hub and dphi_i
-    the linear veer angle at the band centre.
+    the linear veer angle at the band centre.  A spec without rotor_diameter
+    raises MissingMandatoryField, one without hub_height ValueError.
     The veer across the rotor must stay below 90 deg (|veer_rate| * D/2 < 90),
     past which cos(dphi) < 0 reverses the band speeds; the typical range,
     0-0.75 deg/m, turns an 80 m rotor by at most 30 deg.
     """
+    require_fields(spec, "rotor_diameter")
     if spec.hub_height is None:
         raise ValueError(f"{spec.name}: hub_height required for shear/veer effects")
+    check_value("shear_alpha", shear_alpha)
+    check_value("veer_rate", veer_rate)
     if not abs(veer_rate) * spec.rotor_diameter / 2.0 < 90.0:
         raise ValueError(
             f"veer_rate {veer_rate} deg/m turns the wind by 90 deg or more across "

@@ -13,7 +13,7 @@ from .cp_models import DEFAULT_PARAMETERISATION, get_parameterisation, scale_cp
 from .curve_engine import DEFAULT_DV, DEFAULT_V_MAX, PowerCurve, ideal_curve
 from .environment import EnvironmentConditions, apply_shear_veer, apply_turbulence
 from .errors import NonFiniteResult
-from .turbine import TurbineSpec, check_value, complete_spec
+from .turbine import TurbineSpec, complete_spec
 
 
 def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
@@ -27,8 +27,6 @@ def synthesize(spec: TurbineSpec, env: EnvironmentConditions | None = None, *,
     setting raises ValueError naming it; any non-finite power value raises
     :class:`NonFiniteResult`.
     """
-    check_value("v_max", v_max)
-    check_value("dv", dv)
     parameterisation = get_parameterisation(cp_model)
     env = env or EnvironmentConditions()
 

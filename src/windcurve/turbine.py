@@ -9,8 +9,6 @@ rotation-speed limits, from power-law fits against rotor diameter.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -18,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .cp_models import BETZ_LIMIT
-from .errors import MissingMandatoryField
+from .errors import MissingMandatoryField, check_value
 
 # Fleet-statistics defaults: modal maximum power coefficient, modal cut-in /
 # cut-out speeds, and power-law fits of the rotation-speed limits vs rotor
@@ -34,26 +32,6 @@ RULE_CUT_IN = "fleet-modal-cut-in"
 RULE_CUT_OUT = "fleet-modal-cut-out"
 RULE_OMEGA_MIN = "rpm-diameter-fit-min"
 RULE_OMEGA_MAX = "rpm-diameter-fit-max"
-
-
-def check_value(name: str, value) -> None:
-    """Raise ValueError naming the field unless value is a finite real number.
-    A bool never passes, though Python counts it an int, nor does an int too
-    large for a float."""
-    # The common case, a Python float, without the ABC check.
-    if type(value) is float:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be of type Real, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an integer too large "
-                         "for a float") from None
-    if not finite:
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def flat_record(data) -> dict:
@@ -131,12 +109,22 @@ class TurbineSpec:
                             self.cp_max)
 
 
+def require_fields(spec: TurbineSpec, *names: str) -> None:
+    """Raise MissingMandatoryField, "<name>: missing mandatory field(s): ...",
+    naming each of the fields names that spec lacks."""
+    missing = [n for n in names if getattr(spec, n) is None]
+    if missing:
+        raise MissingMandatoryField(
+            f"{spec.name}: missing mandatory field(s): {', '.join(missing)}")
+
+
 def default_rotation_speeds(rotor_diameter: float) -> tuple[float, float]:
     """Rotation-speed limits in rpm from power-law fits vs rotor diameter.
 
     The two fitted curves cross near D = 4.7 m; below it the fitted
     omega_min exceeds the fitted omega_max.
     """
+    check_value("rotor_diameter", rotor_diameter)
     if not rotor_diameter > 0:
         raise ValueError(f"rotor_diameter must be > 0, got {rotor_diameter}")
     a, b = OMEGA_MIN_FIT
@@ -153,11 +141,7 @@ def complete_spec(partial: TurbineSpec) -> tuple[TurbineSpec, list[dict]]:
     rotation-speed pair completed from the fits that comes out inverted
     (small rotors, where the fits cross) raises ValueError.
     """
-    if partial.rotor_diameter is None or partial.rated_power is None:
-        missing = [n for n in ("rotor_diameter", "rated_power")
-                   if getattr(partial, n) is None]
-        raise MissingMandatoryField(
-            f"{partial.name}: missing mandatory field(s): {', '.join(missing)}")
+    require_fields(partial, "rotor_diameter", "rated_power")
 
     w_min = w_max = None
     if partial.omega_min is None or partial.omega_max is None:

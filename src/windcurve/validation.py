@@ -24,9 +24,9 @@ import numpy as np
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
 from .curve_engine import DEFAULT_RHO, read_curve_csv, wind_power
 from .environment import EnvironmentConditions, turbulent_power
-from .errors import MissingMandatoryField, NonFiniteResult
+from .errors import NonFiniteResult, check_value
 from .synthesis import synthesize
-from .turbine import TurbineSpec, complete_spec, load_spec, naming
+from .turbine import TurbineSpec, complete_spec, load_spec, naming, require_fields
 
 DEFAULT_TI_GRID = (0.0, 0.025, 0.05, 0.075, 0.10)
 
@@ -93,9 +93,7 @@ def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, f
     Returns the per-sample cp values (NaN where v = 0) and their maximum.
     Requires the rotor diameter.
     """
-    if m.turbine.rotor_diameter is None:
-        raise MissingMandatoryField(
-            f"{m.turbine.name}: missing mandatory field(s): rotor_diameter")
+    require_fields(m.turbine, "rotor_diameter")
     with np.errstate(divide="ignore", invalid="ignore"):
         cp = np.where(m.wind > 0,
                       m.power * 1000.0 / wind_power(m.wind, rho, m.turbine.rotor_diameter),
@@ -107,6 +105,7 @@ def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, f
 
 def betz_screen(cp_max: float) -> bool:
     """True when an extracted cp exceeds the Betz limit (corrupt data)."""
+    check_value("cp_max", cp_max)
     if cp_max < 0:
         raise ValueError(f"cp_max must be >= 0, got {cp_max}")
     return cp_max > BETZ_LIMIT

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windcurve import (EnvironmentConditions, PowerCurve, TurbineSpec, environment,
-                       apply_shear_veer, apply_turbulence, ideal_curve,
+from windcurve import (EnvironmentConditions, MissingMandatoryField, PowerCurve, TurbineSpec,
+                       environment, apply_shear_veer, apply_turbulence, ideal_curve,
                        make_wind_grid, rews_factor)
 from windcurve.curve_engine import GRID_EPS
 from windcurve.environment import (BAND_CENTRES, BAND_WEIGHTS, BLOCK_TAPS, N_BANDS, _blocks,
@@ -559,6 +559,15 @@ class TestApplyShearVeer:
     def test_requires_cut_out(self, reference_curve):
         spec = TurbineSpec(rotor_diameter=80.0, rated_power=2000.0, hub_height=60.0)
         with pytest.raises(ValueError, match="spec incomplete"):
+            apply_shear_veer(reference_curve, spec, 0.2, 0.0)
+
+    def test_requires_rotor_diameter(self, reference_curve):
+        # the message complete_spec and invert_cp give, not a TypeError
+        spec = TurbineSpec(cut_out=25.0, hub_height=100.0)
+        message = r"^turbine: missing mandatory field\(s\): rotor_diameter$"
+        with pytest.raises(MissingMandatoryField, match=message):
+            rews_factor(spec, 0.2, 0.0)
+        with pytest.raises(MissingMandatoryField, match=message):
             apply_shear_veer(reference_curve, spec, 0.2, 0.0)
 
 

@@ -1,5 +1,7 @@
 """Input bounds: finite numbers everywhere and the physical veer limit."""
 
+import ast
+import dataclasses
 import errno
 import json
 import math
@@ -14,14 +16,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_turbulence,
-                       make_wind_grid, rews_factor, spec_from_json, synthesize, turbulent_power)
-from windcurve import cli, environment
+from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_shear_veer,
+                       apply_turbulence, betz_screen, cp_general_array,
+                       default_rotation_speeds, make_wind_grid, rews_factor, scale_cp,
+                       spec_from_json, synthesize, turbulent_power)
+from windcurve import cli, environment, errors, turbine
 from windcurve.cli import MAX_CP_TABLE_ROWS, MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
 from windcurve.cp_models import MAX_LAMBDA_POINTS, REGISTRY, lambda_grid
 from windcurve.curve_engine import MAX_GRID_POINTS
 from windcurve.environment import MAX_TURBULENCE_TAPS
-from windcurve.turbine import check_value
+from windcurve.errors import check_value
 from windcurve.validation import MAX_TI_CANDIDATES
 
 from conftest import REFERENCE_KWARGS
@@ -82,6 +86,67 @@ def test_check_value_fast_path_agrees_with_the_general_one(value, kind):
     else:
         assert (_outcome(lambda v: TurbineSpec(name=v, **REFERENCE_KWARGS), value)
                 == _outcome(_general_check_value, "name", value, str))
+
+
+def test_check_value_is_the_one_number_test():
+    # defined once, in errors; turbine re-exports it for its older callers
+    src = Path(errors.__file__).parent
+    homes = [path.name for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name == "check_value"]
+    assert homes == ["errors.py"]
+    assert turbine.check_value is check_value
+
+
+_SPEC = TurbineSpec(name="reference", hub_height=60.0, **REFERENCE_KWARGS)
+_CP = REGISTRY["heier2014"]
+
+
+def _cp_door(coefficient):
+    return (f"heier2014: {coefficient}",
+            lambda v, curve: dataclasses.replace(_CP, **{coefficient: v}))
+
+
+#: Every public door that takes an input number: the name its message gives
+#: the number, and a call that passes the number v (curve: the reference curve).
+NUMBER_DOORS = {
+    "EnvironmentConditions-ti": ("ti", lambda v, curve: EnvironmentConditions(ti=v)),
+    "apply_turbulence-ti": ("ti", lambda v, curve: apply_turbulence(curve, v, cut_out=25.0)),
+    "turbulent_power-ti": ("ti", lambda v, curve: turbulent_power(
+        curve, [0.05, v], np.array([5.0]), cut_out=25.0)),
+    "rews_factor-alpha": ("shear_alpha", lambda v, curve: rews_factor(_SPEC, v, 0.0)),
+    "rews_factor-veer": ("veer_rate", lambda v, curve: rews_factor(_SPEC, 0.0, v)),
+    "apply_shear_veer-alpha": ("shear_alpha",
+                               lambda v, curve: apply_shear_veer(curve, _SPEC, v, 0.0)),
+    "apply_shear_veer-veer": ("veer_rate",
+                              lambda v, curve: apply_shear_veer(curve, _SPEC, 0.0, v)),
+    "cp_general_array-beta": ("pitch angle beta",
+                              lambda v, curve: cp_general_array(np.array([7.0]), v, _CP)),
+    **{f"CpParameterisation-{c}": _cp_door(c)
+       for c in [f.name for f in dataclasses.fields(_CP)][1:-1]},
+    "lambda_grid-lo": ("tip-speed-ratio grid lo", lambda v, curve: lambda_grid(v, 20.0, 0.5)),
+    "lambda_grid-hi": ("tip-speed-ratio grid hi", lambda v, curve: lambda_grid(0.5, v, 0.5)),
+    "lambda_grid-step": ("tip-speed-ratio grid step",
+                         lambda v, curve: lambda_grid(0.5, 20.0, v)),
+    "make_wind_grid-v_max": ("v_max", lambda v, curve: make_wind_grid(v, 0.05)),
+    "make_wind_grid-dv": ("dv", lambda v, curve: make_wind_grid(40.0, v)),
+    "scale_cp-cp_max": ("cp_max", lambda v, curve: scale_cp(_CP, v)),
+    "default_rotation_speeds": ("rotor_diameter", lambda v, curve: default_rotation_speeds(v)),
+    "betz_screen": ("cp_max", lambda v, curve: betz_screen(v)),
+}
+BAD_NUMBERS = {"str": "0.1", "None": None, "bool": True, "list": [0.1],
+               "huge-int": 10 ** 400, "nan": math.nan}
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+@pytest.mark.parametrize("door", NUMBER_DOORS)
+def test_every_door_rejects_a_bad_number_by_name(door, value, reference_curve):
+    # one ValueError, check_value's, naming the number: no TypeError, no
+    # OverflowError and no silent acceptance
+    name, call = NUMBER_DOORS[door]
+    with pytest.raises(ValueError) as info:
+        call(value, reference_curve)
+    assert str(info.value) == _outcome(check_value, name, value)
 
 
 @pytest.mark.parametrize("v_max,dv", [(math.inf, 0.05), (40.0, math.inf),
@@ -231,12 +296,13 @@ def test_turbulence_ti_checked_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("ti", [math.nan, math.inf, 1.0])
 def test_turbulence_stages_share_the_ti_domain(ti, reference_curve):
-    message = r"turbulence intensity must lie in \[0, 1\)"
+    # all three doors raise the message EnvironmentConditions raises
+    message = "^ti must be finite" if ti != 1.0 else r"turbulence intensity must lie in \[0, 1\)"
     with pytest.raises(ValueError, match=message):
         apply_turbulence(reference_curve, ti, cut_out=25.0)
     with pytest.raises(ValueError, match=message):
         turbulent_power(reference_curve, [ti], np.array([5.0]), cut_out=25.0)
-    with pytest.raises(ValueError, match="^ti must be finite" if ti != 1.0 else message):
+    with pytest.raises(ValueError, match=message):
         EnvironmentConditions(ti=ti)
 
 
