@@ -192,6 +192,8 @@ class ScaledCpModel:
     raw_cp_at_opt: float
 
     def __post_init__(self) -> None:
+        for name in ("cp_max", "lambda_opt", "raw_cp_at_opt"):
+            check_value(name, getattr(self, name))
         if not 0.0 < self.cp_max <= BETZ_LIMIT:
             raise ValueError(
                 f"cp_max={self.cp_max} outside (0, {BETZ_LIMIT:.6f}]; the Betz "

@@ -46,6 +46,13 @@ DEFAULT_RHO = 1.225
 MAX_GRID_POINTS = 1_000_001
 
 
+def check_rho(rho: float) -> None:
+    """Raise ValueError unless the air density rho is a finite real > 0."""
+    check_value("rho", rho)
+    if not rho > 0.0:
+        raise ValueError(f"air density must be positive, got {rho}")
+
+
 def grid_points(v_max: float, dv: float) -> float:
     """The points of the wind grid [0, v_max] with step dv, v_max / dv + 1, as
     a float that may be far past any array size."""
@@ -232,6 +239,7 @@ def ideal_curve(spec: TurbineSpec, model: ScaledCpModel, rho: float = DEFAULT_RH
     """
     if not spec.is_complete():
         raise ValueError(f"{spec.name}: spec incomplete; run complete_spec first")
+    check_rho(rho)
     grid = make_wind_grid(v_max, dv)
     power = np.zeros_like(grid)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve, window_end
+from .curve_engine import DEFAULT_RHO, GRID_EPS, PowerCurve, check_rho, window_end
 from .errors import check_value
 from .turbine import TurbineSpec, require_fields
 
@@ -46,8 +46,8 @@ BAND_WEIGHTS = _areas / _areas.sum()
 KERNEL_REACH = 5.0
 
 #: Most elements in one block of the turbulence stage: its rows times the
-#: half-width of its last, the widest.  Bounds the stage's temporaries to a few
-#: hundred kB whatever the grid and TI; a row wider than it is a block of its own.
+#: half-width of its last, the widest; a row wider than it is a block of its
+#: own.  The stage's workspace holds max(BLOCK_TAPS, widest half-width) elements.
 BLOCK_TAPS = 2 ** 14
 
 #: Most window taps one curve's plan may hold at one TI, sum(h + min(h, r) + 1)
@@ -83,8 +83,7 @@ class EnvironmentConditions:
         for f in fields(self):
             check_value(f.name, getattr(self, f.name))
         _check_ti(self.ti)
-        if not self.rho > 0.0:
-            raise ValueError(f"air density must be positive, got {self.rho}")
+        check_rho(self.rho)
         if not 0.9 <= self.rho <= 1.5:
             # stacklevel 3 skips the dataclass-generated __init__ to the caller.
             warnings.warn(f"air density {self.rho} kg/m^3 outside the usual "
@@ -166,10 +165,10 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     once per batch: the checks, the window [0, k), its plateau power[k - 1]
     and run ids, r0 and the slack (the only terms in dv, see
     :func:`_row_plan`), the padded power and its view, padded to the widest
-    half-width, and the offsets.  Every TI is planned and checked against
-    MAX_TURBULENCE_TAPS before the first block of any.  A batch whose TIs
-    are all 0, an empty one included, returns the windowed input in every
-    row before any mask, plan or padding.
+    half-width, the offsets and the blocks' workspace.  Every TI is planned
+    and checked against MAX_TURBULENCE_TAPS before the workspace is made.  A
+    batch whose TIs are all 0, an empty one included, returns the windowed
+    input in every row before any mask, plan, padding or workspace.
     """
     for t in tis:
         _check_ti(t)
@@ -206,32 +205,43 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     # Offsets m = 1 .. pad in grid steps, float64 for speed.
     offsets = np.arange(1, pad + 1, dtype=np.float64)
     squares = offsets * offsets
+    # One workspace of the most elements a block's rows times H hold (see
+    # _blocks): each block's weights, paired power and mask are views of it.
+    size = max(BLOCK_TAPS, pad)
+    weights, paired, masked = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for smoothed, (t, rows, half) in zip(out, plans):
+        # The candidate rows, cut once: block b computes pick[edges[b]:edges[b + 1]].
+        pick = candidates[rows].nonzero()[0]
+        blocks = list(_blocks(half))
+        edges = [0, *pick.searchsorted([last for _, last, _ in blocks]).tolist()]
+        picked, reach = rows[pick], half[pick].astype(np.float64)
         # Row r's weights exp(m^2 * scale_r), scale_r = -0.5 / x_r^2: x_r > 0 on planned rows.
-        reach = half.astype(np.float64)
-        scale = -0.5 / (t * (r0 + rows)) ** 2
-        for first, last, wide in _blocks(half):
-            pick = candidates[rows[first:last]]
-            r = rows[first:last][pick]
-            if len(r) == 0:
+        scale = -0.5 / (t * (r0 + picked)) ** 2
+        clipped = reach > picked
+        for (_, _, wide), lo, hi in zip(blocks, edges, edges[1:]):
+            if lo == hi:
                 continue
+            r, h, n = picked[lo:hi], reach[lo:hi], hi - lo
             # Consecutive rows read the view through basic slices, with no copy.
-            at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else r
+            at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == n - 1 else r
             m = offsets[:wide]
-            w = squares[:wide] * scale[first:last][pick, None]
+            w = weights[:n * wide].reshape(n, wide)
+            np.multiply(squares[:wide], scale[lo:hi, None], out=w)
             np.exp(w, out=w)
-            # Every row keeps the columns up to h0, the first picked row's half-width.
-            h = reach[first:last][pick]
+            # Every row keeps the columns up to h0, the first computed row's half-width.
             h0 = int(h[0])
-            np.copyto(w[:, h0:], 0.0, where=m[h0:] > h[:, None])
+            mask = masked[:n * (wide - h0)].reshape(n, wide - h0)
+            np.greater(m[h0:], h[:, None], out=mask)
+            np.copyto(w[:, h0:], 0.0, where=mask)
             right = w.sum(axis=1)
             # A row whose window passes the grid's first column (h > r, TI > 0.2)
             # counts only the weights of the columns it has on the left; where
             # no row's does, those columns are already zero.
             left = (np.where(m > r[:, None].astype(np.float64), 0.0, w).sum(axis=1)
-                    if (h > r).any() else right)
+                    if clipped[lo:hi].any() else right)
             before = view[pad - wide:]
-            both = after[at, :wide] + before[at, wide - 1::-1]
+            both = paired[:n * wide].reshape(n, wide)
+            np.add(after[at, :wide], before[at, wide - 1::-1], out=both)
             both *= w
             smoothed[at] = (centre[at] + both.sum(axis=1)) / (1.0 + right + left)
     return out
@@ -265,7 +275,8 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     columns past its first computed row's half-width are masked, each row
     zeroing its weights past its own h.  A block is the longest run of rows
     whose count times H is at most BLOCK_TAPS (16384), a wider row being a
-    block of its own, so the temporaries stay a few hundred kB.  The blocks
+    block of its own; blocks are views into one workspace per call of
+    max(BLOCK_TAPS, pad) elements, pad the widest half-width.  The blocks
     are cut from the plan of every row, whichever rows are computed, so a
     row always sums over the same columns; that keeps :func:`turbulent_power`
     exact.  The cost is half the taps of the planned rows, at most rows x
@@ -293,6 +304,8 @@ def turbulent_power(curve: PowerCurve, tis: Sequence[float], wind: np.ndarray, *
     taps of one row for each speed on a grid point, as a manufacturer curve
     tabulated every 0.25 m/s is on the default grid, and two otherwise.
     """
+    if not hasattr(tis, "__len__") or getattr(tis, "ndim", 1) != 1:
+        raise ValueError(f"tis must be a 1-D sequence of turbulence intensities, got {tis!r}")
     grid = curve.wind_grid
     j = np.minimum(np.maximum(np.searchsorted(grid, wind, "right") - 1, 0), len(grid) - 2)
     marked = np.zeros(len(grid), dtype=bool)

@@ -22,7 +22,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .cp_models import BETZ_LIMIT, DEFAULT_PARAMETERISATION, get_parameterisation
-from .curve_engine import DEFAULT_RHO, read_curve_csv, wind_power
+from .curve_engine import DEFAULT_RHO, check_rho, read_curve_csv, wind_power
 from .environment import EnvironmentConditions, turbulent_power
 from .errors import NonFiniteResult, check_value
 from .synthesis import synthesize
@@ -94,6 +94,7 @@ def invert_cp(m: MeasuredCurve, rho: float = DEFAULT_RHO) -> tuple[np.ndarray, f
     Requires the rotor diameter.
     """
     require_fields(m.turbine, "rotor_diameter")
+    check_rho(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         cp = np.where(m.wind > 0,
                       m.power * 1000.0 / wind_power(m.wind, rho, m.turbine.rotor_diameter),

@@ -196,6 +196,19 @@ class TestScaleCp:
         # the limit itself is allowed
         assert scale_cp(p, BETZ_LIMIT).cp_max == BETZ_LIMIT
 
+    @pytest.mark.parametrize("name", ["lambda_opt", "raw_cp_at_opt"])
+    def test_nan_model_number_is_refused(self, name):
+        # a nan passes every bare comparison: it gave an all-zero curve, no error
+        fields = dict(base=get_parameterisation("dai2016"), cp_max=0.4, lambda_opt=9.9,
+                      raw_cp_at_opt=0.5)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+            ScaledCpModel(**dict(fields, **{name: math.nan}))
+
+    def test_string_cp_max_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^cp_max must be of type Real, got '0.4'$"):
+            ScaledCpModel(base=get_parameterisation("dai2016"), cp_max="0.4",
+                          lambda_opt=9.9, raw_cp_at_opt=0.5)
+
     def test_propagates_no_positive_cp(self):
         with pytest.raises(NoPositiveCp):
             scale_cp(_params(), 0.44)

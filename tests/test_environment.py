@@ -11,8 +11,8 @@ from windcurve import (EnvironmentConditions, MissingMandatoryField, PowerCurve,
                        environment, apply_shear_veer, apply_turbulence, ideal_curve,
                        make_wind_grid, rews_factor)
 from windcurve.curve_engine import GRID_EPS
-from windcurve.environment import (BAND_CENTRES, BAND_WEIGHTS, BLOCK_TAPS, N_BANDS, _blocks,
-                                   _row_plan, _smoothed, turbulent_power)
+from windcurve.environment import (BAND_CENTRES, BAND_WEIGHTS, BLOCK_TAPS, KERNEL_REACH,
+                                   N_BANDS, _blocks, _row_plan, _smoothed, turbulent_power)
 
 from conftest import REFERENCE_KWARGS, rated_knee, run_ids
 from oracles import _segment_area, convolve_reference, kernel_half_widths, rews_banded
@@ -437,6 +437,19 @@ class TestTurbulenceBatch:
         monkeypatch.setattr(environment, name, recorded)
         return calls
 
+    @staticmethod
+    def _numpy_lookups(monkeypatch):
+        # every numpy name the environment module looks up
+        lookups = []
+
+        class Numpy:
+            def __getattr__(self, attr):
+                lookups.append(attr)
+                return getattr(np, attr)
+
+        monkeypatch.setattr(environment, "np", Numpy())
+        return lookups
+
     @pytest.mark.parametrize("shape", [(0,), (7,), (4, 6)])
     def test_rows_follow_the_tis_and_keep_the_shape_of_wind(self, reference_curve, shape):
         tis = [0.1, 0.0, 0.25, 0.1]
@@ -454,17 +467,20 @@ class TestTurbulenceBatch:
     def test_setup_is_built_once_per_call(self, reference_curve, monkeypatch):
         plans = self._recording(monkeypatch, "_row_plan")
         views = self._recording(monkeypatch, "sliding_window_view")
+        lookups = self._numpy_lookups(monkeypatch)
         wind = np.arange(0.0, 30.25, 0.25)
-        # a batch whose TIs are all 0 returns before anything is planned or padded
+        # a batch whose TIs are all 0 returns before anything is planned,
+        # padded or allocated for the blocks
         turbulent_power(reference_curve, [0.0], wind, cut_out=25.0)
         turbulent_power(reference_curve, [0.0, -0.0, 0.0], wind, cut_out=25.0)
         turbulent_power(reference_curve, [], wind, cut_out=25.0)
         apply_turbulence(reference_curve, 0.0, cut_out=25.0)
-        assert plans == [] and views == []
+        assert plans == [] and views == [] and "empty" not in lookups
         # each TI of a mixed batch plans its own rows, TI 0 none; the padded
-        # power is viewed once
+        # power is viewed once, and the workspace of its three block arrays
+        # is allocated once for every block of every TI
         turbulent_power(reference_curve, [0.0, 0.05, 0.3, 0.05], wind, cut_out=25.0)
-        assert len(plans) == 4 and len(views) == 1
+        assert len(plans) == 4 and len(views) == 1 and lookups.count("empty") == 3
         assert all(len(a) == 0 for a in _row_plan(*plans[0]))
         # padded to the widest half-width of the batch, TI 0.3's at 25 m/s
         assert views[0][1] == (0.3 * 25.0 * 5.0 + GRID_EPS) // 0.05
@@ -472,6 +488,35 @@ class TestTurbulenceBatch:
         views.clear()
         turbulent_power(reference_curve, [0.05], wind, cut_out=25.0)
         assert len(plans) == 1 and len(views) == 1
+
+    def test_the_workspace_carries_nothing_between_tis(self, reference_model):
+        # TI 0.3 has rows wider than BLOCK_TAPS, so the workspace is wider than
+        # a block of the narrower TIs that follow it through the same arrays
+        spec = TurbineSpec(**dict(REFERENCE_KWARGS, cut_out=28.0))
+        curve = ideal_curve(spec, reference_model, v_max=40.0, dv=0.0025)
+        k = int(np.searchsorted(curve.wind_grid, 28.0 + GRID_EPS, "right"))
+        assert KERNEL_REACH * 0.3 * (k - 1) > BLOCK_TAPS
+        tis = [0.3, 0.02, 0.15, 0.02]
+        every = np.ones(len(curve.wind_grid), dtype=bool)
+        batch = _smoothed(curve, tis, 28.0, every)
+        for row, ti in zip(batch, tis):
+            assert row.tobytes() == _smoothed(curve, [ti], 28.0, every)[0].tobytes(), ti
+        # a candidate subset, one row in 37 and the rows either side of 11 m/s,
+        # gives those rows the values the full rows hold
+        some = np.zeros(len(curve.wind_grid), dtype=bool)
+        some[::37] = True
+        some[4395:4405] = True
+        subset = _smoothed(curve, tis, 28.0, some)
+        assert subset[:, some].tobytes() == batch[:, some].tobytes()
+
+    @pytest.mark.parametrize("tis", [0.05, np.float64(0.05), np.array(0.05),
+                                     np.array([[0.05, 0.1]]), None, (t for t in [0.05])])
+    def test_a_scalar_ti_is_refused_before_any_work(self, reference_curve, monkeypatch, tis):
+        checks = self._recording(monkeypatch, "_check_ti")
+        lookups = self._numpy_lookups(monkeypatch)
+        with pytest.raises(ValueError, match=r"^tis must be a 1-D sequence of turbulence "):
+            turbulent_power(reference_curve, tis, np.array([5.0]), cut_out=25.0)
+        assert checks == [] and lookups == []
 
     @pytest.mark.parametrize("at", [0, 1, 3])
     @pytest.mark.parametrize("bad", [-0.01, 1.0, np.nan])

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from click.testing import CliRunner
 
 from windcurve import (EnvironmentConditions, MeasuredCurve, TurbineSpec, apply_shear_veer,
                        apply_turbulence, betz_screen, cp_general_array,
-                       default_rotation_speeds, make_wind_grid, rews_factor, scale_cp,
-                       spec_from_json, synthesize, turbulent_power)
+                       default_rotation_speeds, ideal_curve, invert_cp, make_wind_grid,
+                       rews_factor, scale_cp, spec_from_json, synthesize, turbulent_power)
 from windcurve import cli, environment, errors, turbine
 from windcurve.cli import MAX_CP_TABLE_ROWS, MAX_SWEEP_POINTS, MAX_SWEEP_VALUES, main
 from windcurve.cp_models import MAX_LAMBDA_POINTS, REGISTRY, lambda_grid
@@ -368,6 +369,33 @@ def test_spec_rejects_non_string_name(value):
 def test_environment_rejects_non_numbers(name, value):
     with pytest.raises(ValueError, match=name):
         EnvironmentConditions(**{name: value})
+
+
+BAD_RHOS = {"nan": math.nan, "bool": True, "str": "1.2", "zero": 0, "negative": -1}
+RHO_DOORS = {
+    "ideal_curve": lambda rho, spec, model: ideal_curve(spec, model, rho),
+    "invert_cp": lambda rho, spec, model: invert_cp(
+        MeasuredCurve(spec, [0.0, 5.0, 10.0, 15.0], [0.0, 150.0, 1200.0, 2000.0]), rho),
+}
+
+
+@pytest.mark.parametrize("rho", BAD_RHOS.values(), ids=BAD_RHOS.keys())
+@pytest.mark.parametrize("door", RHO_DOORS)
+def test_every_rho_door_raises_the_site_rule(door, rho, reference_spec, reference_model):
+    # the ValueError EnvironmentConditions raises for the same density: no nan
+    # curve, no bool taken as 1 kg/m^3, no TypeError
+    with pytest.raises(ValueError) as site:
+        EnvironmentConditions(rho=rho)
+    with pytest.raises(ValueError) as info:
+        RHO_DOORS[door](rho, reference_spec, reference_model)
+    assert str(info.value) == str(site.value)
+
+
+@pytest.mark.parametrize("door", RHO_DOORS)
+def test_only_the_site_warns_about_an_unusual_rho(door, reference_spec, reference_model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        RHO_DOORS[door](2.0, reference_spec, reference_model)
 
 
 @pytest.mark.parametrize("option,key,value", [
