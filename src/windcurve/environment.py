@@ -47,7 +47,8 @@ KERNEL_REACH = 5.0
 
 #: Most elements in one block of the turbulence stage: its rows times the
 #: half-width of its last, the widest; a row wider than it is a block of its
-#: own.  The stage's workspace holds max(BLOCK_TAPS, widest half-width) elements.
+#: own.  It bounds the stage's workspace, max(BLOCK_TAPS, widest half-width)
+#: elements, and no value: a row sums its own window alone.
 BLOCK_TAPS = 2 ** 14
 
 #: Most window taps one curve's plan may hold at one TI, sum(h + min(h, r) + 1)
@@ -140,10 +141,10 @@ def _row_plan(k: int, ti: float, r0: float, slack: float,
 
 
 def _blocks(half: np.ndarray):
-    """Split planned rows with half-widths half, which never fall, into
+    """Split the computed rows with half-widths half, which never fall, into
     blocks (first, last, H): from first, the longest run of rows whose count
     times H, the half-width of its last row, is at most BLOCK_TAPS, or one
-    wider row."""
+    wider row.  A row's value does not depend on its block."""
     first = 0
     while first < len(half):
         # H >= half[first], so no run longer than BLOCK_TAPS // half[first]
@@ -165,10 +166,11 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     once per batch: the checks, the window [0, k), its plateau power[k - 1]
     and run ids, r0 and the slack (the only terms in dv, see
     :func:`_row_plan`), the padded power and its view, padded to the widest
-    half-width, the offsets and the blocks' workspace.  Every TI is planned
-    and checked against MAX_TURBULENCE_TAPS before the workspace is made.  A
-    batch whose TIs are all 0, an empty one included, returns the windowed
-    input in every row before any mask, plan, padding or workspace.
+    half-width, the squared offsets and the blocks' workspace.  Every TI is
+    planned and checked against MAX_TURBULENCE_TAPS before the workspace is
+    made; each TI's computed rows alone are cut into blocks.  A batch whose
+    TIs are all 0, an empty one included, returns the windowed input in
+    every row before any mask, plan, padding or workspace.
     """
     for t in tis:
         _check_ti(t)
@@ -202,48 +204,46 @@ def _smoothed(curve: PowerCurve, tis: Sequence[float], cut_out: float,
     ext_power = np.concatenate([np.zeros(pad), inside, np.full(pad, plateau)])
     view = sliding_window_view(ext_power, pad)
     centre, after = ext_power[pad:], view[pad + 1:]
-    # Offsets m = 1 .. pad in grid steps, float64 for speed.
-    offsets = np.arange(1, pad + 1, dtype=np.float64)
-    squares = offsets * offsets
+    # The squares of the offsets m = 1 .. pad in grid steps, float64 for speed.
+    squares = np.arange(1, pad + 1, dtype=np.float64) ** 2
     # One workspace of the most elements a block's rows times H hold (see
-    # _blocks): each block's weights, paired power and mask are views of it.
+    # _blocks): each block's weights and paired power are views of it.
     size = max(BLOCK_TAPS, pad)
-    weights, paired, masked = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    weights, paired = np.empty(size), np.empty(size)
     for smoothed, (t, rows, half) in zip(out, plans):
-        # The candidate rows, cut once: block b computes pick[edges[b]:edges[b + 1]].
+        # Only the candidate rows are computed, cut into blocks of their own.
         pick = candidates[rows].nonzero()[0]
-        blocks = list(_blocks(half))
-        edges = [0, *pick.searchsorted([last for _, last, _ in blocks]).tolist()]
-        picked, reach = rows[pick], half[pick].astype(np.float64)
+        picked, reach = rows[pick], half[pick]
         # Row r's weights exp(m^2 * scale_r), scale_r = -0.5 / x_r^2: x_r > 0 on planned rows.
         scale = -0.5 / (t * (r0 + picked)) ** 2
         clipped = reach > picked
-        for (_, _, wide), lo, hi in zip(blocks, edges, edges[1:]):
-            if lo == hi:
-                continue
-            r, h, n = picked[lo:hi], reach[lo:hi], hi - lo
+        for first, last, wide in _blocks(reach):
+            r, h, n = picked[first:last], reach[first:last], last - first
             # Consecutive rows read the view through basic slices, with no copy.
             at = slice(r[0], r[-1] + 1) if r[-1] - r[0] == n - 1 else r
-            m = offsets[:wide]
-            w = weights[:n * wide].reshape(n, wide)
-            np.multiply(squares[:wide], scale[lo:hi, None], out=w)
+            cells = n * wide
+            w = weights[:cells].reshape(n, wide)
+            np.multiply(squares[:wide], scale[first:last, None], out=w)
             np.exp(w, out=w)
-            # Every row keeps the columns up to h0, the first computed row's half-width.
-            h0 = int(h[0])
-            mask = masked[:n * (wide - h0)].reshape(n, wide - h0)
-            np.greater(m[h0:], h[:, None], out=mask)
-            np.copyto(w[:, h0:], 0.0, where=mask)
-            right = w.sum(axis=1)
-            # A row whose window passes the grid's first column (h > r, TI > 0.2)
-            # counts only the weights of the columns it has on the left; where
-            # no row's does, those columns are already zero.
-            left = (np.where(m > r[:, None].astype(np.float64), 0.0, w).sum(axis=1)
-                    if clipped[lo:hi].any() else right)
             before = view[pad - wide:]
-            both = paired[:n * wide].reshape(n, wide)
+            both = paired[:cells].reshape(n, wide)
             np.add(after[at, :wide], before[at, wide - 1::-1], out=both)
             both *= w
-            smoothed[at] = (centre[at] + both.sum(axis=1)) / (1.0 + right + left)
+            # Row i sums its own window alone, the segment [i * H, i * H + h_i)
+            # of the flattened block; the last ends at the block's end (h = H).
+            bounds = np.arange(0, cells, wide).repeat(2)
+            bounds[1::2] += h
+            right = np.add.reduceat(weights[:cells], bounds[:-1])[::2]
+            total = np.add.reduceat(paired[:cells], bounds[:-1])[::2]
+            # A row whose window passes the grid's first column (h > r, TI > 0.2)
+            # sums only its min(h, r) weights on the left; reduceat gives an
+            # empty segment its first element, so row 0's left sum is made 0.
+            left = right
+            if clipped[first:last].any():
+                bounds[1::2] += np.minimum(h, r) - h
+                cut = bounds if bounds[-1] < cells else bounds[:-1]
+                left = np.where(r > 0, np.add.reduceat(weights[:cells], cut)[::2], 0.0)
+            smoothed[at] = (centre[at] + total) / (1.0 + right + left)
     return out
 
 
@@ -269,21 +269,19 @@ def apply_turbulence(curve: PowerCurve, ti: float, *, cut_out: float) -> PowerCu
     (1 + [r >= m])) over m = 1..h, with w_m = exp(m^2 c_r) and c_r = -0.5 /
     x_r^2 computed once per row, so one multiply and one exp per +-m pair; a
     window that passes the grid's first column (TI > 0.2) reads zeros there
-    and leaves those weights out of its sum.  The rows are cut into blocks,
-    each evaluated as one dense array of its rows times H, its last row's
-    half-width, over zero-copy views of the power on both sides; only the
-    columns past its first computed row's half-width are masked, each row
-    zeroing its weights past its own h.  A block is the longest run of rows
-    whose count times H is at most BLOCK_TAPS (16384), a wider row being a
-    block of its own; blocks are views into one workspace per call of
-    max(BLOCK_TAPS, pad) elements, pad the widest half-width.  The blocks
-    are cut from the plan of every row, whichever rows are computed, so a
-    row always sums over the same columns; that keeps :func:`turbulent_power`
-    exact.  The cost is half the taps of the planned rows, at most rows x
-    window, which grows as N^2 * ti for N grid points.  It raises ValueError,
-    before the first block, unless 0 <= ti < 1, cut_out is finite and the
-    planned rows hold at most MAX_TURBULENCE_TAPS taps.  This is the
-    kernel's one single-TI front: :func:`turbulent_power` takes a batch of TIs.
+    and leaves those weights out of its sum.  The computed rows are cut into
+    blocks, each the longest run of rows whose count times H, its last row's
+    half-width, is at most BLOCK_TAPS (16384), or one wider row; a block is
+    one dense array over zero-copy views of the power on both sides, in one
+    workspace per call of max(BLOCK_TAPS, pad) elements, pad the widest
+    half-width.  Each row sums its own h columns alone, one np.add.reduceat
+    segment, so its value depends neither on its block nor on which rows are
+    computed; that keeps :func:`turbulent_power` exact.  The cost is half
+    the taps of the planned rows, at most rows x window, which grows as
+    N^2 * ti for N grid points.  It raises ValueError, before the first
+    block, unless 0 <= ti < 1, cut_out is finite and the planned rows hold
+    at most MAX_TURBULENCE_TAPS taps.  This is the kernel's one single-TI
+    front: :func:`turbulent_power` takes a batch of TIs.
     """
     return curve.with_power(_smoothed(curve, (ti,), cut_out)[0])
 
@@ -304,7 +302,7 @@ def turbulent_power(curve: PowerCurve, tis: Sequence[float], wind: np.ndarray, *
     taps of one row for each speed on a grid point, as a manufacturer curve
     tabulated every 0.25 m/s is on the default grid, and two otherwise.
     """
-    if not hasattr(tis, "__len__") or getattr(tis, "ndim", 1) != 1:
+    if isinstance(tis, (str, bytes)) or not hasattr(tis, "__len__") or getattr(tis, "ndim", 1) != 1:
         raise ValueError(f"tis must be a 1-D sequence of turbulence intensities, got {tis!r}")
     grid = curve.wind_grid
     j = np.minimum(np.maximum(np.searchsorted(grid, wind, "right") - 1, 0), len(grid) - 2)

@@ -387,9 +387,10 @@ class TestApplyTurbulence:
             apply_turbulence(reference_curve, -0.01, cut_out=25.0)
 
     def test_left_sums_are_masked_only_past_column_0(self, reference_curve, monkeypatch):
-        # a block masks its left weights (np.where) only when a computed row's
-        # window passes the grid's first column, h > r, which at TI < 0.2 on
-        # a grid from 0 m/s none does; elsewhere those weights are already 0
+        # a block sums its left weights apart (np.where zeroes row 0's empty
+        # segment) only when a computed row's window passes the grid's first
+        # column, h > r, which at TI < 0.2 on a grid from 0 m/s none does;
+        # elsewhere each row's left sum is its right one
         want = {ti: apply_turbulence(reference_curve, ti, cut_out=25.0).power
                 for ti in (0.05, 0.15, 0.25)}
         masked = []
@@ -405,6 +406,34 @@ class TestApplyTurbulence:
             got = apply_turbulence(reference_curve, ti, cut_out=25.0).power
             assert got.tobytes() == power.tobytes()
             assert bool(masked) == (ti == 0.25), ti
+
+    @pytest.mark.parametrize("dv", [0.05, 0.01])
+    @pytest.mark.parametrize("ti", [0.05, 0.15, 0.3])
+    @pytest.mark.parametrize("taps", [2 ** 6, 2 ** 10, 2 ** 12])
+    def test_a_row_does_not_depend_on_its_block(self, reference_spec, reference_model,
+                                                monkeypatch, dv, ti, taps):
+        # each row sums its own window alone, so cutting the rows into other
+        # blocks moves no byte
+        curve = ideal_curve(reference_spec, reference_model, dv=dv)
+        want = apply_turbulence(curve, ti, cut_out=25.0).power
+        monkeypatch.setattr(environment, "BLOCK_TAPS", taps)
+        assert apply_turbulence(curve, ti, cut_out=25.0).power.tobytes() == want.tobytes()
+
+    def test_a_window_with_no_left_column(self, reference_curve):
+        # on a grid from 2 m/s (r0 = 40) at TI 0.3, row 0's window reaches
+        # h = 60 steps left of it, where the grid has no column: its left
+        # sum is empty, not its first weight
+        grid = 2.0 + 0.05 * np.arange(601)
+        curve = PowerCurve(grid, reference_curve.power[40:641])
+        k = int(np.sum(grid <= 25.0))
+        rows, half = _row_plan(k, 0.3, grid[0] / curve.dv, GRID_EPS / curve.dv,
+                               run_ids(curve.power[:k]))
+        assert rows[0] == 0 and half[0] == 60
+        out = apply_turbulence(curve, 0.3, cut_out=25.0).power
+        assert out[0] > 0.0
+        np.testing.assert_allclose(out, convolve_reference(grid, curve.power, 0.3, 25.0),
+                                   rtol=1e-12, atol=1e-9)
+        np.testing.assert_array_equal(turbulent_power(curve, [0.3], grid, cut_out=25.0)[0], out)
 
     @pytest.mark.parametrize("dv", [0.05, 0.01, 1e-9])
     def test_warns_about_nothing(self, reference_spec, reference_model, dv):
@@ -477,10 +506,10 @@ class TestTurbulenceBatch:
         apply_turbulence(reference_curve, 0.0, cut_out=25.0)
         assert plans == [] and views == [] and "empty" not in lookups
         # each TI of a mixed batch plans its own rows, TI 0 none; the padded
-        # power is viewed once, and the workspace of its three block arrays
-        # is allocated once for every block of every TI
+        # power is viewed once, and the workspace of its two block arrays,
+        # weights and paired power, is allocated once for every block of every TI
         turbulent_power(reference_curve, [0.0, 0.05, 0.3, 0.05], wind, cut_out=25.0)
-        assert len(plans) == 4 and len(views) == 1 and lookups.count("empty") == 3
+        assert len(plans) == 4 and len(views) == 1 and lookups.count("empty") == 2
         assert all(len(a) == 0 for a in _row_plan(*plans[0]))
         # padded to the widest half-width of the batch, TI 0.3's at 25 m/s
         assert views[0][1] == (0.3 * 25.0 * 5.0 + GRID_EPS) // 0.05
@@ -510,7 +539,8 @@ class TestTurbulenceBatch:
         assert subset[:, some].tobytes() == batch[:, some].tobytes()
 
     @pytest.mark.parametrize("tis", [0.05, np.float64(0.05), np.array(0.05),
-                                     np.array([[0.05, 0.1]]), None, (t for t in [0.05])])
+                                     np.array([[0.05, 0.1]]), None, (t for t in [0.05]),
+                                     "0.05", b"0.05"])
     def test_a_scalar_ti_is_refused_before_any_work(self, reference_curve, monkeypatch, tis):
         checks = self._recording(monkeypatch, "_check_ti")
         lookups = self._numpy_lookups(monkeypatch)
@@ -625,6 +655,25 @@ def test_np_interp_returns_fp_on_a_grid_point_unread_neighbours(repeat):
     x = np.tile([0.0, 1.0, 2.0], repeat)
     np.testing.assert_array_equal(np.interp(x, [0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
                                   np.tile([1.0, np.inf, 3.0], repeat))
+
+
+def test_np_add_reduceat_sums_each_segment_alone():
+    # the turbulence kernel sums row i of a block as the segment [i * H,
+    # i * H + h_i) of its flattened weights: an empty segment [i, i) gives
+    # a[i], so the kernel zeroes it, and a segment's sum must not depend on
+    # what precedes or follows it, which makes a row independent of its block
+    rng = np.random.default_rng(3)
+    a = rng.random(50)
+    np.testing.assert_array_equal(np.add.reduceat(a, [0, 0, 7, 7, 20]),
+                                  [a[0], a[:7].sum(), a[7], a[7:20].sum(), a[20:].sum()])
+    for length in (1, 7, 8, 9, 127, 128, 129, 1000, 4097):
+        segment = rng.random(length)
+        alone = np.add.reduceat(segment, [0])[0]
+        for before, after in ((0, 1), (3, 5), (17, length), (64, 4 * length)):
+            a = rng.random(before + length + after)
+            a[before:before + length] = segment
+            got = np.add.reduceat(a, [before, before + length])[0]
+            assert got.tobytes() == alone.tobytes(), (length, before, after)
 
 
 def test_kernel_sums_without_blas():
